@@ -5,8 +5,9 @@
 //! waitall / allreduce per iteration, one clustered compute interval each)
 //! — so the numbers isolate *ingest*: normalization, hash-consing, and the
 //! sequence sink, with no simulator in the loop. The streaming sink feeds
-//! each rank's online Sequitur through a bounded buffer; the materialized
-//! sink stores every id. At 65 536 ranks the flat id sequences are the
+//! each rank's online Sequitur through a bounded buffer (256 ids, well
+//! under a rank's stream, so every rank builds online rather than at
+//! finish); the materialized sink stores every id. At 65 536 ranks the flat id sequences are the
 //! dominant allocation, which is exactly what streaming exists to avoid.
 //!
 //! ```sh

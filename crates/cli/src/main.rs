@@ -40,9 +40,12 @@ COMMANDS:
                  --emit-c <file>     also write the C source
                  --from-trace <f>    synthesize from a saved .siestatrace
                                      instead of running the program
-                 --no-memo           disable cross-rank grammar memoization
-                                     (rebuild Sequitur per rank even for
-                                     duplicate sequences; output unchanged)
+                 --no-memo           disable the cross-rank grammar dedupe of
+                                     the table merge (no-stream: rebuild
+                                     Sequitur per rank; streaming: lift each
+                                     rank's grammar; output unchanged).
+                                     Streams that fit --stream-buf are
+                                     always built once per distinct stream
                  --no-stream         materialize full per-rank id sequences
                                      instead of streaming them through the
                                      online Sequitur (more memory; output

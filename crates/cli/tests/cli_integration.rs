@@ -244,3 +244,36 @@ fn threads_flag_is_validated_and_output_invariant() {
     }
     assert_eq!(outputs[0], outputs[1], "--threads changed the synthesized bytes");
 }
+
+#[test]
+fn stats_alone_records_the_proxy_fit_error() {
+    // The fit-error histogram is a pipeline metric, not a profiling one:
+    // `--stats` without `--profile` must report one sample per compute
+    // terminal.
+    let proxy = tmp("cg_stats.siesta");
+    let out = siesta(&[
+        "synthesize",
+        "--program",
+        "cg",
+        "--nprocs",
+        "16",
+        "--size",
+        "tiny",
+        "--stats",
+        "--out",
+        proxy.to_str().unwrap(),
+    ]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    std::fs::remove_file(&proxy).ok();
+    let text = String::from_utf8_lossy(&out.stdout);
+    let line = text
+        .lines()
+        .find(|l| l.trim_start().starts_with("proxy.fit_error_bp"))
+        .unwrap_or_else(|| panic!("no proxy.fit_error_bp line in:\n{text}"));
+    let count: u64 = line
+        .split_whitespace()
+        .nth(1)
+        .and_then(|c| c.parse().ok())
+        .unwrap_or_else(|| panic!("unparsable histogram line: {line}"));
+    assert!(count > 0, "proxy.fit_error_bp recorded nothing under --stats: {line}");
+}

@@ -30,11 +30,15 @@ pub struct SiestaConfig {
     /// Shrinking factor (Section 2.7): 1.0 emits a full-size proxy; the
     /// paper's default shrunk proxy uses 10.0.
     pub scale: f64,
-    /// Cross-rank grammar memoization: SPMD jobs repeat whole id sequences
-    /// across ranks, so Sequitur runs once per *unique* sequence and the
-    /// result is cloned for every duplicate rank. Bit-identical output
-    /// either way (Sequitur is a pure function of its input); off is only
-    /// useful for benchmarking and differential testing.
+    /// Cross-rank grammar memoization in the table merge: SPMD jobs repeat
+    /// whole id sequences across ranks, so the materialized path runs
+    /// Sequitur once per *unique* global sequence and
+    /// [`merge_streamed`](Siesta::merge_streamed) lifts one grammar per
+    /// unique stream, cloning the result for every duplicate rank.
+    /// Bit-identical output either way (Sequitur is a pure function of its
+    /// input); off is only useful for benchmarking and differential
+    /// testing. The streaming recorder's finish-time build of streams that
+    /// never filled their buffer dedupes whatever this says.
     pub grammar_memo: bool,
     /// Streaming ingest: interned event ids feed each rank's Sequitur as
     /// calls complete, so the flat per-rank id sequences never materialize
@@ -137,10 +141,11 @@ impl Siesta {
         (recorder.finish(), stats)
     }
 
-    /// Trace an MPI program with streaming ingest: the recorder feeds each
-    /// rank's interned event ids straight into its online Sequitur as calls
-    /// complete, flushing a bounded buffer — the flat id sequences never
-    /// exist. Returns per-rank tables + local-id grammars.
+    /// Trace an MPI program with streaming ingest: each rank buffers a
+    /// bounded number of interned event ids, a longer stream drains into
+    /// the rank's online Sequitur as calls complete, and streams that fit
+    /// the buffer are built at the end, once per distinct stream. Returns
+    /// per-rank tables + local-id grammars.
     pub fn trace_run_streamed<'env, F>(
         &self,
         machine: Machine,
@@ -215,7 +220,7 @@ impl Siesta {
     }
 
     /// Synthesize from a streamed trace. The per-rank grammars already
-    /// exist (built online during the run); the table merge lifts them to
+    /// exist (built by the recorder); the table merge lifts them to
     /// global ids by terminal relabeling instead of re-running Sequitur,
     /// sharing one lifted grammar across ranks whose streams hashed
     /// identical when `grammar_memo` is on.
@@ -295,11 +300,9 @@ impl Siesta {
                 EventRecord::Compute(_) => {
                     let (target, proxy) = solved.next().expect("one proxy per compute event");
                     let err = searcher.error(&proxy, target, gen_machine);
-                    if profiling_enabled() {
-                        // Fit error in basis points (1e-4), so the log2
-                        // histogram resolves the sub-percent range.
-                        fit_error_hist.record((err * 1e4).round().max(0.0) as u64);
-                    }
+                    // Fit error in basis points (1e-4), so the log2
+                    // histogram resolves the sub-percent range.
+                    fit_error_hist.record((err * 1e4).round().max(0.0) as u64);
                     fit_error_sum += err;
                     fit_error_n += 1;
                     TerminalOp::Compute { proxy, target: *target }

@@ -117,6 +117,10 @@ pub struct Sequitur {
     /// Times the digram table outgrew its reservation (flushed to the
     /// `grammar.digram.rehashes` counter by `into_grammar`).
     rehashes: u64,
+    /// Largest digram-table capacity seen so far. `capacity()` also moves
+    /// when a removal leaves a tombstone and a later insert reuses it, so
+    /// only a rise above this mark is a growth.
+    digram_cap_peak: usize,
     /// Run-length constraint enabled (the paper's configuration). Disabled
     /// only by the ablation harness, which contrasts the O(1) powers
     /// against classic Sequitur's O(log n) rule chains for regular loops.
@@ -166,6 +170,7 @@ impl Sequitur {
         // ranks every kilobyte of idle reservation is a gigabyte of RSS.
         let pair_reserve = (len / 8 + 16).min(1 << 21);
         let rule_reserve = (len / 16 + 8).min(1 << 21);
+        let digrams: FxHashMap<u64, u32> = fx_map_with_capacity(digram_reserve(len));
         let mut s = Sequitur {
             // Terminals enter one node each; rule bodies add less than
             // one node per substitution (freed nodes are recycled).
@@ -181,7 +186,8 @@ impl Sequitur {
             pair_refs: Vec::with_capacity(pair_reserve),
             pair_free: Vec::new(),
             pair_ids: fx_map_with_capacity(pair_reserve),
-            digrams: fx_map_with_capacity(digram_reserve(len)),
+            digram_cap_peak: digrams.capacity(),
+            digrams,
             rehashes: 0,
             rle,
         };
@@ -364,11 +370,12 @@ impl Sequitur {
         }
     }
 
-    /// Insert into the digram index, counting reservation overflows.
+    /// Insert into the digram index, counting table growths.
     fn digram_insert(&mut self, key: u64, left: u32) {
-        let before = self.digrams.capacity();
         self.digrams.insert(key, left);
-        if self.digrams.capacity() != before {
+        let cap = self.digrams.capacity();
+        if cap > self.digram_cap_peak {
+            self.digram_cap_peak = cap;
             self.rehashes += 1;
         }
     }
@@ -880,6 +887,34 @@ mod tests {
             }
             assert_eq!(s.into_grammar(), Sequitur::build(&seq), "seed {seed}");
         }
+    }
+
+    #[test]
+    fn digram_rehashes_count_growth_not_tombstone_reuse() {
+        // 200 live keys churning in a table with room for them: removals
+        // leave tombstones and inserts reuse them, which moves
+        // `capacity()` back and forth but never grows the table. Keys are
+        // packed like the real index (`left << 32 | right`, few distinct
+        // right ids), which clusters them into long probe runs — the case
+        // where a removal leaves a tombstone rather than an empty slot.
+        let mut s = Sequitur::with_rle_and_capacity(true, 3200);
+        let room = s.digrams.capacity();
+        assert!(room >= 400, "table too small for the churn: {room}");
+        let key = |k: u64| (k << 32) | (k % 4);
+        for k in 0..200u64 {
+            s.digram_insert(key(k), 0);
+        }
+        for k in 200..40_000u64 {
+            s.digrams.remove(&key(k - 200));
+            s.digram_insert(key(k), 0);
+        }
+        assert_eq!(s.digrams.len(), 200);
+        assert_eq!(s.rehashes, 0, "steady-size churn counted as growth");
+        // A real growth still counts.
+        for k in 40_000..40_000 + 2 * room as u64 {
+            s.digram_insert(key(k), 0);
+        }
+        assert!(s.rehashes > 0);
     }
 
     #[test]

@@ -8,8 +8,10 @@
 //! byte-identical records.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::hash::Hash;
+
+use siesta_hash::FxHashMap;
 
 /// Lowest-free-number allocator.
 #[derive(Debug, Default)]
@@ -50,12 +52,14 @@ impl FreePool {
 #[derive(Debug, Default)]
 pub struct HandleMap<K: Eq + Hash + Copy> {
     pool: FreePool,
-    map: HashMap<K, u32>,
+    /// Only ever looked up, never iterated, so the hasher cannot reorder
+    /// anything observable.
+    map: FxHashMap<K, u32>,
 }
 
 impl<K: Eq + Hash + Copy> HandleMap<K> {
     pub fn new() -> HandleMap<K> {
-        HandleMap { pool: FreePool::new(), map: HashMap::new() }
+        HandleMap { pool: FreePool::new(), map: FxHashMap::default() }
     }
 
     /// Pre-assign a handle (e.g. `MPI_COMM_WORLD` → 0).

@@ -18,11 +18,10 @@ use std::hash::Hasher;
 use std::mem;
 
 use std::sync::Mutex;
-use siesta_grammar::{Grammar, Sequitur};
-use siesta_hash::FxHasher;
+use siesta_grammar::{build_rank_grammars, Grammar, Sequitur};
+use siesta_hash::{FxHashMap, FxHasher};
 use siesta_mpisim::{CommId, HookCtx, MpiCall, PmpiHook};
 use siesta_perfmodel::CounterVec;
-use std::collections::HashMap;
 
 use crate::event::{counters_close, rel_rank, CommEvent, ComputeStats, EventRecord};
 use crate::pool::HandleMap;
@@ -87,9 +86,9 @@ impl Default for TraceConfig {
 
 /// Where a rank's id sequence goes: a plain vector (materialized path) or
 /// a bounded buffer feeding an online Sequitur (streaming path). Streaming
-/// never holds more than `limit` ids outside the grammar — the full
-/// sequence exists only as its compressed grammar plus a running content
-/// hash.
+/// never holds more than `limit` ids outside the grammar — a stream longer
+/// than the buffer exists only as its compressed grammar, the residual
+/// buffer, and a running content hash.
 enum SeqSink {
     Materialized(Vec<u32>),
     Streaming(Box<StreamSink>),
@@ -104,7 +103,11 @@ impl Default for SeqSink {
 struct StreamSink {
     buf: Vec<u32>,
     limit: usize,
-    builder: Sequitur,
+    /// Online builder, created at the first flush. A stream that never
+    /// fills the buffer is built at `finish_streamed` instead, once per
+    /// distinct sequence, so the ranks of an SPMD job mostly never hold
+    /// one. Boxed so an idle sink carries a pointer, not a builder.
+    builder: Option<Box<Sequitur>>,
     /// Running FxHash over the id stream; with `len` it keys the
     /// cross-rank memo (verified by structural equality on hit, so a
     /// collision costs time, never correctness).
@@ -122,7 +125,7 @@ impl StreamSink {
             // before a single event arrives.
             buf: Vec::new(),
             limit,
-            builder: Sequitur::new(),
+            builder: None,
             hash: FxHasher::default(),
             len: 0,
             flushes: 0,
@@ -138,17 +141,30 @@ impl StreamSink {
         }
     }
 
+    /// Drain the buffer into the online builder, creating it on first use.
     fn flush(&mut self) {
         if self.buf.is_empty() {
             return;
         }
+        let builder = self.builder.get_or_insert_with(|| Box::new(Sequitur::new()));
         for &id in &self.buf {
             self.hash.write_u32(id);
-            self.builder.push(id);
+            builder.push(id);
         }
         self.len += self.buf.len();
         self.flushes += 1;
         self.buf.clear();
+    }
+
+    /// Take the whole stream of a sink that never flushed, folding it into
+    /// the running hash and length.
+    fn take_unflushed(&mut self) -> Vec<u32> {
+        debug_assert!(self.builder.is_none() && self.len == 0);
+        for &id in &self.buf {
+            self.hash.write_u32(id);
+        }
+        self.len = self.buf.len();
+        mem::take(&mut self.buf)
     }
 }
 
@@ -156,24 +172,16 @@ impl StreamSink {
 struct RankTrace {
     sink: SeqSink,
     table: Vec<EventRecord>,
-    comm_index: HashMap<CommEvent, u32>,
+    comm_index: FxHashMap<CommEvent, u32>,
     /// (table id, representative) per compute cluster; scanned linearly —
     /// programs have few distinct computation behaviours.
     compute_clusters: Vec<(u32, CounterVec)>,
     last_counters: CounterVec,
     normalizer: Normalizer,
     raw_bytes: usize,
-    initialized: bool,
 }
 
 impl RankTrace {
-    fn ensure_init(&mut self) {
-        if !self.initialized {
-            self.normalizer = Normalizer::new();
-            self.initialized = true;
-        }
-    }
-
     fn push_id(&mut self, id: u32) {
         match &mut self.sink {
             SeqSink::Materialized(seq) => seq.push(id),
@@ -416,9 +424,10 @@ impl Trace {
 }
 
 /// Per-rank output of a streaming-ingest run: the local event table plus
-/// the rank's id sequence in compressed form only — the grammar the online
-/// Sequitur built during the run, and a running content hash + length of
-/// the stream for cross-rank memoization.
+/// the rank's id sequence in compressed form only — its grammar (built
+/// online during the run, or at finish for a stream that fit the buffer),
+/// and a running content hash + length of the stream for cross-rank
+/// memoization.
 #[derive(Debug, Clone)]
 pub struct StreamedRank {
     pub table: Vec<EventRecord>,
@@ -468,10 +477,11 @@ impl Recorder {
         }
     }
 
-    /// A streaming recorder: each rank's ids feed an online Sequitur
-    /// through a bounded buffer of `config.stream_buf` ids; the full
-    /// sequence never materializes. Grammar construction happens on the
-    /// scheduler's pool threads as the simulated program runs.
+    /// A streaming recorder: each rank buffers at most `config.stream_buf`
+    /// ids. A stream that outgrows the buffer drains into an online
+    /// Sequitur on the scheduler's pool threads as the simulated program
+    /// runs; a stream that fits is built by [`Recorder::finish_streamed`],
+    /// once per distinct stream.
     pub fn new_streaming(nranks: usize, config: TraceConfig) -> Recorder {
         Recorder {
             per_rank: (0..nranks)
@@ -512,45 +522,66 @@ impl Recorder {
         trace
     }
 
-    /// Extract the streamed trace, resetting the recorder: drains every
-    /// rank's residual buffer, finalizes its grammar, and flushes the
-    /// stream counters. Ranks are drained in index order, so the obs
-    /// stream is deterministic whatever order the scheduler completed
-    /// them in.
+    /// Extract the streamed trace, resetting the recorder. One pass in
+    /// rank order: a rank that flushed drains its residual buffer into its
+    /// builder and finalizes the grammar on the spot; a rank whose whole
+    /// stream still sits in its buffer folds it into the content hash, and
+    /// all such streams are then built together by
+    /// [`build_rank_grammars`] — Sequitur once per distinct sequence, in
+    /// first-seen order, fanned out over the pool. Sequitur is a pure
+    /// function of its input and the dedupe compares whole sequences, so
+    /// the grammars equal what a per-rank online build would produce.
+    /// The obs stream is deterministic whatever order the scheduler
+    /// completed the ranks in.
     pub fn finish_streamed(&self) -> StreamedTrace {
         assert!(self.stream, "finish_streamed() on a materialized Recorder — use finish()");
         let mut flushes = 0u64;
         let mut peak = 0usize;
-        let ranks: Vec<StreamedRank> = self
-            .per_rank
-            .iter()
-            .map(|m| {
-                let mut tr = self.fresh_streaming_take(m);
-                let mut s = match mem::take(&mut tr.sink) {
-                    SeqSink::Streaming(s) => s,
-                    SeqSink::Materialized(_) => unreachable!("streaming recorder"),
-                };
+        let mut unflushed: Vec<usize> = Vec::new();
+        let mut unflushed_seqs: Vec<Vec<u32>> = Vec::new();
+        let mut ranks: Vec<StreamedRank> = Vec::with_capacity(self.per_rank.len());
+        for (rank, m) in self.per_rank.iter().enumerate() {
+            let mut tr = self.fresh_streaming_take(m);
+            let mut s = match mem::take(&mut tr.sink) {
+                SeqSink::Streaming(s) => s,
+                SeqSink::Materialized(_) => unreachable!("streaming recorder"),
+            };
+            peak = peak.max(s.peak_buffered);
+            let grammar = if s.builder.is_some() {
                 s.flush();
-                flushes += s.flushes;
-                peak = peak.max(s.peak_buffered);
-                StreamedRank {
-                    table: tr.table,
-                    grammar: s.builder.into_grammar(),
-                    seq_hash: s.hash.finish(),
-                    seq_len: s.len,
-                    raw_bytes: tr.raw_bytes,
-                }
-            })
-            .collect();
+                s.builder.take().expect("flushed sink holds a builder").into_grammar()
+            } else {
+                unflushed.push(rank);
+                unflushed_seqs.push(s.take_unflushed());
+                // Placeholder until the batch build below.
+                Grammar { rules: Vec::new() }
+            };
+            flushes += s.flushes;
+            ranks.push(StreamedRank {
+                table: tr.table,
+                grammar,
+                seq_hash: s.hash.finish(),
+                seq_len: s.len,
+                raw_bytes: tr.raw_bytes,
+            });
+        }
+        // Skipped when every rank flushed, so no empty memo counters show.
+        if !unflushed.is_empty() {
+            let built = build_rank_grammars(&unflushed_seqs, true);
+            for (&rank, grammar) in unflushed.iter().zip(built) {
+                ranks[rank].grammar = grammar;
+            }
+        }
         siesta_obs::counter("trace.stream.flushes").add(flushes);
         siesta_obs::gauge("trace.stream.peak_buffered").set(peak as i64);
         let trace = StreamedTrace { nranks: self.per_rank.len(), ranks };
         siesta_obs::debug!(
             "trace: streamed {} events ({} raw bytes) across {} ranks, \
-             {flushes} flushes, peak {peak} buffered",
+             {flushes} flushes, peak {peak} buffered, {} streams built at finish",
             trace.total_events(),
             trace.raw_bytes(),
-            trace.nranks
+            trace.nranks,
+            unflushed.len()
         );
         trace
     }
@@ -575,7 +606,6 @@ impl PmpiHook for Recorder {
 
     fn post(&self, ctx: &HookCtx, call: &MpiCall) {
         let mut tr = self.per_rank[ctx.rank].lock().unwrap();
-        tr.ensure_init();
         tr.close_compute_interval(ctx.counters, self.config.cluster_threshold);
         let event = tr.normalizer.normalize(ctx, call);
         tr.record_comm(event);
@@ -788,6 +818,32 @@ mod tests {
         assert!(rec.finish_streamed().total_events() > 0);
         // Still a streaming recorder after the reset, and empty.
         assert_eq!(rec.finish_streamed().total_events(), 0);
+    }
+
+    #[test]
+    fn one_recorder_builds_flushed_and_unflushed_ranks_alike() {
+        // A buffer between the shortest and longest rank stream: long
+        // ranks flush into an online builder, short ones are still fully
+        // buffered at finish and built there, deduped across ranks. Both
+        // kinds must yield the batch grammar, length and content hash.
+        let program = Program::Sweep3d;
+        let mat = record(program, 8);
+        let lens: Vec<usize> = mat.ranks.iter().map(|r| r.seq.len()).collect();
+        let (min, max) = (*lens.iter().min().unwrap(), *lens.iter().max().unwrap());
+        assert!(min < max, "rank streams all {min} ids long; need two lengths");
+        let buf = (min + max).div_ceil(2);
+        assert!(lens.iter().any(|&l| l >= buf) && lens.iter().any(|&l| l < buf));
+        let st = record_streamed(program, 8, buf);
+        for (rank, (s, m)) in st.ranks.iter().zip(&mat.ranks).enumerate() {
+            let mut hash = FxHasher::default();
+            for &id in &m.seq {
+                hash.write_u32(id);
+            }
+            assert_eq!(s.table, m.table, "rank {rank}");
+            assert_eq!(s.grammar, Sequitur::build(&m.seq), "rank {rank} buf={buf}");
+            assert_eq!(s.seq_len, m.seq.len(), "rank {rank}");
+            assert_eq!(s.seq_hash, hash.finish(), "rank {rank}");
+        }
     }
 
     #[test]

@@ -14,6 +14,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use siesta_grammar::Sequitur;
+use siesta_trace::{Recorder, TraceConfig};
 
 /// Counts allocations made by the current thread while armed.
 struct CountingAlloc;
@@ -131,4 +132,20 @@ fn zero_alloc_push_holds_with_rle_off_too() {
         }
     });
     assert_eq!(n, 0, "classic-mode steady-state push allocated {n} times");
+}
+
+#[test]
+fn streaming_recorder_allocates_at_most_two_blocks_per_rank() {
+    // A rank's online builder is created at its first flush, so an idle
+    // streaming rank holds only its boxed sink and its normalizer's
+    // communicator map (MPI_COMM_WORLD preassigned). The one extra
+    // allocation is the per-rank vector itself.
+    for nranks in [1024usize, 4096] {
+        let (rec, n) = allocs_during(|| Recorder::new_streaming(nranks, TraceConfig::default()));
+        drop(rec);
+        assert!(
+            n <= 2 * nranks as u64 + 1,
+            "new_streaming({nranks}) allocated {n} times, over 2 per rank"
+        );
+    }
 }
