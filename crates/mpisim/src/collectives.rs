@@ -1,33 +1,346 @@
-//! Collective operations, built from point-to-point rounds.
+//! Collective operations.
 //!
-//! Every collective is implemented as a real algorithm (binomial trees,
-//! recursive doubling, rings, pairwise/Bruck exchanges) over the internal
-//! plumbing channel, so its virtual-time cost emerges from the same wire
-//! model as application messages — and changes when the MPI flavor selects a
-//! different algorithm, which is what the paper's Figure 7 measures.
-//! Plumbing messages never touch the PMPI hook: an interposer sees one
-//! `MPI_Bcast`, not its internal sends, exactly like real PMPI.
+//! Every collective runs a real algorithm (binomial trees, recursive
+//! doubling, rings, pairwise and Bruck exchanges, dissemination), so its
+//! virtual-time cost emerges from the same wire model as application
+//! messages, and changes when the MPI flavor selects a different
+//! algorithm, which is what the paper's Figure 7 measures. The algorithms
+//! run on one of two paths:
+//!
+//! * **All-member collectives**: `barrier` (and the barrier inside
+//!   `comm_dup`), `allreduce`, `allgather`, `alltoall` and
+//!   `reduce_scatter_block`. No member can leave one of these before every
+//!   member has arrived, so each member deposits its clock, wait sums and
+//!   call `Plan` on the world's quorum board (`quorum.rs`). The last to
+//!   arrive runs the algorithm's whole round schedule over every member in
+//!   one pass (`evaluate`) and wakes the others. A round repeats what a
+//!   receive posted before a blocking send through the matching engine
+//!   computes, with the same wire formulas (`link.rs`), so the clocks are
+//!   bit-identical to sending every round as a message.
+//! * **Rooted and prefix collectives** (`bcast`, `reduce`, `gather(v)`,
+//!   `scatter(v)`, `scan`) and `alltoallv` send point-to-point rounds over
+//!   the internal plumbing channel. A member may leave a rooted collective
+//!   early (the `bcast` root after its eager sends); a quorum would make
+//!   such calls synchronizing and could deadlock programs that run.
+//!   `alltoallv` would need every member's count vector, p² counts, on
+//!   the board.
+//!
+//! Neither path touches the PMPI hook: an interposer sees one
+//! `MPI_Allreduce`, not its internal rounds, exactly like real PMPI.
 
+use std::fmt;
+
+use siesta_perfmodel::net::Protocol;
 use siesta_perfmodel::noise;
-use siesta_perfmodel::CollectiveAlgo;
+use siesta_perfmodel::{CollectiveAlgo, Machine};
 
 use crate::comm::{CommId, Communicator};
 use crate::hook::MpiCall;
+use crate::link::{recv_done, Link};
 use crate::message::{Channel, RecvStatus};
-use crate::rank::Rank;
+use crate::rank::{blocked, Rank};
 
 /// Number of pipeline segments used by ring/chain algorithms for large
 /// payloads.
 const PIPELINE_SEGMENTS: usize = 8;
+
+/// Cycles to combine `bytes` of reduction operands (1 cycle/f64).
+fn reduce_cost_ns(machine: &Machine, bytes: usize) -> f64 {
+    (bytes as f64 / 8.0) / machine.cpu().freq_ghz
+}
+
+/// An all-member collective together with the algorithm it runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub(crate) enum Schedule {
+    /// `MPI_Barrier` by dissemination.
+    #[default]
+    Barrier,
+    /// The dissemination barrier inside `MPI_Comm_dup`.
+    CommDup,
+    /// Recursive doubling, folding the ranks beyond the largest power of
+    /// two onto their neighbours first.
+    AllreduceRecursiveDoubling,
+    /// Ring reduce-scatter of `bytes / p` chunks, then ring allgather.
+    AllreduceRing,
+    ReduceScatterBlockRing,
+    /// Recursive doubling (power-of-two communicators only).
+    AllgatherRecursiveDoubling,
+    AllgatherRing,
+    AlltoallPairwise,
+    AlltoallBruck,
+}
+
+impl Schedule {
+    /// `(MPI call, algorithm)` for diagnostics.
+    fn names(self) -> (&'static str, &'static str) {
+        match self {
+            Schedule::Barrier => ("MPI_Barrier", "dissemination"),
+            Schedule::CommDup => ("MPI_Comm_dup", "dissemination"),
+            Schedule::AllreduceRecursiveDoubling => ("MPI_Allreduce", "recursive doubling"),
+            Schedule::AllreduceRing => ("MPI_Allreduce", "ring"),
+            Schedule::ReduceScatterBlockRing => ("MPI_Reduce_scatter_block", "ring"),
+            Schedule::AllgatherRecursiveDoubling => ("MPI_Allgather", "recursive doubling"),
+            Schedule::AllgatherRing => ("MPI_Allgather", "ring"),
+            Schedule::AlltoallPairwise => ("MPI_Alltoall", "pairwise"),
+            Schedule::AlltoallBruck => ("MPI_Alltoall", "Bruck"),
+        }
+    }
+}
+
+/// What one member of an all-member collective asked for. Every member of
+/// one call must deposit the same plan.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub(crate) struct Plan {
+    pub schedule: Schedule,
+    pub bytes: usize,
+}
+
+impl fmt::Display for Plan {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (call, algo) = self.schedule.names();
+        write!(f, "{call} of {} B ({algo})", self.bytes)
+    }
+}
+
+/// One member's deposit on the quorum board, and its result after the
+/// evaluation: the virtual clock and the two wait sums of
+/// [`Rank::note_wait`], plus the call's plan.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Member {
+    clock: f64,
+    cur_wait_ns: f64,
+    wait_ns_total: f64,
+    plan: Plan,
+}
+
+impl Member {
+    /// [`Rank::note_wait`] on the deposited wait sums.
+    fn note_wait(&mut self, delta_ns: f64) {
+        if delta_ns > 0.0 {
+            self.cur_wait_ns += delta_ns;
+            self.wait_ns_total += delta_ns;
+        }
+    }
+}
+
+/// Run an all-member collective's round schedule over every member of
+/// `comm` (indexed by communicator rank), advancing each member's clock
+/// and wait sums exactly as its rounds through the matching engine would.
+///
+/// Panics if the members disagree on the plan: they called different
+/// collectives, or the same one with different sizes, at one point of the
+/// communicator's collective order.
+fn evaluate(machine: &Machine, comm: &Communicator, members: &mut [Member]) {
+    let plan = members[0].plan;
+    if let Some(i) = members.iter().position(|m| m.plan != plan) {
+        panic!(
+            "mismatched collective on communicator {:#x}: rank {} called {plan}, \
+             but rank {} called {}",
+            comm.id.0,
+            comm.global_of(0),
+            comm.global_of(i),
+            members[i].plan
+        );
+    }
+    let p = members.len();
+    let bytes = plan.bytes;
+    let ring = move |r: usize| Some((r + 1) % p);
+    let mut rounds = Rounds {
+        machine,
+        comm,
+        post: vec![0.0; p],
+        arrival: vec![0.0; p],
+        members,
+    };
+    match plan.schedule {
+        Schedule::Barrier | Schedule::CommDup => {
+            let mut dist = 1usize;
+            while dist < p {
+                rounds.exchange(|r| Some((r + dist) % p), 0, false);
+                dist <<= 1;
+            }
+        }
+        Schedule::AllreduceRecursiveDoubling => rounds.recursive_doubling_allreduce(bytes),
+        Schedule::AllreduceRing => {
+            let chunk = bytes.div_ceil(p);
+            for _ in 0..p - 1 {
+                rounds.exchange(ring, chunk, true);
+            }
+            for _ in 0..p - 1 {
+                rounds.exchange(ring, chunk, false);
+            }
+        }
+        Schedule::ReduceScatterBlockRing => {
+            for _ in 0..p - 1 {
+                rounds.exchange(ring, bytes, true);
+            }
+        }
+        Schedule::AllgatherRecursiveDoubling => {
+            let mut cur = bytes;
+            let mut mask = 1usize;
+            while mask < p {
+                rounds.exchange(|r| Some(r ^ mask), cur, false);
+                cur *= 2;
+                mask <<= 1;
+            }
+        }
+        Schedule::AllgatherRing => {
+            for _ in 0..p - 1 {
+                rounds.exchange(ring, bytes, false);
+            }
+        }
+        Schedule::AlltoallPairwise => {
+            for step in 1..p {
+                rounds.exchange(|r| Some((r + step) % p), bytes, false);
+            }
+        }
+        Schedule::AlltoallBruck => {
+            let mut mask = 1usize;
+            while mask < p {
+                // Blocks whose index has this bit set travel this round.
+                let blocks = (1..p).filter(|i| i & mask != 0).count();
+                rounds.exchange(|r| Some((r + mask) % p), blocks * bytes, false);
+                mask <<= 1;
+            }
+        }
+    }
+}
+
+/// Round-by-round evaluation state of one all-member collective.
+struct Rounds<'a> {
+    machine: &'a Machine,
+    comm: &'a Communicator,
+    members: &'a mut [Member],
+    /// When each member posted its current receive.
+    post: Vec<f64>,
+    /// When the data of each member's current receive is available.
+    arrival: Vec<f64>,
+}
+
+impl Rounds<'_> {
+    /// One round in which every member `r` with `dst(r) = Some(d)` sends
+    /// `bytes` to `d` and receives from the member that sends to it. As in
+    /// a sendrecv, each member posts its receive at the round's start and
+    /// then sends, so every send completes before any receive of the round.
+    /// `reduce` charges combining the received operand.
+    fn exchange(&mut self, dst: impl Fn(usize) -> Option<usize>, bytes: usize, reduce: bool) {
+        for (post, m) in self.post.iter_mut().zip(self.members.iter()) {
+            *post = m.clock;
+        }
+        for r in 0..self.members.len() {
+            if let Some(d) = dst(r) {
+                self.arrival[d] = self.send(r, d, bytes);
+            }
+        }
+        for r in 0..self.members.len() {
+            if dst(r).is_some() {
+                self.recv(r, bytes, reduce);
+            }
+        }
+    }
+
+    /// A one-way transfer whose receiver posts at its current clock.
+    fn one_way(&mut self, src: usize, dst: usize, bytes: usize, reduce: bool) {
+        self.post[dst] = self.members[dst].clock;
+        self.arrival[dst] = self.send(src, dst, bytes);
+        self.recv(dst, bytes, reduce);
+    }
+
+    /// `src`'s blocking send of `bytes` to `dst`, whose receive was posted
+    /// at `post[dst]`. Returns when the data is available at `dst`.
+    fn send(&mut self, src: usize, dst: usize, bytes: usize) -> f64 {
+        let link = Link::new(self.machine, self.comm.global_of(src), self.comm.global_of(dst));
+        let m = &mut self.members[src];
+        match link.protocol(bytes) {
+            Protocol::Eager => {
+                let arrival = link.eager_arrival(m.clock, bytes);
+                m.clock += link.eager_busy(bytes);
+                arrival
+            }
+            Protocol::Rendezvous => {
+                let (sender_done, data_avail) =
+                    link.rendezvous(link.rts_arrival(m.clock), self.post[dst], bytes);
+                let busy_until = m.clock + link.rendezvous_busy();
+                m.note_wait(sender_done - busy_until);
+                m.clock = busy_until.max(sender_done);
+                data_avail
+            }
+        }
+    }
+
+    /// Complete member `r`'s current receive of `bytes`.
+    fn recv(&mut self, r: usize, bytes: usize, reduce: bool) {
+        let done = recv_done(&self.machine.net, self.arrival[r]);
+        let m = &mut self.members[r];
+        m.note_wait(done - m.clock);
+        m.clock = m.clock.max(done);
+        if reduce {
+            m.clock += reduce_cost_ns(self.machine, bytes);
+        }
+    }
+
+    /// Recursive-doubling allreduce. With `rem = p − 2^⌊log₂p⌋`, the first
+    /// `2·rem` ranks pair up: each even one hands its operand to its odd
+    /// neighbour and sits the exchange rounds out, then gets the result
+    /// back.
+    fn recursive_doubling_allreduce(&mut self, bytes: usize) {
+        let p = self.members.len();
+        let pof2 = prev_pow2(p);
+        let rem = p - pof2;
+        for even in (0..2 * rem).step_by(2) {
+            self.one_way(even, even + 1, bytes, true);
+        }
+        // Rank of each exchange participant among the 2^k that remain.
+        let newrank =
+            |r: usize| if r < 2 * rem { (r % 2 == 1).then_some(r / 2) } else { Some(r - rem) };
+        let real = |nr: usize| if nr < rem { nr * 2 + 1 } else { nr + rem };
+        let mut mask = 1usize;
+        while mask < pof2 {
+            self.exchange(|r| newrank(r).map(|nr| real(nr ^ mask)), bytes, true);
+            mask <<= 1;
+        }
+        for even in (0..2 * rem).step_by(2) {
+            self.one_way(even + 1, even, bytes, false);
+        }
+    }
+}
 
 impl Rank {
     fn skey(comm: CommId, seq: u32, round: u32) -> u64 {
         noise::combine(&[comm.0, seq as u64, round as u64, 0xC011])
     }
 
-    /// Cycles to combine `bytes` of reduction operands (1 cycle/f64).
-    fn reduce_cost_ns(&self, bytes: usize) -> f64 {
-        (bytes as f64 / 8.0) / self.machine().cpu().freq_ghz
+    /// Take part in an all-member collective over `comm`: deposit this
+    /// member's clock, wait sums and plan on the quorum board, and resume
+    /// with the state the last member's [`evaluate`] computed for it.
+    pub(crate) async fn all_member(&mut self, comm: &Communicator, plan: Plan) {
+        let seq = self.next_coll_seq(comm.id);
+        if comm.size() <= 1 {
+            return;
+        }
+        let me = Member {
+            clock: self.clock,
+            cur_wait_ns: self.cur_wait_ns,
+            wait_ns_total: self.wait_ns_total,
+            plan,
+        };
+        self.set_blocked(blocked::quorum());
+        let shared = &*self.shared;
+        let out = shared
+            .collectives
+            .arrive(
+                (comm.id.0, seq),
+                comm.rank(),
+                comm.size(),
+                me,
+                |members| evaluate(shared.engine.machine(), comm, members),
+                |members, m| members[m],
+            )
+            .await;
+        self.clear_blocked();
+        self.clock = out.clock;
+        self.cur_wait_ns = out.cur_wait_ns;
+        self.wait_ns_total = out.wait_ns_total;
     }
 
     async fn plumb_send(&mut self, comm: &Communicator, dst_local: usize, bytes: usize, key: u64) {
@@ -54,40 +367,12 @@ impl Rank {
         dst_local: usize,
         src_local: usize,
         send_bytes: usize,
-        recv_bytes: usize,
         key: u64,
     ) {
-        let _ = recv_bytes;
         let src_global = comm.global_of(src_local);
         let id = self.post_recv_raw(src_global, comm.id, Channel::Sys { key });
-        self.p2p_send_blocking(
-            comm.global_of(dst_local),
-            comm.rank(),
-            comm.id,
-            Channel::Sys { key },
-            send_bytes,
-        )
-        .await;
+        self.plumb_send(comm, dst_local, send_bytes, key).await;
         self.wait_recv_raw(id, src_global).await;
-    }
-
-    /// Dissemination barrier over `comm` (plumbing only, no hook).
-    pub(crate) async fn plumbing_barrier(&mut self, comm: &Communicator) {
-        let p = comm.size();
-        if p <= 1 {
-            return;
-        }
-        let seq = self.next_coll_seq(comm.id);
-        let r = comm.rank();
-        let mut dist = 1usize;
-        let mut round = 0u32;
-        while dist < p {
-            let to = (r + dist) % p;
-            let from = (r + p - dist) % p;
-            self.plumb_sendrecv(comm, to, from, 0, 0, Self::skey(comm.id, seq, round)).await;
-            dist <<= 1;
-            round += 1;
-        }
     }
 
     // ------------------------------------------------------------------
@@ -100,7 +385,7 @@ impl Rank {
         self.hook_pre_c(&call, comm);
         let t0 = self.clock;
         self.clock += self.machine().net.collective_overhead_ns;
-        self.plumbing_barrier(comm).await;
+        self.all_member(comm, Plan { schedule: Schedule::Barrier, bytes: 0 }).await;
         self.account_mpi(t0, 0);
         self.hook_post_c(&call, comm);
     }
@@ -143,12 +428,11 @@ impl Rank {
         self.hook_pre_c(&call, comm);
         let t0 = self.clock;
         self.clock += self.machine().net.collective_overhead_ns;
-        let algo = self.machine().flavor.allreduce_algo(comm.size(), bytes);
-        let seq = self.next_coll_seq(comm.id);
-        match algo {
-            CollectiveAlgo::Ring => self.ring_allreduce(comm, bytes, seq).await,
-            _ => self.rd_allreduce(comm, bytes, seq).await,
-        }
+        let schedule = match self.machine().flavor.allreduce_algo(comm.size(), bytes) {
+            CollectiveAlgo::Ring => Schedule::AllreduceRing,
+            _ => Schedule::AllreduceRecursiveDoubling,
+        };
+        self.all_member(comm, Plan { schedule, bytes }).await;
         self.account_mpi(t0, bytes);
         self.hook_post_c(&call, comm);
     }
@@ -159,17 +443,14 @@ impl Rank {
         self.hook_pre_c(&call, comm);
         let t0 = self.clock;
         self.clock += self.machine().net.collective_overhead_ns;
-        let algo = self.machine().flavor.allgather_algo(comm.size(), bytes);
-        let seq = self.next_coll_seq(comm.id);
         let p = comm.size();
-        if p > 1 {
-            match algo {
-                CollectiveAlgo::RecursiveDoubling if p.is_power_of_two() => {
-                    self.rd_allgather(comm, bytes, seq).await
-                }
-                _ => self.ring_allgather(comm, bytes, seq).await,
+        let schedule = match self.machine().flavor.allgather_algo(p, bytes) {
+            CollectiveAlgo::RecursiveDoubling if p.is_power_of_two() => {
+                Schedule::AllgatherRecursiveDoubling
             }
-        }
+            _ => Schedule::AllgatherRing,
+        };
+        self.all_member(comm, Plan { schedule, bytes }).await;
         self.account_mpi(t0, bytes);
         self.hook_post_c(&call, comm);
     }
@@ -180,15 +461,12 @@ impl Rank {
         self.hook_pre_c(&call, comm);
         let t0 = self.clock;
         self.clock += self.machine().net.collective_overhead_ns;
-        let algo = self.machine().flavor.alltoall_algo(comm.size(), bytes_per_peer);
-        let seq = self.next_coll_seq(comm.id);
         let p = comm.size();
-        if p > 1 {
-            match algo {
-                CollectiveAlgo::Bruck => self.bruck_alltoall(comm, bytes_per_peer, seq).await,
-                _ => self.pairwise_alltoall(comm, bytes_per_peer, seq).await,
-            }
-        }
+        let schedule = match self.machine().flavor.alltoall_algo(p, bytes_per_peer) {
+            CollectiveAlgo::Bruck => Schedule::AlltoallBruck,
+            _ => Schedule::AlltoallPairwise,
+        };
+        self.all_member(comm, Plan { schedule, bytes: bytes_per_peer }).await;
         // Local block copy.
         self.clock += bytes_per_peer as f64 / self.machine().net.shm_bandwidth_bpns;
         self.account_mpi(t0, bytes_per_peer * p.saturating_sub(1));
@@ -219,15 +497,8 @@ impl Rank {
         for step in 1..p {
             let dst = (r + step) % p;
             let src = (r + p - step) % p;
-            self.plumb_sendrecv(
-                comm,
-                dst,
-                src,
-                send_counts[dst],
-                recv_counts[src],
-                Self::skey(comm.id, seq, step as u32),
-            )
-            .await;
+            self.plumb_sendrecv(comm, dst, src, send_counts[dst], Self::skey(comm.id, seq, step as u32))
+                .await;
         }
         // Local block copy.
         self.clock += send_counts[r] as f64 / self.machine().net.shm_bandwidth_bpns;
@@ -364,7 +635,7 @@ impl Rank {
             }
             if let Some((id, src)) = recv_id {
                 self.wait_recv_raw(id, src).await;
-                self.clock += self.reduce_cost_ns(bytes);
+                self.clock += reduce_cost_ns(self.machine(), bytes);
             }
             d <<= 1;
             round += 1;
@@ -381,25 +652,8 @@ impl Rank {
         self.hook_pre_c(&call, comm);
         let t0 = self.clock;
         self.clock += self.machine().net.collective_overhead_ns;
-        let seq = self.next_coll_seq(comm.id);
-        let p = comm.size();
-        if p > 1 {
-            let r = comm.rank();
-            let right = (r + 1) % p;
-            let left = (r + p - 1) % p;
-            for step in 0..p - 1 {
-                self.plumb_sendrecv(
-                    comm,
-                    right,
-                    left,
-                    bytes_per_rank,
-                    bytes_per_rank,
-                    Self::skey(comm.id, seq, step as u32),
-                )
-                .await;
-                self.clock += self.reduce_cost_ns(bytes_per_rank);
-            }
-        }
+        let plan = Plan { schedule: Schedule::ReduceScatterBlockRing, bytes: bytes_per_rank };
+        self.all_member(comm, plan).await;
         self.account_mpi(t0, bytes_per_rank);
         self.hook_post_c(&call, comm);
     }
@@ -470,7 +724,7 @@ impl Rank {
                 if src_rel < p {
                     let src = (src_rel + root) % p;
                     self.plumb_recv(comm, src, Self::skey(comm.id, seq, round)).await;
-                    self.clock += self.reduce_cost_ns(bytes);
+                    self.clock += reduce_cost_ns(self.machine(), bytes);
                 }
             } else {
                 let dst = (relative - mask + root) % p;
@@ -496,150 +750,12 @@ impl Rank {
             if relative < p - 1 {
                 let src = (relative + 1 + root) % p;
                 self.plumb_recv(comm, src, key).await;
-                self.clock += self.reduce_cost_ns(b);
+                self.clock += reduce_cost_ns(self.machine(), b);
             }
             if relative > 0 {
                 let dst = (relative - 1 + root) % p;
                 self.plumb_send(comm, dst, b, key).await;
             }
-        }
-    }
-
-    async fn rd_allreduce(&mut self, comm: &Communicator, bytes: usize, seq: u32) {
-        let p = comm.size();
-        if p <= 1 {
-            return;
-        }
-        let r = comm.rank();
-        let pof2 = prev_pow2(p);
-        let rem = p - pof2;
-        // Fold the remainder ranks onto their odd neighbours.
-        let newrank: i64 = if r < 2 * rem {
-            if r.is_multiple_of(2) {
-                self.plumb_send(comm, r + 1, bytes, Self::skey(comm.id, seq, 900)).await;
-                -1
-            } else {
-                self.plumb_recv(comm, r - 1, Self::skey(comm.id, seq, 900)).await;
-                self.clock += self.reduce_cost_ns(bytes);
-                (r / 2) as i64
-            }
-        } else {
-            (r - rem) as i64
-        };
-        if newrank >= 0 {
-            let nr = newrank as usize;
-            let mut mask = 1usize;
-            let mut round = 0u32;
-            while mask < pof2 {
-                let partner_nr = nr ^ mask;
-                let partner =
-                    if partner_nr < rem { partner_nr * 2 + 1 } else { partner_nr + rem };
-                self.plumb_sendrecv(
-                    comm,
-                    partner,
-                    partner,
-                    bytes,
-                    bytes,
-                    Self::skey(comm.id, seq, round),
-                )
-                .await;
-                self.clock += self.reduce_cost_ns(bytes);
-                mask <<= 1;
-                round += 1;
-            }
-        }
-        // Deliver the result back to the folded even ranks.
-        if r < 2 * rem {
-            let key = Self::skey(comm.id, seq, 901);
-            if r % 2 == 1 {
-                self.plumb_send(comm, r - 1, bytes, key).await;
-            } else {
-                self.plumb_recv(comm, r + 1, key).await;
-            }
-        }
-    }
-
-    async fn ring_allreduce(&mut self, comm: &Communicator, bytes: usize, seq: u32) {
-        let p = comm.size();
-        if p <= 1 {
-            return;
-        }
-        let r = comm.rank();
-        let right = (r + 1) % p;
-        let left = (r + p - 1) % p;
-        let chunk = bytes.div_ceil(p);
-        // Reduce-scatter phase.
-        for step in 0..p - 1 {
-            self.plumb_sendrecv(comm, right, left, chunk, chunk, Self::skey(comm.id, seq, step as u32))
-                .await;
-            self.clock += self.reduce_cost_ns(chunk);
-        }
-        // Allgather phase.
-        for step in 0..p - 1 {
-            self.plumb_sendrecv(
-                comm,
-                right,
-                left,
-                chunk,
-                chunk,
-                Self::skey(comm.id, seq, 1000 + step as u32),
-            )
-            .await;
-        }
-    }
-
-    async fn rd_allgather(&mut self, comm: &Communicator, bytes: usize, seq: u32) {
-        let p = comm.size();
-        let r = comm.rank();
-        let mut cur = bytes;
-        let mut mask = 1usize;
-        let mut round = 0u32;
-        while mask < p {
-            let partner = r ^ mask;
-            self.plumb_sendrecv(comm, partner, partner, cur, cur, Self::skey(comm.id, seq, round))
-                .await;
-            cur *= 2;
-            mask <<= 1;
-            round += 1;
-        }
-    }
-
-    async fn ring_allgather(&mut self, comm: &Communicator, bytes: usize, seq: u32) {
-        let p = comm.size();
-        let r = comm.rank();
-        let right = (r + 1) % p;
-        let left = (r + p - 1) % p;
-        for step in 0..p - 1 {
-            self.plumb_sendrecv(comm, right, left, bytes, bytes, Self::skey(comm.id, seq, step as u32))
-                .await;
-        }
-    }
-
-    async fn pairwise_alltoall(&mut self, comm: &Communicator, bytes: usize, seq: u32) {
-        let p = comm.size();
-        let r = comm.rank();
-        for step in 1..p {
-            let dst = (r + step) % p;
-            let src = (r + p - step) % p;
-            self.plumb_sendrecv(comm, dst, src, bytes, bytes, Self::skey(comm.id, seq, step as u32))
-                .await;
-        }
-    }
-
-    async fn bruck_alltoall(&mut self, comm: &Communicator, bytes_per_peer: usize, seq: u32) {
-        let p = comm.size();
-        let r = comm.rank();
-        let mut mask = 1usize;
-        let mut round = 0u32;
-        while mask < p {
-            // Blocks whose index has this bit set travel this round.
-            let blocks = (1..p).filter(|i| i & mask != 0).count();
-            let dst = (r + mask) % p;
-            let src = (r + p - mask) % p;
-            let b = blocks * bytes_per_peer;
-            self.plumb_sendrecv(comm, dst, src, b, b, Self::skey(comm.id, seq, round)).await;
-            mask <<= 1;
-            round += 1;
         }
     }
 

@@ -27,6 +27,7 @@ use std::task::{Context, Poll, Waker};
 
 use siesta_perfmodel::Machine;
 
+use crate::link::Link;
 use crate::message::{Channel, Envelope, MatchKey, WireProtocol};
 
 /// Outcome of a matched receive, before receiver-side overhead is applied.
@@ -150,22 +151,17 @@ impl Engine {
     /// is available at the receiver and, for rendezvous transfers, tell the
     /// sender when it is allowed to complete.
     fn complete(&self, env: &Envelope, post_time: f64, dst_global: usize) -> Completion {
-        let same_node = self.machine.platform.same_node(env.src_global, dst_global);
-        let net = &self.machine.net;
         let data_avail = match env.protocol {
             WireProtocol::Eager { avail } => avail,
             WireProtocol::Rendezvous { rts_avail } => {
-                // The transfer cannot start before both the ready-to-send
-                // arrives and the receive is posted; then a handshake and
-                // the bulk transfer follow.
-                let start = rts_avail.max(post_time) + net.rendezvous_extra_ns;
-                let sender_done = start + env.bytes as f64 / net.bandwidth(same_node);
+                let link = Link::new(&self.machine, env.src_global, dst_global);
+                let (sender_done, data_avail) = link.rendezvous(rts_avail, post_time, env.bytes);
                 if let Some(ack) = &env.ack {
                     // Waking the blocked sender happens inside `set` — in
                     // the event executor that is a queue push, never a park.
                     ack.set(sender_done);
                 }
-                sender_done + net.latency(same_node)
+                data_avail
             }
         };
         Completion {

@@ -67,6 +67,16 @@ const RUNNING: u8 = 2;
 const DONE: u8 = 3;
 
 /// Shared scheduler state the wakers point at.
+///
+/// A wake that lands while its rank is mid-poll is a store-buffer (Dekker)
+/// handshake between two threads. The waker stores `pending` and then
+/// loads `status`; the poller stores `IDLE` and then swaps `pending`. At
+/// least one side must see the other's store, or the wake is lost and the
+/// run ends in a false deadlock. Acquire/release ordering does not
+/// guarantee that (x86 may let each load pass its own thread's earlier
+/// store), so these four operations are `SeqCst`: they share one total
+/// order, and whichever store comes second in it is seen by the other
+/// side's load.
 struct ExecShared {
     status: Vec<AtomicU8>,
     /// Set when a wake arrives while the rank is mid-poll; the poller
@@ -114,11 +124,13 @@ impl ExecShared {
                     // Lost the race with another waker or the poller; retry.
                 }
                 RUNNING => {
-                    self.pending[rank].store(true, Ordering::Release);
+                    // SeqCst store, then SeqCst load: pairs with the
+                    // poller's `IDLE` store and `pending` swap.
+                    self.pending[rank].store(true, Ordering::SeqCst);
                     // The poller may have stored IDLE just before our flag
                     // landed; re-check, and if it already consumed the flag
                     // someone queued the rank for us.
-                    if self.status[rank].load(Ordering::Acquire) == RUNNING {
+                    if self.status[rank].load(Ordering::SeqCst) == RUNNING {
                         return;
                     }
                     if !self.pending[rank].swap(false, Ordering::AcqRel) {
@@ -213,10 +225,12 @@ pub(crate) fn run_event<'env, T: Send>(
                     true
                 }
                 Poll::Pending => {
-                    exec.status[rank].store(IDLE, Ordering::Release);
+                    // SeqCst store, then SeqCst swap: pairs with the
+                    // waker's `pending` store and `status` load.
+                    exec.status[rank].store(IDLE, Ordering::SeqCst);
                     // A wake that landed mid-poll parked itself in
                     // `pending`; convert it into a queue entry now.
-                    if exec.pending[rank].swap(false, Ordering::AcqRel)
+                    if exec.pending[rank].swap(false, Ordering::SeqCst)
                         && exec.status[rank]
                             .compare_exchange(IDLE, QUEUED, Ordering::AcqRel, Ordering::Acquire)
                             .is_ok()

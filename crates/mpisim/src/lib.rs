@@ -7,8 +7,12 @@
 //! *virtual clock* through the LogGP-style cost models of
 //! [`siesta_perfmodel`], and message matching follows real MPI semantics
 //! (communicators, tags, non-overtaking order, eager/rendezvous protocols,
-//! blocking and non-blocking operations, collective algorithms built from
-//! point-to-point rounds).
+//! blocking and non-blocking operations). Collectives run the algorithms
+//! real MPI libraries use, timed by the same wire model as point-to-point
+//! messages: rooted ones as point-to-point rounds, and the all-member ones
+//! (`barrier`, `allreduce`, `allgather`, `alltoall`,
+//! `reduce_scatter_block`) as one pass over every member's state when the
+//! last member arrives (see [`collectives`]).
 //!
 //! Why this preserves what the paper measures:
 //!
@@ -36,9 +40,9 @@
 //! Install a [`PmpiHook`] on the [`World`]; the runtime calls it before and
 //! after every *application-level* MPI call with the full call record
 //! ([`MpiCall`]) and a context carrying the rank's virtual clock and
-//! cumulative computation counters. Collective-internal plumbing messages do
-//! not hit the hook, exactly as PMPI sees `MPI_Bcast` once rather than its
-//! internal sends.
+//! cumulative computation counters. Collective-internal rounds do not hit
+//! the hook, exactly as PMPI sees `MPI_Bcast` once rather than its internal
+//! sends.
 //!
 //! # Example
 //!
@@ -77,9 +81,11 @@ pub mod critical;
 pub mod engine;
 pub mod exec;
 pub mod hook;
+mod link;
 pub mod message;
 pub mod obs;
 pub mod profiler;
+mod quorum;
 pub mod rank;
 pub mod request;
 pub mod world;

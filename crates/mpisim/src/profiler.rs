@@ -616,6 +616,14 @@ mod tests {
     use super::*;
     use siesta_perfmodel::CounterVec;
 
+    /// The installed profiler is a process-wide slot, so tests that
+    /// install and take it must not overlap.
+    static SLOT_LOCK: Mutex<()> = Mutex::new(());
+
+    fn hold_slot() -> std::sync::MutexGuard<'static, ()> {
+        SLOT_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     fn ctx(rank: usize, t0: f64, t1: f64, wait: f64) -> HookCtx {
         HookCtx {
             rank,
@@ -632,6 +640,7 @@ mod tests {
 
     #[test]
     fn records_intervals_with_peer_and_wait() {
+        let _slot = hold_slot();
         let p = SimProfiler::install(2);
         let send = MpiCall::Send { comm: CommId::WORLD, dest: 1, tag: 7, bytes: 64 };
         p.post(&ctx(0, 10.0, 30.0, 0.0), &send);
@@ -654,6 +663,7 @@ mod tests {
 
     #[test]
     fn waitall_inlines_small_and_flags_overflow() {
+        let _slot = hold_slot();
         let p = SimProfiler::install(1);
         p.post(&ctx(0, 0.0, 1.0, 0.0), &MpiCall::Waitall { reqs: vec![3, 1, 2] });
         p.post(&ctx(0, 1.0, 2.0, 0.0), &MpiCall::Waitall { reqs: (0..12).collect() });
@@ -666,6 +676,7 @@ mod tests {
 
     #[test]
     fn breakdown_and_trace_are_deterministic() {
+        let _slot = hold_slot();
         let p = SimProfiler::install(4);
         for r in 0..4 {
             let call = MpiCall::Allreduce { comm: CommId::WORLD, bytes: 8 };

@@ -5,21 +5,23 @@
 //! its body. Blocking MPI calls are `async`: each is an explicit
 //! continuation point where the state machine may return `Pending` to the
 //! event scheduler (registering a waker with the matching engine, a
-//! rendezvous ack cell, or the split registry) instead of parking an OS
-//! thread. Non-blocking calls (`isend`, `irecv`) remain plain methods.
+//! rendezvous ack cell, or a quorum slot) instead of parking an OS thread.
+//! Non-blocking calls (`isend`, `irecv`) remain plain methods.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::task::{Context, Poll, Waker};
+use std::sync::Arc;
 
 use siesta_perfmodel::net::Protocol;
 use siesta_perfmodel::{CounterVec, KernelDesc, Machine};
 
+use crate::collectives::{Member, Plan, Schedule};
 use crate::comm::{CommId, Communicator};
 use crate::engine::{Completion, Engine};
 use crate::hook::{HookCtx, MpiCall, PmpiHook};
+use crate::link::{recv_done, Link};
 use crate::message::{AckCell, AckWait, Channel, Envelope, MatchKey, RecvStatus, Tag, WireProtocol};
+use crate::quorum::QuorumBoard;
 use crate::request::{ReqState, Request, RequestTable};
 use crate::world::RankStats;
 
@@ -27,7 +29,12 @@ use crate::world::RankStats;
 pub(crate) struct Shared {
     pub engine: Engine,
     pub hook: Option<Arc<dyn PmpiHook>>,
-    pub splits: SplitRegistry,
+    /// Quorums of the all-member collectives, keyed by (communicator,
+    /// collective sequence number).
+    pub collectives: QuorumBoard<Member>,
+    /// Quorums of `comm_split`, keyed by (parent communicator, derivation
+    /// sequence number): a key space apart from the collectives'.
+    pub splits: QuorumBoard<SplitEntry>,
     pub seed: u64,
     pub nranks: usize,
     /// Per-rank "why am I blocked" hints, written before every blocking
@@ -43,6 +50,7 @@ pub(crate) mod blocked {
     const RECV: u64 = 1;
     const ACK: u64 = 2;
     const SPLIT: u64 = 3;
+    const QUORUM: u64 = 4;
 
     fn pack(kind: u64, peer: usize) -> u64 {
         (kind << 56) | (peer as u64 & 0xFFFF_FFFF)
@@ -60,6 +68,10 @@ pub(crate) mod blocked {
         pack(SPLIT, u32::MAX as usize)
     }
 
+    pub fn quorum() -> u64 {
+        pack(QUORUM, u32::MAX as usize)
+    }
+
     pub fn describe(hint: u64) -> String {
         let peer = (hint & 0xFFFF_FFFF) as u32;
         let peer = if peer == u32::MAX { "?".to_string() } else { peer.to_string() };
@@ -67,90 +79,17 @@ pub(crate) mod blocked {
             RECV => format!("waiting for a message from global rank {peer}"),
             ACK => format!("waiting for rendezvous ack from global rank {peer}"),
             SPLIT => "waiting for comm_split contributions".to_string(),
+            QUORUM => "waiting for the other members of a collective".to_string(),
             _ => "blocked".to_string(),
         }
     }
 }
 
-/// Rendezvous point for `MPI_Comm_split` contributions. Data moves through
-/// this registry; *time* is charged by an allgather-shaped cost model over
-/// the contributors' entry clocks, so the result is still a pure function of
-/// virtual timestamps.
-pub(crate) struct SplitRegistry {
-    inner: Mutex<HashMap<(u64, u32), SplitSlot>>,
-}
-
-struct SplitSlot {
-    contributions: Vec<Option<(i64, i64, f64)>>,
-    filled: usize,
-    readers: usize,
-    /// Wakers of members blocked waiting for the slot to fill, keyed by
-    /// parent-local rank (each member waits at most once per slot).
-    wakers: Vec<(usize, Waker)>,
-}
-
-impl SplitRegistry {
-    pub fn new() -> SplitRegistry {
-        SplitRegistry { inner: Mutex::new(HashMap::new()) }
-    }
-}
-
-/// Future of one rank's participation in a split exchange: deposits the
-/// `(color, key, entry_clock)` contribution on first poll and resolves once
-/// every member of the parent communicator has contributed.
-struct SplitWait<'a> {
-    reg: &'a SplitRegistry,
-    slot_key: (u64, u32),
-    local_rank: usize,
-    size: usize,
-    value: (i64, i64, f64),
-    deposited: bool,
-}
-
-impl std::future::Future for SplitWait<'_> {
-    type Output = Vec<(i64, i64, f64)>;
-
-    fn poll(self: std::pin::Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let this = self.get_mut();
-        let mut map = this.reg.inner.lock().unwrap();
-        let slot = map.entry(this.slot_key).or_insert_with(|| SplitSlot {
-            contributions: vec![None; this.size],
-            filled: 0,
-            readers: 0,
-            wakers: Vec::new(),
-        });
-        if !this.deposited {
-            assert!(
-                slot.contributions[this.local_rank].is_none(),
-                "rank {} contributed twice to the same split",
-                this.local_rank
-            );
-            slot.contributions[this.local_rank] = Some(this.value);
-            slot.filled += 1;
-            this.deposited = true;
-            if slot.filled == this.size {
-                for (_, w) in slot.wakers.drain(..) {
-                    w.wake();
-                }
-            }
-        }
-        if slot.filled == this.size {
-            let out: Vec<(i64, i64, f64)> =
-                slot.contributions.iter().map(|c| c.expect("filled")).collect();
-            slot.readers += 1;
-            if slot.readers == this.size {
-                map.remove(&this.slot_key);
-            }
-            Poll::Ready(out)
-        } else {
-            match slot.wakers.iter_mut().find(|(r, _)| *r == this.local_rank) {
-                Some(entry) => entry.1 = cx.waker().clone(),
-                None => slot.wakers.push((this.local_rank, cx.waker().clone())),
-            }
-            Poll::Pending
-        }
-    }
-}
+/// One member's `MPI_Comm_split` contribution: `(color, key)` and its
+/// entry clock. Data moves through the split board; *time* is charged by
+/// an allgather-shaped cost model over the contributors' entry clocks, so
+/// the result is still a pure function of virtual timestamps.
+pub(crate) type SplitEntry = (i64, i64, f64);
 
 /// One MPI process within a running [`crate::World`].
 ///
@@ -500,15 +439,18 @@ impl Rank {
         let t0 = self.clock;
         let seq = self.next_derive_seq(comm.id);
         self.set_blocked(blocked::split());
-        let contributions = SplitWait {
-            reg: &self.shared.splits,
-            slot_key: (comm.id.0, seq),
-            local_rank: comm.rank(),
-            size: comm.size(),
-            value: (color, key, self.clock),
-            deposited: false,
-        }
-        .await;
+        let contributions = self
+            .shared
+            .splits
+            .arrive(
+                (comm.id.0, seq),
+                comm.rank(),
+                comm.size(),
+                (color, key, self.clock),
+                |_| {},
+                |entries, _| entries.to_vec(),
+            )
+            .await;
         self.clear_blocked();
         // Allgather-shaped completion: everyone leaves at the same time.
         let t_all = contributions.iter().map(|c| c.2).fold(0.0f64, f64::max);
@@ -540,7 +482,7 @@ impl Rank {
         self.hook_pre_c(&call, comm);
         let t0 = self.clock;
         let seq = self.next_derive_seq(comm.id);
-        self.plumbing_barrier(comm).await;
+        self.all_member(comm, Plan { schedule: Schedule::CommDup, bytes: 0 }).await;
         let result = comm.dup_from(seq);
         if let MpiCall::CommDup { result: r, .. } = &mut call {
             *r = Some(result.id);
@@ -564,11 +506,11 @@ impl Rank {
     // Internals shared with the collectives module
     // ------------------------------------------------------------------
 
-    fn set_blocked(&self, hint: u64) {
+    pub(crate) fn set_blocked(&self, hint: u64) {
         self.shared.blocked[self.rank].store(hint, Ordering::Relaxed);
     }
 
-    fn clear_blocked(&self) {
+    pub(crate) fn clear_blocked(&self) {
         self.shared.blocked[self.rank].store(blocked::NONE, Ordering::Relaxed);
     }
 
@@ -629,8 +571,10 @@ impl Rank {
 
     /// Record virtual time the rank is about to sit blocked: the clock is
     /// jumping forward to a completion time produced by a *peer* (message
-    /// arrival, rendezvous ack, collective quorum, split fill). Negative or
-    /// zero deltas mean the completion was already in the past — no wait.
+    /// arrival, rendezvous ack, split fill). Negative or zero deltas mean
+    /// the completion was already in the past — no wait. The all-member
+    /// collectives apply the same rule to their deposited wait sums
+    /// (`collectives::Member::note_wait`).
     pub(crate) fn note_wait(&mut self, delta_ns: f64) {
         if delta_ns > 0.0 {
             self.cur_wait_ns += delta_ns;
@@ -680,7 +624,7 @@ impl Rank {
     /// Apply receiver-side completion: advance the clock past data arrival
     /// plus receive overhead, and build the status.
     pub(crate) fn finish_recv(&mut self, c: &Completion) -> RecvStatus {
-        let done = c.data_avail + self.machine().net.recv_overhead_ns;
+        let done = recv_done(&self.machine().net, c.data_avail);
         self.note_wait(done - self.clock);
         self.clock = self.clock.max(done);
         RecvStatus {
@@ -704,7 +648,7 @@ impl Rank {
     }
 
     /// Blocking send through the wire model (shared by app ops and
-    /// collective plumbing).
+    /// collective plumbing): a non-blocking send, then its completion.
     pub(crate) async fn p2p_send_blocking(
         &mut self,
         dst_global: usize,
@@ -713,55 +657,23 @@ impl Rank {
         channel: Channel,
         bytes: usize,
     ) {
-        let machine = *self.machine();
-        let net = machine.net;
-        let same = machine.platform.same_node(self.rank, dst_global);
-        match net.protocol(bytes) {
-            Protocol::Eager => {
-                let avail = self.clock + net.send_overhead_ns + net.transfer_ns(bytes, same);
-                self.shared.engine.send(
-                    dst_global,
-                    Envelope {
-                        src_global: self.rank,
-                        src_comm_rank,
-                        comm,
-                        channel,
-                        bytes,
-                        protocol: WireProtocol::Eager { avail },
-                        ack: None,
-                    },
-                );
-                // Sender is busy for the software overhead plus the local
-                // buffer copy.
-                self.clock += net.send_overhead_ns + bytes as f64 / net.shm_bandwidth_bpns;
-            }
-            Protocol::Rendezvous => {
-                let rts_avail = self.clock + net.send_overhead_ns + net.latency(same);
-                let ack = Arc::new(AckCell::default());
-                self.shared.engine.send(
-                    dst_global,
-                    Envelope {
-                        src_global: self.rank,
-                        src_comm_rank,
-                        comm,
-                        channel,
-                        bytes,
-                        protocol: WireProtocol::Rendezvous { rts_avail },
-                        ack: Some(ack.clone()),
-                    },
-                );
-                self.set_blocked(blocked::ack(dst_global));
-                let sender_done = AckWait(&ack).await;
-                self.clear_blocked();
-                let busy_until = self.clock + net.send_overhead_ns;
-                self.note_wait(sender_done - busy_until);
-                self.clock = busy_until.max(sender_done);
-            }
+        let (state, busy) = self.p2p_isend_state(dst_global, src_comm_rank, comm, channel, bytes);
+        // The clock does not move while the send blocks.
+        let busy_until = self.clock + busy;
+        if let ReqState::SendRendezvous { ack } = state {
+            self.set_blocked(blocked::ack(dst_global));
+            let sender_done = AckWait(&ack).await;
+            self.clear_blocked();
+            self.note_wait(sender_done - busy_until);
+            self.clock = busy_until.max(sender_done);
+        } else {
+            self.clock = busy_until;
         }
     }
 
-    /// Build the request state for a non-blocking send, plus the immediate
-    /// clock advance it costs the caller.
+    /// Put a send on the wire. Returns its request state plus how long it
+    /// keeps the sender busy: the whole eager send, or the software
+    /// overhead before a rendezvous send can complete.
     fn p2p_isend_state(
         &mut self,
         dst_global: usize,
@@ -770,44 +682,32 @@ impl Rank {
         channel: Channel,
         bytes: usize,
     ) -> (ReqState, f64) {
-        let machine = *self.machine();
-        let net = machine.net;
-        let same = machine.platform.same_node(self.rank, dst_global);
-        match net.protocol(bytes) {
-            Protocol::Eager => {
-                let avail = self.clock + net.send_overhead_ns + net.transfer_ns(bytes, same);
-                self.shared.engine.send(
-                    dst_global,
-                    Envelope {
-                        src_global: self.rank,
-                        src_comm_rank,
-                        comm,
-                        channel,
-                        bytes,
-                        protocol: WireProtocol::Eager { avail },
-                        ack: None,
-                    },
-                );
-                let advance = net.send_overhead_ns + bytes as f64 / net.shm_bandwidth_bpns;
-                (ReqState::SendDone { done: self.clock + advance }, advance)
+        let link = Link::new(self.shared.engine.machine(), self.rank, dst_global);
+        let (protocol, ack) = match link.protocol(bytes) {
+            Protocol::Eager => (WireProtocol::Eager { avail: link.eager_arrival(self.clock, bytes) }, None),
+            Protocol::Rendezvous => (
+                WireProtocol::Rendezvous { rts_avail: link.rts_arrival(self.clock) },
+                Some(Arc::new(AckCell::default())),
+            ),
+        };
+        self.shared.engine.send(
+            dst_global,
+            Envelope {
+                src_global: self.rank,
+                src_comm_rank,
+                comm,
+                channel,
+                bytes,
+                protocol,
+                ack: ack.clone(),
+            },
+        );
+        match ack {
+            None => {
+                let busy = link.eager_busy(bytes);
+                (ReqState::SendDone { done: self.clock + busy }, busy)
             }
-            Protocol::Rendezvous => {
-                let rts_avail = self.clock + net.send_overhead_ns + net.latency(same);
-                let ack = Arc::new(AckCell::default());
-                self.shared.engine.send(
-                    dst_global,
-                    Envelope {
-                        src_global: self.rank,
-                        src_comm_rank,
-                        comm,
-                        channel,
-                        bytes,
-                        protocol: WireProtocol::Rendezvous { rts_avail },
-                        ack: Some(ack.clone()),
-                    },
-                );
-                (ReqState::SendRendezvous { ack }, net.send_overhead_ns)
-            }
+            Some(ack) => (ReqState::SendRendezvous { ack }, link.rendezvous_busy()),
         }
     }
 

@@ -8,7 +8,8 @@ use siesta_perfmodel::{CounterVec, Machine};
 
 use crate::engine::Engine;
 use crate::hook::PmpiHook;
-use crate::rank::{blocked, Rank, Shared, SplitRegistry};
+use crate::quorum::QuorumBoard;
+use crate::rank::{blocked, Rank, Shared};
 
 /// The boxed resumable state machine of one rank: what a rank body returns.
 /// `'env` is the lifetime of whatever the body closure borrows (trace
@@ -94,7 +95,8 @@ impl World {
         let shared = Arc::new(Shared {
             engine: Engine::new(self.machine, self.nranks),
             hook: self.hook.clone(),
-            splits: SplitRegistry::new(),
+            collectives: QuorumBoard::new(),
+            splits: QuorumBoard::new(),
             seed: self.seed,
             nranks: self.nranks,
             blocked: (0..self.nranks).map(|_| AtomicU64::new(blocked::NONE)).collect(),

@@ -119,6 +119,52 @@ fn unmatched_recv_is_a_clean_deadlock_error() {
 }
 
 #[test]
+fn mismatched_collectives_panic_naming_both_ranks() {
+    // Rank 0 enters a barrier while rank 1 enters an allreduce at the same
+    // point of the communicator's collective order.
+    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        World::new(machine(), 2).run(|mut rank| {
+            Box::pin(async move {
+                let comm = rank.comm_world();
+                if rank.rank() == 0 {
+                    rank.barrier(&comm).await;
+                } else {
+                    rank.allreduce(&comm, 8).await;
+                }
+                rank
+            })
+        });
+    }));
+    let payload = result.expect_err("mismatched collectives must panic");
+    let msg = payload
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+        .unwrap_or_default();
+    assert!(msg.contains("mismatched collective"), "{msg}");
+    assert!(msg.contains("rank 0 called MPI_Barrier"), "{msg}");
+    assert!(msg.contains("rank 1 called MPI_Allreduce of 8 B"), "{msg}");
+}
+
+#[test]
+fn missing_collective_member_is_a_diagnosed_deadlock() {
+    // Rank 2 skips the allreduce: ranks 0 and 1 wait at its quorum forever.
+    let err = World::new(machine(), 3)
+        .try_run(|mut rank| {
+            Box::pin(async move {
+                let comm = rank.comm_world();
+                if rank.rank() != 2 {
+                    rank.allreduce(&comm, 64).await;
+                }
+                rank
+            })
+        })
+        .unwrap_err();
+    let why = "waiting for the other members of a collective".to_string();
+    assert_eq!(err.ranks, vec![(0, why.clone()), (1, why)]);
+}
+
+#[test]
 fn split_color_out_of_subgroup_returns_none_not_panic() {
     // MPI_UNDEFINED-style negative colors are a supported non-error.
     let stats = World::new(machine(), 4).run(|mut rank| {

@@ -57,11 +57,13 @@ mod tests {
     #[cfg(target_os = "linux")]
     #[test]
     fn live_probe_reports_something_sane() {
+        // Current first: concurrent tests may grow the process between the
+        // two reads, and only a later high-water mark bounds an earlier RSS.
+        let rss = current_rss_bytes().expect("VmRSS on Linux");
         let hwm = peak_rss_bytes().expect("VmHWM on Linux");
         // A test process surely holds between 1 MB and 1 TB resident.
         assert!(hwm > 1 << 20, "peak RSS {hwm} implausibly small");
         assert!(hwm < 1 << 40, "peak RSS {hwm} implausibly large");
-        let rss = current_rss_bytes().expect("VmRSS on Linux");
         assert!(rss <= hwm, "current {rss} above high-water {hwm}");
     }
 }
