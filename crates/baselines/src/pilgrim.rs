@@ -16,10 +16,10 @@ use siesta_core::{Siesta, SiestaConfig};
 use siesta_mpisim::{Rank, RankFut};
 use siesta_perfmodel::{CounterVec, Machine};
 use siesta_proxy::ComputeProxy;
-use siesta_trace::Trace;
+use siesta_trace::StreamedTrace;
 
 /// Generate a Pilgrim-style comm-only proxy from a trace.
-pub fn synthesize(trace: Trace, gen_machine: &Machine) -> ProxyProgram {
+pub fn synthesize(trace: StreamedTrace, gen_machine: &Machine) -> ProxyProgram {
     let siesta = Siesta::new(SiestaConfig::default());
     let mut synthesis = siesta.synthesize(trace, gen_machine);
     for t in synthesis.program.terminals.iter_mut() {

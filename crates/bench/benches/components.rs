@@ -15,7 +15,7 @@ use siesta_core::{Siesta, SiestaConfig};
 use siesta_grammar::{lcs, merge_grammars, MergeConfig, Sequitur};
 use siesta_perfmodel::{platform_a, KernelDesc, Machine, MpiFlavor};
 use siesta_proxy::{solve_block_fit, ProxySearcher};
-use siesta_trace::{merge_tables, Recorder, TraceConfig};
+use siesta_trace::{merge_rank_tables, merge_streamed, Recorder, TraceConfig};
 use siesta_workloads::{ProblemSize, Program};
 
 /// Time `f` over `iters` iterations after `warmup` untimed ones; print a
@@ -103,13 +103,14 @@ fn machine() -> Machine {
     Machine::new(platform_a(), MpiFlavor::OpenMpi)
 }
 
-/// A trace with `events_per_rank` mostly-shared comm events per rank:
-/// every 7th event is rank-private, so pair merges both dedup and grow.
-fn synthetic_trace(nranks: usize, events_per_rank: usize) -> siesta_trace::Trace {
-    use siesta_trace::{CommEvent, EventRecord, RankTraceData, Trace};
-    let ranks = (0..nranks)
+/// Per-rank terminal tables of `events_per_rank` mostly-shared comm
+/// events: every 7th event is rank-private, so pair merges both dedup and
+/// grow.
+fn synthetic_tables(nranks: usize, events_per_rank: usize) -> Vec<Vec<siesta_trace::EventRecord>> {
+    use siesta_trace::{CommEvent, EventRecord};
+    (0..nranks)
         .map(|r| {
-            let table: Vec<EventRecord> = (0..events_per_rank)
+            (0..events_per_rank)
                 .map(|i| {
                     let tag = if i % 7 == 0 { (r * 10_000 + i) as i32 } else { i as i32 };
                     EventRecord::Comm(CommEvent::Send {
@@ -119,12 +120,9 @@ fn synthetic_trace(nranks: usize, events_per_rank: usize) -> siesta_trace::Trace
                         comm: 0,
                     })
                 })
-                .collect();
-            let seq: Vec<u32> = (0..events_per_rank as u32).collect();
-            RankTraceData { table, seq, raw_bytes: events_per_rank * 32 }
+                .collect()
         })
-        .collect();
-    Trace { nranks, ranks }
+        .collect()
 }
 
 /// A trace-like sequence: nested loops with occasional irregularities.
@@ -179,9 +177,9 @@ fn main() {
     bench("mpisim_mg8_tiny", 1, 10, || Program::Mg.run(m, 8, ProblemSize::Tiny));
 
     bench("trace_and_table_merge_cg8", 1, 10, || {
-        let rec = std::sync::Arc::new(Recorder::new(8, TraceConfig::default()));
+        let rec = std::sync::Arc::new(Recorder::new_streaming(8, TraceConfig::default()));
         Program::Cg.run_hooked(m, 8, ProblemSize::Tiny, rec.clone());
-        merge_tables(rec.finish())
+        merge_streamed(rec.finish_streamed())
     });
 
     bench("synthesize_bt9_tiny", 1, 10, || {
@@ -221,13 +219,13 @@ fn main() {
         .collect();
     sweep(&mut points, "qp_batch_256", 5, || searcher.search_batch(&targets));
 
-    // The log2P table-merge tree over a production-shaped trace: 64 ranks
+    // The log2P table-merge tree over production-shaped tables: 64 ranks
     // with a few hundred unique events each (mostly shared across ranks,
     // so the absorb path does real dedup work). Recorded tiny-size traces
     // sit below the merge's small-work guard, so they would measure the
     // inline path at every width.
-    let traced = synthetic_trace(64, 512);
-    sweep(&mut points, "table_merge_synth64x512", 5, || merge_tables(traced.clone()));
+    let tables = synthetic_tables(64, 512);
+    sweep(&mut points, "table_merge_synth64x512", 5, || merge_rank_tables(tables.clone()));
 
     // Anchor to the workspace root regardless of the bench binary's cwd.
     write_scaling_json(

@@ -4,10 +4,12 @@
 //! records in the shape of a 2D halo exchange (two isend / two irecv /
 //! waitall / allreduce per iteration, one clustered compute interval each)
 //! — so the numbers isolate *ingest*: normalization, hash-consing, and the
-//! sequence sink, with no simulator in the loop. The streaming sink feeds
-//! each rank's online Sequitur through a bounded buffer (256 ids, well
-//! under a rank's stream, so every rank builds online rather than at
-//! finish); the materialized sink stores every id. At 65 536 ranks the flat id sequences are the
+//! sequence sink, with no simulator in the loop. Both modes run the one
+//! recorder. Streaming feeds each rank's online Sequitur through a bounded
+//! buffer (256 ids, well under a rank's stream, so every rank builds
+//! online rather than at finish); the materialized baseline sets the
+//! buffer to `STREAM_BUF_MAX`, which no stream fills, so every id stays
+//! flat until finish. At 65 536 ranks the flat id sequences are the
 //! dominant allocation, which is exactly what streaming exists to avoid.
 //!
 //! ```sh
@@ -32,7 +34,7 @@ use std::time::Instant;
 
 use siesta_mpisim::{CommId, HookCtx, MpiCall, PmpiHook};
 use siesta_perfmodel::CounterVec;
-use siesta_trace::{Recorder, TraceConfig};
+use siesta_trace::{Recorder, TraceConfig, STREAM_BUF_MAX};
 
 struct Config {
     quick: bool,
@@ -98,21 +100,14 @@ fn drive_rank(rec: &Recorder, me: usize, ranks: usize, iters: usize) {
 /// every per-rank sequence, buffer, and grammar) stays live until after
 /// the finish call, so the RSS high-water mark covers the whole run.
 fn run_once(cfg: &Config, stream: bool) -> f64 {
-    let config = TraceConfig { stream_buf: cfg.stream_buf, ..TraceConfig::default() };
-    let rec = Arc::new(if stream {
-        Recorder::new_streaming(cfg.ranks, config)
-    } else {
-        Recorder::new(cfg.ranks, config)
-    });
+    let stream_buf = if stream { cfg.stream_buf } else { STREAM_BUF_MAX };
+    let config = TraceConfig { stream_buf, ..TraceConfig::default() };
+    let rec = Arc::new(Recorder::new_streaming(cfg.ranks, config));
     let t0 = Instant::now();
     for me in 0..cfg.ranks {
         drive_rank(&rec, me, cfg.ranks, cfg.iters);
     }
-    let ingested = if stream {
-        rec.finish_streamed().total_events()
-    } else {
-        rec.finish().total_events()
-    };
+    let ingested = rec.finish_streamed().total_events();
     let dt = t0.elapsed().as_secs_f64();
     assert_eq!(ingested, cfg.total_events(), "ingest event count drifted");
     dt

@@ -39,23 +39,15 @@ COMMANDS:
                  --out <file>        output .siesta path (default <prog>.siesta)
                  --emit-c <file>     also write the C source
                  --from-trace <f>    synthesize from a saved .siestatrace
-                                     instead of running the program
-                 --no-memo           disable the cross-rank grammar dedupe of
-                                     the table merge (no-stream: rebuild
-                                     Sequitur per rank; streaming: lift each
-                                     rank's grammar; output unchanged).
-                                     Streams that fit --stream-buf are
-                                     always built once per distinct stream
-                 --no-stream         materialize full per-rank id sequences
-                                     instead of streaming them through the
-                                     online Sequitur (more memory; output
-                                     byte-identical — the differential oracle)
-                 --stream-buf <n>    streaming ingest buffer, in event ids
-                                     per rank (default 4096, env
-                                     SIESTA_STREAM_BUF)
+                                     instead of running the program (takes
+                                     only --platform, --flavor, --scale,
+                                     --out and --emit-c)
+                 --stream-buf <n>    trace ingest buffer, in event ids per
+                                     rank (default 4096, env
+                                     SIESTA_STREAM_BUF); a longer stream
+                                     drains into an online Sequitur
                  --trace-store <f>   also write the merged trace as a
-                                     zero-copy columnar store (streamed
-                                     rank by rank when streaming)
+                                     zero-copy columnar store, rank by rank
                  --sim-profile / --sim-trace-out / --critical-path
                                      profile the traced run in virtual time
                                      (see simulate)
@@ -78,7 +70,7 @@ COMMANDS:
     trace        Trace a workload; print the merged event table or save it
                  as a zero-copy columnar store (.siestatrace)
                  --program <name> [--nprocs n] [--size s] [--platform p] [--flavor f]
-                 [--out <file.siestatrace>] [--no-stream] [--stream-buf <n>]
+                 [--out <file.siestatrace>] [--stream-buf <n>]
 
     simulate     Sweep the event-driven simulator over rank counts; report
                  virtual time, wall time, ranks/s, peak RSS, schedule hash
@@ -157,8 +149,7 @@ fn main() -> ExitCode {
 const GLOBAL_OPTS: &[&str] = &[
     "comm-matrix", "log-level", "obs-cap", "profile", "quiet", "stats", "threads", "trace-out",
 ];
-const GLOBAL_FLAGS: &[&str] =
-    &["quiet", "stats", "no-memo", "no-stream", "sim-profile", "critical-path"];
+const GLOBAL_FLAGS: &[&str] = &["quiet", "stats", "sim-profile", "critical-path"];
 
 /// `check_allowed` including the global observability options.
 fn check_cmd_opts(args: &Args, cmd_opts: &[&str]) -> Result<(), String> {
@@ -376,37 +367,42 @@ fn parse_machine_with_default(args: &Args, default_platform: &'static str) -> Re
     Ok(Machine::new(platform, flavor))
 }
 
-/// Resolve the streaming-ingest options shared by `synthesize` and
-/// `trace`: `--no-stream` and `--stream-buf` (env `SIESTA_STREAM_BUF`),
-/// validated the same way as the other numeric flags.
-fn parse_stream_opts(args: &Args) -> Result<(bool, usize), String> {
-    let stream = !args.get_flag("no-stream");
+/// Resolve the ingest buffer shared by `synthesize` and `trace`:
+/// `--stream-buf` (env `SIESTA_STREAM_BUF`), validated the same way as the
+/// other numeric flags.
+fn parse_stream_buf(args: &Args) -> Result<usize, String> {
     let explicit = match args.get("stream-buf") {
         Some(_) => Some(args.get_usize("stream-buf", 0)?),
         None => None,
     };
-    let stream_buf = siesta_trace::resolve_stream_buf(explicit)?;
-    Ok((stream, stream_buf))
+    siesta_trace::resolve_stream_buf(explicit)
 }
+
+/// Options of `synthesize` that shape a recording, so a saved trace
+/// cannot honour them.
+const RECORDING_OPTS: &[&str] =
+    &["program", "nprocs", "size", "threshold", "stream-buf", "trace-store"];
 
 fn cmd_synthesize(args: &Args) -> Result<(), String> {
     check_cmd_opts(args, &[
         "program", "nprocs", "size", "platform", "flavor", "scale", "threshold", "out", "emit-c",
-        "from-trace", "no-memo", "no-stream", "stream-buf", "trace-store", "sim-profile",
-        "sim-trace-out", "critical-path",
+        "from-trace", "stream-buf", "trace-store", "sim-profile", "sim-trace-out",
+        "critical-path",
     ])?;
     // Offline path: synthesize from a saved merged trace.
     if let Some(trace_path) = args.get("from-trace") {
+        if let Some(opt) = RECORDING_OPTS.iter().find(|o| args.get(o).is_some()) {
+            return Err(format!(
+                "--{opt} configures a recording; --from-trace synthesizes a saved one \
+                 (it takes --platform, --flavor, --scale, --out and --emit-c)"
+            ));
+        }
         let machine = parse_machine(args)?;
         let scale = args.get_f64("scale", 1.0)?;
         let out = args.require("out")?;
         let global =
             siesta_trace::load_trace(Path::new(trace_path)).map_err(|e| e.to_string())?;
-        let config = SiestaConfig {
-            scale,
-            grammar_memo: !args.get_flag("no-memo"),
-            ..SiestaConfig::default()
-        };
+        let config = SiestaConfig { scale, ..SiestaConfig::default() };
         let synthesis = Siesta::new(config).synthesize_global(global, &machine);
         siesta_obs::info!(
             "synthesized from {trace_path}: raw {} -> size_C {} ({:.0}x)",
@@ -446,7 +442,7 @@ fn cmd_synthesize(args: &Args) -> Result<(), String> {
         nprocs,
         machine.label()
     );
-    let (stream, stream_buf) = parse_stream_opts(args)?;
+    let stream_buf = parse_stream_buf(args)?;
     let trace_store = args.get("trace-store").map(str::to_string);
     if let Some(p) = &trace_store {
         check_writable_dest(p)?;
@@ -458,29 +454,16 @@ fn cmd_synthesize(args: &Args) -> Result<(), String> {
             stream_buf,
             ..TraceConfig::default()
         },
-        grammar_memo: !args.get_flag("no-memo"),
-        stream,
         ..SiestaConfig::default()
     };
     let siesta = Siesta::new(config);
-    let body = move |r| program.body(size)(r);
-    let (synthesis, traced) = if stream {
-        let (st, traced) = siesta.trace_run_streamed(machine, nprocs, body);
-        let sg = siesta.merge_streamed(st);
-        if let Some(p) = &trace_store {
-            sg.write_store(Path::new(p)).map_err(|e| format!("{p}: {e}"))?;
-            siesta_obs::info!("columnar trace store written to {p}");
-        }
-        (siesta.synthesize_streamed_global(sg, &machine), traced)
-    } else {
-        let (trace, traced) = siesta.trace_run(machine, nprocs, body);
-        let global = siesta.merge_trace(trace);
-        if let Some(p) = &trace_store {
-            siesta_trace::save_trace(&global, Path::new(p)).map_err(|e| format!("{p}: {e}"))?;
-            siesta_obs::info!("columnar trace store written to {p}");
-        }
-        (siesta.synthesize_global(global, &machine), traced)
-    };
+    let (trace, traced) = siesta.trace_run(machine, nprocs, move |r| program.body(size)(r));
+    let sg = siesta.merge_streamed(trace);
+    if let Some(p) = &trace_store {
+        sg.write_store(Path::new(p)).map_err(|e| format!("{p}: {e}"))?;
+        siesta_obs::info!("columnar trace store written to {p}");
+    }
+    let synthesis = siesta.synthesize_streamed_global(sg, &machine);
     let s = &synthesis.stats;
     siesta_obs::info!("traced run: {}", human_ms(traced.elapsed_ns()));
     siesta_obs::info!(
@@ -630,7 +613,7 @@ fn cmd_inspect(args: &Args) -> Result<(), String> {
 
 fn cmd_trace(args: &Args) -> Result<(), String> {
     check_cmd_opts(args, &[
-        "program", "nprocs", "size", "platform", "flavor", "out", "no-stream", "stream-buf",
+        "program", "nprocs", "size", "platform", "flavor", "out", "stream-buf",
     ])?;
     let program = parse_program(args.require("program")?)?;
     let nprocs = args.get_usize("nprocs", 16)?;
@@ -639,51 +622,31 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
     }
     let size = parse_size(&args.get_or("size", "small"))?;
     let machine = parse_machine(args)?;
-    let (stream, stream_buf) = parse_stream_opts(args)?;
+    let stream_buf = parse_stream_buf(args)?;
     let out = args.get("out").map(str::to_string);
     if let Some(p) = &out {
         check_writable_dest(p)?;
     }
     let config = SiestaConfig {
         trace: TraceConfig { stream_buf, ..TraceConfig::default() },
-        stream,
         ..SiestaConfig::default()
     };
     let siesta = Siesta::new(config);
-    let body = move |r| program.body(size)(r);
-    if stream {
-        // Streaming ingest: sequences exist only as per-rank grammars; the
-        // store is written rank by rank. Bytes match the --no-stream path.
-        let (st, _) = siesta.trace_run_streamed(machine, nprocs, body);
-        let sg = siesta.merge_streamed(st);
-        match out {
-            Some(out) => {
-                sg.write_store(Path::new(&out)).map_err(|e| format!("{out}: {e}"))?;
-                siesta_obs::info!(
-                    "saved merged trace: {} terminals, {} ranks",
-                    sg.table.len(),
-                    sg.nranks
-                );
-                println!("{out}");
-            }
-            None => print!("{}", siesta_trace::text::render(&sg.to_global_trace())),
+    // Sequences exist only as per-rank grammars; the store is written
+    // rank by rank.
+    let (trace, _) = siesta.trace_run(machine, nprocs, move |r| program.body(size)(r));
+    let sg = siesta.merge_streamed(trace);
+    match out {
+        Some(out) => {
+            sg.write_store(Path::new(&out)).map_err(|e| format!("{out}: {e}"))?;
+            siesta_obs::info!(
+                "saved merged trace: {} terminals, {} ranks",
+                sg.table.len(),
+                sg.nranks
+            );
+            println!("{out}");
         }
-    } else {
-        let (trace, _) = siesta.trace_run(machine, nprocs, body);
-        let global = siesta.merge_trace(trace);
-        match out {
-            Some(out) => {
-                siesta_trace::save_trace(&global, Path::new(&out))
-                    .map_err(|e| format!("{out}: {e}"))?;
-                siesta_obs::info!(
-                    "saved merged trace: {} terminals, {} ranks",
-                    global.table.len(),
-                    global.nranks
-                );
-                println!("{out}");
-            }
-            None => print!("{}", siesta_trace::text::render(&global)),
-        }
+        None => print!("{}", siesta_trace::text::render(&sg.to_global_trace())),
     }
     Ok(())
 }

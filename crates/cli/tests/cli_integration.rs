@@ -206,6 +206,33 @@ fn offline_trace_to_synthesis_workflow() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("bad magic"));
 
+    // Options that shape a recording cannot apply to a saved trace: each
+    // is refused instead of silently ignored, and nothing is written.
+    let extra = tmp("extra.siestatrace");
+    let rejected = tmp("rejected.siesta");
+    let trace_arg = trace_file.to_str().unwrap();
+    let out_arg = rejected.to_str().unwrap();
+    let extra_arg = extra.to_str().unwrap();
+    for (opt, value) in [
+        ("--program", "BT"),
+        ("--nprocs", "7"),
+        ("--size", "tiny"),
+        ("--threshold", "0.5"),
+        ("--stream-buf", "16"),
+        ("--trace-store", extra_arg),
+    ] {
+        let out = siesta(&["synthesize", "--from-trace", trace_arg, "--out", out_arg, opt, value]);
+        assert!(!out.status.success(), "{opt} accepted with --from-trace");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(opt), "{opt}: unexpected message: {err}");
+    }
+    let out = siesta(&[
+        "synthesize", "--from-trace", trace_arg, "--out", out_arg, "--trace-store", extra_arg,
+        "--program", "BT", "--nprocs", "7", "--threshold", "0.5", "--stream-buf", "16",
+    ]);
+    assert!(!out.status.success());
+    assert!(!extra.exists() && !rejected.exists());
+
     std::fs::remove_file(&trace_file).ok();
     std::fs::remove_file(&proxy).ok();
 }

@@ -1,9 +1,10 @@
 //! The end-to-end Siesta pipeline (paper Figure 1).
 //!
 //! ```text
-//! MPI program ──trace──▶ per-rank event tables + id sequences
-//!              ──merge──▶ global terminal table (log₂P tree)
-//!            ──Sequitur─▶ per-rank run-length grammars
+//! MPI program ──trace──▶ per-rank event tables + run-length grammars
+//!                        (Sequitur, fed as the calls complete)
+//!              ──merge──▶ global terminal table (log₂P tree); grammars
+//!                        relabeled to global ids
 //!              ──merge──▶ job-wide grammar with rank-listed main rules
 //!       ──proxy search──▶ block combinations per computation event
 //!            ──codegen──▶ ProxyProgram (C source + replayable IR)
@@ -19,7 +20,7 @@ use siesta_perfmodel::Machine;
 use siesta_proxy::{shrink_counters, CommShrink, ProxySearcher, BLOCKS_C_SOURCE};
 use siesta_trace::{
     merge_streamed, merge_tables, serialize, CommEvent, EventRecord, GlobalTrace, Recorder,
-    StreamedGlobal, StreamedTrace, Trace, TraceConfig,
+    StreamedGlobal, StreamedTrace, TraceConfig,
 };
 
 /// Configuration of one synthesis.
@@ -30,21 +31,13 @@ pub struct SiestaConfig {
     /// Shrinking factor (Section 2.7): 1.0 emits a full-size proxy; the
     /// paper's default shrunk proxy uses 10.0.
     pub scale: f64,
-    /// Cross-rank grammar memoization in the table merge: SPMD jobs repeat
-    /// whole id sequences across ranks, so the materialized path runs
-    /// Sequitur once per *unique* global sequence and
-    /// [`merge_streamed`](Siesta::merge_streamed) lifts one grammar per
-    /// unique stream, cloning the result for every duplicate rank.
-    /// Bit-identical output either way (Sequitur is a pure function of its
-    /// input); off is only useful for benchmarking and differential
-    /// testing. The streaming recorder's finish-time build of streams that
-    /// never filled their buffer dedupes whatever this says.
-    pub grammar_memo: bool,
-    /// Streaming ingest: interned event ids feed each rank's Sequitur as
-    /// calls complete, so the flat per-rank id sequences never materialize
-    /// — peak memory is bounded by the compressed grammars plus one stream
-    /// buffer per rank. Output is byte-identical to the materialized path
-    /// (which `--no-stream` keeps available as the differential oracle).
+    /// How [`Siesta::synthesize_run`] turns the recorded grammars into
+    /// global ones. `true` (the default) lifts each rank's grammar through
+    /// the table merge without expanding it ([`Siesta::synthesize`]).
+    /// `false` expands every rank through [`merge_tables`] and rebuilds
+    /// its grammar with Sequitur ([`Siesta::synthesize_global`], the path a
+    /// saved trace takes): the reference the lift must match byte for
+    /// byte, kept to measure what the lift saves.
     pub stream: bool,
 }
 
@@ -54,7 +47,6 @@ impl Default for SiestaConfig {
             trace: TraceConfig::default(),
             merge: MergeConfig::default(),
             scale: 1.0,
-            grammar_memo: true,
             stream: true,
         }
     }
@@ -112,41 +104,13 @@ impl Siesta {
         Siesta { config }
     }
 
-    /// Trace an MPI program: runs it with the PMPI recorder installed.
-    /// Returns the trace and the (instrumented) run statistics.
-    pub fn trace_run<'env, F>(&self, machine: Machine, nranks: usize, body: F) -> (Trace, RunStats)
-    where
-        F: Fn(Rank) -> RankFut<'env> + Send + Sync,
-    {
-        let _span = span!("trace", nranks = nranks);
-        let recorder = Arc::new(Recorder::new(nranks, self.config.trace));
-        // With profiling (or comm-matrix / virtual-time-profile
-        // collection) on, stack the observers under the recorder the way
-        // PMPI tools chain; otherwise install the recorder alone.
-        let sim_profile = siesta_mpisim::sim_profile_enabled();
-        let hook: Arc<dyn PmpiHook> = if profiling_enabled()
-            || siesta_mpisim::comm_matrix_enabled()
-            || sim_profile
-        {
-            let mut hooks: Vec<Arc<dyn PmpiHook>> =
-                vec![recorder.clone(), Arc::new(ObsHook::new(nranks))];
-            if sim_profile {
-                hooks.push(siesta_mpisim::SimProfiler::install(nranks));
-            }
-            Arc::new(FanoutHook::new(hooks))
-        } else {
-            recorder.clone()
-        };
-        let stats = World::new(machine, nranks).with_hook(hook).run(body);
-        (recorder.finish(), stats)
-    }
-
-    /// Trace an MPI program with streaming ingest: each rank buffers a
-    /// bounded number of interned event ids, a longer stream drains into
-    /// the rank's online Sequitur as calls complete, and streams that fit
-    /// the buffer are built at the end, once per distinct stream. Returns
-    /// per-rank tables + local-id grammars.
-    pub fn trace_run_streamed<'env, F>(
+    /// Trace an MPI program: runs it with the PMPI recorder installed. Each
+    /// rank buffers a bounded number of interned event ids, a longer
+    /// stream drains into the rank's online Sequitur as calls complete,
+    /// and streams that fit the buffer are built at the end, once per
+    /// distinct stream. Returns per-rank tables + local-id grammars and
+    /// the (instrumented) run statistics.
+    pub fn trace_run<'env, F>(
         &self,
         machine: Machine,
         nranks: usize,
@@ -157,6 +121,9 @@ impl Siesta {
     {
         let _span = span!("trace", nranks = nranks);
         let recorder = Arc::new(Recorder::new_streaming(nranks, self.config.trace));
+        // With profiling (or comm-matrix / virtual-time-profile
+        // collection) on, stack the observers under the recorder the way
+        // PMPI tools chain; otherwise install the recorder alone.
         let sim_profile = siesta_mpisim::sim_profile_enabled();
         let hook: Arc<dyn PmpiHook> = if profiling_enabled()
             || siesta_mpisim::comm_matrix_enabled()
@@ -177,17 +144,12 @@ impl Siesta {
 
     /// Synthesize a proxy-app from a trace. `gen_machine` is the machine
     /// the proxy is generated on (block micro-benchmarks and the comm
-    /// shrinking regression run there).
-    pub fn synthesize(&self, trace: Trace, gen_machine: &Machine) -> Synthesis {
-        let global = self.merge_trace(trace);
-        self.synthesize_global(global, gen_machine)
-    }
-
-    /// The materialized table merge (span-wrapped twin of
-    /// [`merge_streamed`](Siesta::merge_streamed)).
-    pub fn merge_trace(&self, trace: Trace) -> GlobalTrace {
-        let _span = span!("table-merge", nranks = trace.nranks);
-        merge_tables(trace)
+    /// shrinking regression run there). The per-rank grammars already
+    /// exist (built by the recorder); the table merge lifts them to
+    /// global ids by terminal relabeling instead of re-running Sequitur.
+    pub fn synthesize(&self, trace: StreamedTrace, gen_machine: &Machine) -> Synthesis {
+        let sg = self.merge_streamed(trace);
+        self.synthesize_streamed_global(sg, gen_machine)
     }
 
     /// Synthesize from an already-merged (possibly loaded-from-disk)
@@ -203,11 +165,11 @@ impl Siesta {
         // Intra-process grammars (one pool task per unique sequence), then
         // the inter-process merge. Collection is index-ordered and
         // memoization assigns in first-seen order, so the merged grammar is
-        // identical at any thread count, memo on or off.
+        // identical at any thread count.
         let grammars: Vec<Grammar> = {
             let _span = span!("sequitur-fanout", ranks = global.nranks);
             siesta_obs::counter("par.sequitur.tasks").add(global.seqs.len() as u64);
-            build_rank_grammars(&global.seqs, self.config.grammar_memo)
+            build_rank_grammars(&global.seqs, true)
         };
         self.finish_synthesis(
             global.nranks,
@@ -219,26 +181,16 @@ impl Siesta {
         )
     }
 
-    /// Synthesize from a streamed trace. The per-rank grammars already
-    /// exist (built by the recorder); the table merge lifts them to
-    /// global ids by terminal relabeling instead of re-running Sequitur,
-    /// sharing one lifted grammar across ranks whose streams hashed
-    /// identical when `grammar_memo` is on.
-    pub fn synthesize_streamed(&self, st: StreamedTrace, gen_machine: &Machine) -> Synthesis {
-        let sg = self.merge_streamed(st);
-        self.synthesize_streamed_global(sg, gen_machine)
-    }
-
     /// The streaming table merge + grammar lift, exposed separately so
     /// callers can write the trace store from the [`StreamedGlobal`] before
     /// synthesis consumes it.
     pub fn merge_streamed(&self, st: StreamedTrace) -> StreamedGlobal {
         let _span = span!("table-merge", nranks = st.nranks);
-        merge_streamed(st, self.config.grammar_memo)
+        merge_streamed(st)
     }
 
-    /// Back half of [`synthesize_streamed`], from an already-merged
-    /// streamed trace.
+    /// Back half of [`synthesize`](Siesta::synthesize), from an
+    /// already-merged streamed trace.
     pub fn synthesize_streamed_global(
         &self,
         sg: StreamedGlobal,
@@ -257,8 +209,8 @@ impl Siesta {
     }
 
     /// Shared synthesis back half: inter-process grammar merge, proxy
-    /// search, codegen, accounting. Both ingest modes land here with the
-    /// same (byte-identical) table and per-rank grammars.
+    /// search, codegen, accounting. The lift and the rebuild land here
+    /// with the same (byte-identical) table and per-rank grammars.
     fn finish_synthesis(
         &self,
         nranks: usize,
@@ -343,9 +295,9 @@ impl Siesta {
         Synthesis { program, stats }
     }
 
-    /// Convenience: trace a program and synthesize in one step, honouring
-    /// `config.stream` (streaming ingest by default; the materialized path
-    /// with `stream: false`). Both produce byte-identical syntheses.
+    /// Convenience: trace a program and synthesize in one step, lifting
+    /// the recorded grammars, or rebuilding them with `stream: false`.
+    /// Both produce byte-identical syntheses.
     pub fn synthesize_run<'env, F>(
         &self,
         machine: Machine,
@@ -355,13 +307,17 @@ impl Siesta {
     where
         F: Fn(Rank) -> RankFut<'env> + Send + Sync,
     {
-        if self.config.stream {
-            let (st, traced_stats) = self.trace_run_streamed(machine, nranks, body);
-            (self.synthesize_streamed(st, &machine), traced_stats)
+        let (trace, traced_stats) = self.trace_run(machine, nranks, body);
+        let synthesis = if self.config.stream {
+            self.synthesize(trace, &machine)
         } else {
-            let (trace, traced_stats) = self.trace_run(machine, nranks, body);
-            (self.synthesize(trace, &machine), traced_stats)
-        }
+            let global = {
+                let _span = span!("table-merge", nranks = trace.nranks);
+                merge_tables(trace)
+            };
+            self.synthesize_global(global, &machine)
+        };
+        (synthesis, traced_stats)
     }
 }
 

@@ -125,30 +125,20 @@ pub fn render(trace: &GlobalTrace) -> String {
 mod tests {
     use super::*;
     use crate::event::ComputeStats;
-    use crate::recorder::RankTraceData;
-    use crate::recorder::Trace;
+    use crate::recorder::{StreamedRank, StreamedTrace};
     use siesta_perfmodel::CounterVec;
 
     #[test]
     fn renders_table_and_sequences() {
-        let trace = Trace {
+        let allreduce = EventRecord::Comm(CommEvent::Allreduce { comm: 0, bytes: 64 });
+        let compute = EventRecord::Compute(ComputeStats::new(CounterVec::new(
+            1e6, 2e6, 3e5, 1e4, 1e4, 100.0,
+        )));
+        let trace = StreamedTrace {
             nranks: 2,
             ranks: vec![
-                RankTraceData {
-                    table: vec![
-                        EventRecord::Comm(CommEvent::Allreduce { comm: 0, bytes: 64 }),
-                        EventRecord::Compute(ComputeStats::new(CounterVec::new(
-                            1e6, 2e6, 3e5, 1e4, 1e4, 100.0,
-                        ))),
-                    ],
-                    seq: vec![1, 0, 1, 0],
-                    raw_bytes: 100,
-                },
-                RankTraceData {
-                    table: vec![EventRecord::Comm(CommEvent::Allreduce { comm: 0, bytes: 64 })],
-                    seq: vec![0, 0],
-                    raw_bytes: 50,
-                },
+                StreamedRank::from_seq(vec![allreduce.clone(), compute], &[1, 0, 1, 0], 100),
+                StreamedRank::from_seq(vec![allreduce], &[0, 0], 50),
             ],
         };
         let global = crate::merge::merge_tables(trace);

@@ -1,19 +1,21 @@
-//! Differential oracle for the two trace-ingest modes: streaming (interned
-//! event ids feed each rank's online Sequitur as calls complete; flat id
-//! sequences never materialize) and materialized (record everything, then
-//! batch Sequitur) must produce **byte-identical** artifacts.
+//! Differential oracle for the grammar lift: the one trace-ingest path
+//! (each rank's grammar built from its bounded stream, then relabeled into
+//! global ids through the table merge without expansion) must produce
+//! **byte-identical** artifacts to the rebuild reference (expand every
+//! rank through `merge_tables`, then batch Sequitur per rank, as a trace
+//! loaded from disk is synthesized).
 //!
-//! The modes share the simulator and the synthesis back half but nothing
-//! in between: one relabels grammars built online through composed table
-//! remaps (memoizing on a running content hash), the other rewrites whole
-//! sequences and re-runs Sequitur per rank. If grammar construction,
-//! table-merge remapping, memoization order, or store chunking depended on
-//! ingest mode anywhere, these runs would diverge. Every comparison covers
-//! the full pipeline — proxy wire bytes, emitted C, the columnar trace
-//! store, the synthesis report, traced run stats with the event-schedule
-//! hash — on all nine paper workloads, across pool widths 1/2/8, grammar
-//! memoization on/off, and stream buffer sizes down to the flush-heavy
-//! minimum.
+//! The two share the recorder, the simulator and the synthesis back half
+//! but nothing in between: one relabels grammars through composed table
+//! remaps (memoizing on a running content hash, rebuilding ranks whose
+//! remap is not injective), the other rewrites whole sequences and re-runs
+//! Sequitur. If grammar construction, table-merge remapping, memoization
+//! order, or store chunking depended on the path anywhere, these runs
+//! would diverge. Every comparison covers the full pipeline — proxy wire
+//! bytes, emitted C, the columnar trace store, the synthesis report,
+//! traced run stats with the event-schedule hash — on all nine paper
+//! workloads, across pool widths 1/2/8 and stream buffer sizes from the
+//! flush-heavy minimum to one no stream fills.
 //!
 //! ```sh
 //! cargo test -p siesta-bench --test differential_engine
@@ -25,7 +27,7 @@ use std::sync::Mutex;
 use siesta_codegen::{emit_c, wire};
 use siesta_core::{Siesta, SiestaConfig};
 use siesta_perfmodel::{platform_a, Machine, MpiFlavor};
-use siesta_trace::TraceConfig;
+use siesta_trace::{merge_tables, write_store, TraceConfig, STREAM_BUF_MAX, STREAM_BUF_MIN};
 use siesta_workloads::{ProblemSize, Program};
 
 /// Serializes tests: the pool width is process-global.
@@ -49,8 +51,8 @@ struct Output {
 
 static STORE_SEQ: AtomicU64 = AtomicU64::new(0);
 
-/// Write the columnar store the way each mode's production path does —
-/// rank-at-a-time grammar expansion when streaming, whole-trace otherwise
+/// Write the columnar store the way each path does — rank-at-a-time
+/// grammar expansion for the lift, the whole-trace writer for the rebuild
 /// — and return the file's bytes.
 fn store_file<F: FnOnce(&std::path::Path) -> std::io::Result<()>>(write: F) -> Vec<u8> {
     let path = std::env::temp_dir().join(format!(
@@ -64,21 +66,20 @@ fn store_file<F: FnOnce(&std::path::Path) -> std::io::Result<()>>(write: F) -> V
     bytes
 }
 
-fn synthesize(stream: bool, width: usize, program: Program, mut config: SiestaConfig) -> Output {
-    config.stream = stream;
+/// Trace `program` and synthesize it by the lift (`stream`) or the
+/// rebuild.
+fn synthesize(stream: bool, width: usize, program: Program, config: SiestaConfig) -> Output {
     siesta_par::with_threads(width, || {
         let siesta = Siesta::new(config);
-        let body = program.body(ProblemSize::Tiny);
-        let (synthesis, traced, store_bytes) = if stream {
-            let (st, traced) = siesta.trace_run_streamed(machine(), NPROCS, body);
-            let sg = siesta.merge_streamed(st);
+        let (trace, traced) = siesta.trace_run(machine(), NPROCS, program.body(ProblemSize::Tiny));
+        let (synthesis, store_bytes) = if stream {
+            let sg = siesta.merge_streamed(trace);
             let store_bytes = store_file(|p| sg.write_store(p));
-            (siesta.synthesize_streamed_global(sg, &machine()), traced, store_bytes)
+            (siesta.synthesize_streamed_global(sg, &machine()), store_bytes)
         } else {
-            let (trace, traced) = siesta.trace_run(machine(), NPROCS, body);
-            let global = siesta.merge_trace(trace);
-            let store_bytes = store_file(|p| siesta_trace::save_trace(&global, p));
-            (siesta.synthesize_global(global, &machine()), traced, store_bytes)
+            let global = merge_tables(trace);
+            let store_bytes = store_file(|p| write_store(&global, p));
+            (siesta.synthesize_global(global, &machine()), store_bytes)
         };
         Output {
             wire_bytes: wire::to_bytes(&synthesis.program),
@@ -106,6 +107,13 @@ fn assert_same(program: Program, label: &str, got: &Output, baseline: &Output) {
     assert_eq!(got.stats, baseline.stats, "{name}: traced run stats diverge ({label})");
 }
 
+fn with_stream_buf(stream_buf: usize) -> SiestaConfig {
+    SiestaConfig {
+        trace: TraceConfig { stream_buf, ..TraceConfig::default() },
+        ..SiestaConfig::default()
+    }
+}
+
 #[test]
 fn streaming_matches_materialized_on_every_workload() {
     let _g = WIDTH_LOCK.lock().unwrap();
@@ -113,7 +121,7 @@ fn streaming_matches_materialized_on_every_workload() {
         let baseline = synthesize(false, 1, program, SiestaConfig::default());
         for &width in &WIDTHS {
             let got = synthesize(true, width, program, SiestaConfig::default());
-            assert_same(program, &format!("streaming, {width} threads"), &got, &baseline);
+            assert_same(program, &format!("lift, {width} threads"), &got, &baseline);
         }
     }
 }
@@ -121,20 +129,22 @@ fn streaming_matches_materialized_on_every_workload() {
 #[test]
 fn memo_and_buffer_toggles_agree_across_modes() {
     let _g = WIDTH_LOCK.lock().unwrap();
-    let memo_off = SiestaConfig { grammar_memo: false, ..SiestaConfig::default() };
-    // The flush-heavy extreme: every 16 events the buffer drains into the
-    // online Sequitur. Grammar output must not depend on flush cadence.
-    let tiny_buf = SiestaConfig {
-        trace: TraceConfig { stream_buf: 16, ..TraceConfig::default() },
-        ..SiestaConfig::default()
-    };
+    // The flush-heavy extreme drains the buffer into the online Sequitur
+    // every 16 events; `STREAM_BUF_MAX` holds every stream until finish
+    // and builds it there, once per distinct stream. Grammar output must
+    // depend on neither the flush cadence nor the pool width.
+    let tiny_buf = with_stream_buf(STREAM_BUF_MIN);
+    let whole_buf = with_stream_buf(STREAM_BUF_MAX);
     for program in Program::ALL {
         let baseline = synthesize(false, 1, program, SiestaConfig::default());
         for (stream, width, config, label) in [
-            (true, 2, memo_off, "streaming, no-memo, 2 threads"),
-            (true, 8, tiny_buf, "streaming, 16-id buffer, 8 threads"),
-            (false, 2, memo_off, "materialized, no-memo, 2 threads"),
-            (true, 1, memo_off, "streaming, no-memo, 1 thread"),
+            (true, 1, tiny_buf, "lift, 16-id buffer, 1 thread"),
+            (true, 2, tiny_buf, "lift, 16-id buffer, 2 threads"),
+            (true, 8, tiny_buf, "lift, 16-id buffer, 8 threads"),
+            (true, 1, whole_buf, "lift, unfilled buffer, 1 thread"),
+            (true, 2, whole_buf, "lift, unfilled buffer, 2 threads"),
+            (true, 8, whole_buf, "lift, unfilled buffer, 8 threads"),
+            (false, 2, tiny_buf, "rebuild, 16-id buffer, 2 threads"),
         ] {
             let got = synthesize(stream, width, program, config);
             assert_same(program, label, &got, &baseline);
@@ -145,9 +155,9 @@ fn memo_and_buffer_toggles_agree_across_modes() {
 #[test]
 fn streamed_store_feeds_offline_synthesis() {
     let _g = WIDTH_LOCK.lock().unwrap();
-    // The offline workflow across modes: a store written rank-at-a-time by
-    // the streaming path, loaded back through the zero-copy reader, must
-    // synthesize to the same proxy as the live streaming run.
+    // The offline workflow: a store written rank-at-a-time from the lifted
+    // grammars, loaded back through the zero-copy reader, must synthesize
+    // to the same proxy as the live run.
     for program in [Program::Sweep3d, Program::Is] {
         let live = synthesize(true, 2, program, SiestaConfig::default());
         let path = std::env::temp_dir().join(format!(

@@ -214,7 +214,7 @@ fn streaming_ingest_million_ranks_completes() {
     assert_eq!(st.total_events(), RANKS * ITERS * 7);
     let ingest = t0.elapsed();
 
-    let sg = merge_streamed(st, true);
+    let sg = merge_streamed(st);
     let took = t0.elapsed();
     assert_eq!(sg.nranks, RANKS);
     assert_eq!(sg.merge_rounds, 20);

@@ -90,21 +90,20 @@ fn canonical_trace_and_report_are_byte_identical_across_widths() {
 /// Virtual-time profiler artifacts (PR 9): unlike the wall-clock trace,
 /// these need no canonical form — virtual timestamps are a pure function
 /// of the simulated program, so the raw exports themselves must be
-/// byte-identical at any width, with grammar memoization on or off.
+/// byte-identical at any width.
 struct SimArtifacts {
     vt_trace: String,
     critical: String,
     comm_matrix: String,
 }
 
-fn sim_profile_at(width: usize, program: Program, memo: bool) -> SimArtifacts {
+fn sim_profile_at(width: usize, program: Program) -> SimArtifacts {
     siesta_obs::reset_metrics();
     siesta_obs::drain_spans();
     siesta_mpisim::set_sim_profile_enabled(true);
     siesta_mpisim::set_comm_matrix_enabled(true);
     siesta_par::with_threads(width, || {
-        let config = SiestaConfig { grammar_memo: memo, ..SiestaConfig::default() };
-        let siesta = Siesta::new(config);
+        let siesta = Siesta::new(SiestaConfig::default());
         let (_, _) =
             siesta.synthesize_run(machine(), 16, move |r| program.body(ProblemSize::Tiny)(r));
     });
@@ -123,9 +122,7 @@ fn sim_profile_at(width: usize, program: Program, memo: bool) -> SimArtifacts {
 fn sim_profiler_artifacts_are_byte_identical_across_widths_and_memo() {
     let _g = WIDTH_LOCK.lock().unwrap();
     for program in Program::ALL {
-        // Memoization must not change the simulated world either: fold it
-        // into the same baseline comparison.
-        let baseline = sim_profile_at(WIDTHS[0], program, true);
+        let baseline = sim_profile_at(WIDTHS[0], program);
         assert!(
             baseline.vt_trace.contains("\"name\":\"MPI_"),
             "{}: virtual-time trace recorded no MPI intervals",
@@ -141,31 +138,26 @@ fn sim_profiler_artifacts_are_byte_identical_across_widths_and_memo() {
             "{}: comm matrix missing p2p cells",
             program.name()
         );
-        for &memo in &[true, false] {
-            for &width in &WIDTHS {
-                if width == WIDTHS[0] && memo {
-                    continue; // the baseline itself
-                }
-                let got = sim_profile_at(width, program, memo);
-                assert_eq!(
-                    got.vt_trace,
-                    baseline.vt_trace,
-                    "{}: virtual-time trace diverges at {width} threads (memo {memo})",
-                    program.name()
-                );
-                assert_eq!(
-                    got.critical,
-                    baseline.critical,
-                    "{}: critical-path report diverges at {width} threads (memo {memo})",
-                    program.name()
-                );
-                assert_eq!(
-                    got.comm_matrix,
-                    baseline.comm_matrix,
-                    "{}: comm matrix diverges at {width} threads (memo {memo})",
-                    program.name()
-                );
-            }
+        for &width in &WIDTHS[1..] {
+            let got = sim_profile_at(width, program);
+            assert_eq!(
+                got.vt_trace,
+                baseline.vt_trace,
+                "{}: virtual-time trace diverges at {width} threads",
+                program.name()
+            );
+            assert_eq!(
+                got.critical,
+                baseline.critical,
+                "{}: critical-path report diverges at {width} threads",
+                program.name()
+            );
+            assert_eq!(
+                got.comm_matrix,
+                baseline.comm_matrix,
+                "{}: comm matrix diverges at {width} threads",
+                program.name()
+            );
         }
     }
 }
