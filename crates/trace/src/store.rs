@@ -1,10 +1,15 @@
-//! Zero-copy columnar trace store (`.siestatrace`, format `SIESTC1`).
+//! Zero-copy columnar trace store (`.siestatrace`, format `SIESTC1`), the
+//! one on-disk form of a merged trace.
 //!
-//! The row-oriented codec in [`crate::wire`] decodes every event on every
-//! load — fine for the proxy artifacts, hopeless for multi-GB traces that
-//! replay and baseline comparison re-read many times. This store lays a
-//! merged trace out the way readers consume it, following the renacer
-//! tracing exemplar (hash-interned ids, mmap-backed logs):
+//! The paper's workflow separates *collection* (PMPI tracing on the
+//! production system) from *processing* (merging, grammar extraction,
+//! synthesis — possibly offline). The store makes that split real:
+//! `siesta trace --out app.siestatrace` on one machine,
+//! `siesta synthesize --from-trace app.siestatrace` anywhere. Traces run
+//! to many GB and replay and baseline comparison re-read them, so instead
+//! of decoding row by row on every load the store lays a merged trace out
+//! the way readers consume it, following the renacer tracing exemplar
+//! (hash-interned ids, mmap-backed logs):
 //!
 //! * **Struct-of-arrays event table.** One `u8` kind/tag column and one
 //!   `u64` payload-reference column (offset ≪ 32 | length into a payload
@@ -335,18 +340,6 @@ pub fn store_to_bytes(t: &GlobalTrace) -> Vec<u8> {
     w.finish().expect("Vec sink cannot fail")
 }
 
-/// Check whether `path` starts with the columnar-store magic.
-pub fn sniff_store(path: &Path) -> io::Result<bool> {
-    use std::io::Read;
-    let mut head = [0u8; 8];
-    let mut f = std::fs::File::open(path)?;
-    match f.read_exact(&mut head) {
-        Ok(()) => Ok(&head == STORE_MAGIC),
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => Ok(false),
-        Err(e) => Err(e),
-    }
-}
-
 /// Write a whole merged trace to a store file.
 pub fn write_store(t: &GlobalTrace, path: &Path) -> io::Result<()> {
     let file = std::fs::File::create(path)?;
@@ -364,6 +357,11 @@ pub fn write_store(t: &GlobalTrace, path: &Path) -> io::Result<()> {
 // ---------------------------------------------------------------------
 // Reader
 // ---------------------------------------------------------------------
+
+/// Load a merged trace from a store file.
+pub fn load_trace(path: &Path) -> Result<GlobalTrace, Box<dyn std::error::Error>> {
+    Ok(TraceStore::open(path)?.to_global_trace()?)
+}
 
 struct ChunkMeta {
     /// Byte offset of the ids array.

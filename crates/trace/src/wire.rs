@@ -1,18 +1,11 @@
-//! Binary wire codec for trace data (`.siestatrace` files) and the shared
-//! primitives other crates' formats build on.
-//!
-//! The paper's workflow separates *collection* (PMPI tracing on the
-//! production system) from *processing* (merging, grammar extraction,
-//! synthesis — possibly offline). Persisting the merged [`GlobalTrace`]
-//! makes that split real: `siesta trace --out app.siestatrace` on one
-//! machine, `siesta synthesize --from-trace app.siestatrace` anywhere.
+//! Little-endian byte primitives and the communication-event codec that
+//! Siesta's binary formats build on: the columnar trace store
+//! ([`crate::store`], `.siestatrace`) and the proxy-app codec of
+//! `siesta-codegen` (`.siesta`).
 
 use siesta_perfmodel::CounterVec;
 
-use crate::event::{CommEvent, ComputeStats, EventRecord};
-use crate::merge::GlobalTrace;
-
-const MAGIC: &[u8; 8] = b"SIESTR1\0";
+use crate::event::CommEvent;
 
 /// Decoding failure (shared by every Siesta wire format).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -360,141 +353,4 @@ pub fn get_event(r: &mut Reader) -> Result<CommEvent, WireError> {
         22 => CommEvent::ReduceScatterBlock { comm: r.u32()?, bytes_per_rank: r.u64()? },
         t => return Err(WireError::BadTag(t)),
     })
-}
-
-/// Serialize a merged trace.
-pub fn trace_to_bytes(t: &GlobalTrace) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.buf.extend_from_slice(MAGIC);
-    w.u8(1); // version
-    w.u32(t.nranks as u32);
-    w.u32(t.merge_rounds);
-    w.u64(t.raw_bytes as u64);
-    w.u32(t.table.len() as u32);
-    for rec in &t.table {
-        match rec {
-            EventRecord::Comm(e) => {
-                w.u8(0);
-                put_event(&mut w, e);
-            }
-            EventRecord::Compute(s) => {
-                w.u8(1);
-                w.counters(&s.repr);
-                w.counters(&s.sum);
-                w.u64(s.count);
-            }
-        }
-    }
-    w.u32(t.seqs.len() as u32);
-    for seq in &t.seqs {
-        w.u32s(seq);
-    }
-    w.buf
-}
-
-/// Deserialize a merged trace.
-pub fn trace_from_bytes(bytes: &[u8]) -> Result<GlobalTrace, WireError> {
-    let mut r = Reader::new(bytes);
-    if r.take(8)? != MAGIC {
-        return Err(WireError::BadMagic);
-    }
-    let version = r.u8()?;
-    if version != 1 {
-        return Err(WireError::UnsupportedVersion(version));
-    }
-    let nranks = r.u32()? as usize;
-    let merge_rounds = r.u32()?;
-    let raw_bytes = r.u64()? as usize;
-    let n_table = r.u32()? as usize;
-    let mut table = Vec::with_capacity(n_table);
-    for _ in 0..n_table {
-        match r.u8()? {
-            0 => table.push(EventRecord::Comm(get_event(&mut r)?)),
-            1 => {
-                let repr = r.counters()?;
-                let sum = r.counters()?;
-                let count = r.u64()?;
-                table.push(EventRecord::Compute(ComputeStats { repr, sum, count }));
-            }
-            t => return Err(WireError::BadTag(t)),
-        }
-    }
-    let n_seqs = r.u32()? as usize;
-    let mut seqs = Vec::with_capacity(n_seqs);
-    for _ in 0..n_seqs {
-        seqs.push(r.u32s()?);
-    }
-    Ok(GlobalTrace { nranks, table, seqs, raw_bytes, merge_rounds })
-}
-
-/// Save a merged trace to a file in the columnar store format
-/// ([`crate::store`]). [`load_trace`] reads both formats.
-pub fn save_trace(t: &GlobalTrace, path: &std::path::Path) -> std::io::Result<()> {
-    crate::store::write_store(t, path)
-}
-
-/// Load a merged trace from a file, auto-detecting the format by magic:
-/// the columnar store (`SIESTC1`) or the legacy row codec (`SIESTR1`).
-pub fn load_trace(path: &std::path::Path) -> Result<GlobalTrace, Box<dyn std::error::Error>> {
-    if crate::store::sniff_store(path)? {
-        let store = crate::store::TraceStore::open(path)?;
-        return Ok(store.to_global_trace()?);
-    }
-    let bytes = std::fs::read(path)?;
-    Ok(trace_from_bytes(&bytes)?)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn sample() -> GlobalTrace {
-        GlobalTrace {
-            nranks: 3,
-            table: vec![
-                EventRecord::Comm(CommEvent::Sendrecv {
-                    dest_rel: 1,
-                    send_tag: 3,
-                    send_bytes: 4096,
-                    src_rel: 2,
-                    recv_tag: 3,
-                    recv_bytes: 4096,
-                    comm: 0,
-                }),
-                EventRecord::Compute(ComputeStats {
-                    repr: CounterVec::new(1.5, 2.5, 3.5, 4.5, 5.5, 6.5),
-                    sum: CounterVec::new(3.0, 5.0, 7.0, 9.0, 11.0, 13.0),
-                    count: 2,
-                }),
-                EventRecord::Comm(CommEvent::Scan { comm: 0, bytes: 8 }),
-            ],
-            seqs: vec![vec![0, 1, 2], vec![1, 0], vec![]],
-            raw_bytes: 12345,
-            merge_rounds: 2,
-        }
-    }
-
-    #[test]
-    fn trace_round_trips() {
-        let t = sample();
-        let bytes = trace_to_bytes(&t);
-        let u = trace_from_bytes(&bytes).expect("decode");
-        assert_eq!(t.nranks, u.nranks);
-        assert_eq!(t.merge_rounds, u.merge_rounds);
-        assert_eq!(t.raw_bytes, u.raw_bytes);
-        assert_eq!(t.seqs, u.seqs);
-        assert_eq!(format!("{:?}", t.table), format!("{:?}", u.table));
-    }
-
-    #[test]
-    fn rejects_wrong_magic_and_truncation() {
-        assert!(matches!(
-            trace_from_bytes(b"SIESTA1\0garbage"),
-            Err(WireError::BadMagic)
-        ));
-        let bytes = trace_to_bytes(&sample());
-        for cut in [0usize, 8, 9, bytes.len() - 2] {
-            assert!(trace_from_bytes(&bytes[..cut]).is_err());
-        }
-    }
 }
