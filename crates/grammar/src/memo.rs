@@ -16,7 +16,8 @@
 //! * Duplicates receive a **clone** of the first-seen build. `Sequitur`
 //!   is a pure function of its input sequence, so the clone is
 //!   bit-identical to rebuilding — memoization on vs. off cannot change
-//!   a single output bit (`tests/differential_parallel.rs` enforces it).
+//!   a single output bit (this module's tests compare against the plain
+//!   per-rank build).
 //!
 //! Hit rates are observable as `grammar.memo.hits` (ranks served by a
 //! clone) against `grammar.memo.unique` (grammars actually built).
