@@ -165,6 +165,39 @@ fn missing_collective_member_is_a_diagnosed_deadlock() {
 }
 
 #[test]
+fn deadlock_report_names_the_peer_of_a_pending_request() {
+    // Rank 0 never sends or receives: rank 1 waits on an irecv from it and
+    // rank 2 on a rendezvous isend to it. Both requests are posted on a
+    // reversed copy of the world, where rank 0 is local rank 2, so the
+    // report must name the peer's global rank.
+    let err = World::new(machine(), 3)
+        .try_run(|mut rank| {
+            Box::pin(async move {
+                let world = rank.comm_world();
+                let me = rank.rank();
+                let rev = rank.comm_split(&world, 0, -(me as i64)).await.expect("color 0");
+                let req = match me {
+                    1 => Some(rank.irecv(&rev, 2, 0, 32)),
+                    2 => Some(rank.isend(&rev, 2, 0, 1 << 20)),
+                    _ => None,
+                };
+                if let Some(req) = req {
+                    rank.wait(req).await;
+                }
+                rank
+            })
+        })
+        .unwrap_err();
+    assert_eq!(
+        err.ranks,
+        vec![
+            (1, "waiting for a message from global rank 0".to_string()),
+            (2, "waiting for rendezvous ack from global rank 0".to_string()),
+        ]
+    );
+}
+
+#[test]
 fn split_color_out_of_subgroup_returns_none_not_panic() {
     // MPI_UNDEFINED-style negative colors are a supported non-error.
     let stats = World::new(machine(), 4).run(|mut rank| {
