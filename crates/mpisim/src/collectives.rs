@@ -35,6 +35,7 @@ use siesta_perfmodel::noise;
 use siesta_perfmodel::{CollectiveAlgo, Machine};
 
 use crate::comm::{CommId, Communicator};
+use crate::engine::RecvHandle;
 use crate::hook::MpiCall;
 use crate::link::{recv_done, Link};
 use crate::message::{Channel, RecvStatus};
@@ -356,8 +357,8 @@ impl Rank {
 
     async fn plumb_recv(&mut self, comm: &Communicator, src_local: usize, key: u64) -> RecvStatus {
         let src_global = comm.global_of(src_local);
-        let id = self.post_recv_raw(src_global, comm.id, Channel::Sys { key });
-        self.wait_recv_raw(id, src_global).await
+        let recv = self.post_recv_raw(src_global, comm.id, Channel::Sys { key });
+        self.wait_recv_raw(recv, src_global).await
     }
 
     /// Deadlock-free exchange: post the receive before the blocking send.
@@ -370,9 +371,9 @@ impl Rank {
         key: u64,
     ) {
         let src_global = comm.global_of(src_local);
-        let id = self.post_recv_raw(src_global, comm.id, Channel::Sys { key });
+        let recv = self.post_recv_raw(src_global, comm.id, Channel::Sys { key });
         self.plumb_send(comm, dst_local, send_bytes, key).await;
-        self.wait_recv_raw(id, src_global).await;
+        self.wait_recv_raw(recv, src_global).await;
     }
 
     // ------------------------------------------------------------------
@@ -552,20 +553,20 @@ impl Rank {
             // Linear with pre-posted receives: correct for arbitrary
             // per-rank sizes (the binomial variant needs size prefixes).
             if comm.rank() == root {
-                let ids: Vec<(u64, usize)> = (0..p)
+                let recvs: Vec<(RecvHandle, usize)> = (0..p)
                     .filter(|&s| s != root)
                     .map(|s| {
                         let src_global = comm.global_of(s);
-                        let id = self.post_recv_raw(
+                        let recv = self.post_recv_raw(
                             src_global,
                             comm.id,
                             Channel::Sys { key: Self::skey(comm.id, seq, s as u32) },
                         );
-                        (id, src_global)
+                        (recv, src_global)
                     })
                     .collect();
-                for (id, src) in ids {
-                    self.wait_recv_raw(id, src).await;
+                for (recv, src) in recvs {
+                    self.wait_recv_raw(recv, src).await;
                 }
             } else {
                 let key = Self::skey(comm.id, seq, comm.rank() as u32);
@@ -624,7 +625,7 @@ impl Rank {
         let mut round = 0u32;
         while d < p {
             let key = Self::skey(comm.id, seq, round);
-            let recv_id = if r >= d {
+            let recv = if r >= d {
                 let src_global = comm.global_of(r - d);
                 Some((self.post_recv_raw(src_global, comm.id, Channel::Sys { key }), src_global))
             } else {
@@ -633,8 +634,8 @@ impl Rank {
             if r + d < p {
                 self.plumb_send(comm, r + d, bytes, key).await;
             }
-            if let Some((id, src)) = recv_id {
-                self.wait_recv_raw(id, src).await;
+            if let Some((recv, src)) = recv {
+                self.wait_recv_raw(recv, src).await;
                 self.clock += reduce_cost_ns(self.machine(), bytes);
             }
             d <<= 1;
@@ -766,20 +767,20 @@ impl Rank {
         }
         if comm.rank() == root {
             // Post everything first so rendezvous senders can progress.
-            let ids: Vec<(u64, usize)> = (0..p)
+            let recvs: Vec<(RecvHandle, usize)> = (0..p)
                 .filter(|&s| s != root)
                 .map(|s| {
                     let src_global = comm.global_of(s);
-                    let id = self.post_recv_raw(
+                    let recv = self.post_recv_raw(
                         src_global,
                         comm.id,
                         Channel::Sys { key: Self::skey(comm.id, seq, s as u32) },
                     );
-                    (id, src_global)
+                    (recv, src_global)
                 })
                 .collect();
-            for (id, src) in ids {
-                self.wait_recv_raw(id, src).await;
+            for (recv, src) in recvs {
+                self.wait_recv_raw(recv, src).await;
             }
         } else {
             let key = Self::skey(comm.id, seq, comm.rank() as u32);

@@ -19,15 +19,16 @@
 //! is a pure function of them, so which member arrives last, and on which
 //! worker thread, never changes a result.
 
-use std::collections::HashMap;
 use std::future::Future;
 use std::pin::Pin;
 use std::sync::Mutex;
 use std::task::{Context, Poll, Waker};
 
+use siesta_hash::FxHashMap;
+
 /// Slots of in-flight quorums, keyed by (communicator id, sequence number).
 pub(crate) struct QuorumBoard<T> {
-    slots: Mutex<HashMap<(u64, u32), Slot<T>>>,
+    slots: Mutex<FxHashMap<(u64, u32), Slot<T>>>,
 }
 
 struct Slot<T> {
@@ -44,7 +45,7 @@ struct Slot<T> {
 
 impl<T: Clone + Default> QuorumBoard<T> {
     pub fn new() -> QuorumBoard<T> {
-        QuorumBoard { slots: Mutex::new(HashMap::new()) }
+        QuorumBoard { slots: Mutex::new(FxHashMap::default()) }
     }
 
     /// Deposit `entry` as member `member` of a `size`-member quorum and
@@ -147,7 +148,7 @@ where
 
 impl<T, E, R> Arrive<'_, T, E, R> {
     /// Count one member's read; the last reader frees the slot.
-    fn note_read(slots: &mut HashMap<(u64, u32), Slot<T>>, key: (u64, u32), size: usize) {
+    fn note_read(slots: &mut FxHashMap<(u64, u32), Slot<T>>, key: (u64, u32), size: usize) {
         let slot = slots.get_mut(&key).expect("slot outlives its readers");
         slot.readers += 1;
         if slot.readers == size {

@@ -103,7 +103,16 @@ impl World {
         });
         let futs: Vec<RankFut<'env>> =
             (0..self.nranks).map(|r| body(Rank::new(shared.clone(), r))).collect();
-        match crate::exec::run_event(futs) {
+        let run = crate::exec::run_event(futs);
+        // Which receives found their message queued depends on how ranks
+        // interleave above one worker thread: observability data, gated
+        // like the scheduler's own metrics.
+        if siesta_obs::profiling_enabled() || crate::profiler::sim_profile_enabled() {
+            let (at_post, parked) = shared.engine.recv_paths();
+            siesta_obs::counter("obs.sim.recv.at_post").add(at_post);
+            siesta_obs::counter("obs.sim.recv.parked").add(parked);
+        }
+        match run {
             Ok(ranks) => {
                 // The executor returns results in slot order == rank order.
                 Ok(RunStats { per_rank: ranks.into_iter().map(Rank::into_stats).collect() })
