@@ -5,9 +5,11 @@
 //! from host threads: a rank costs one heap future plus a mailbox. This
 //! bench sweeps the 2D halo-exchange microkernel at 512 / 4096 / 65 536
 //! ranks, records **ranks per second** (virtual ranks simulated to
-//! completion per wall-clock second) and the process **peak RSS**, and
-//! writes `BENCH_mpisim.json` (format v2) for `scripts/check_bench.py`
-//! to gate in CI.
+//! completion per wall-clock second), **calls per second** (simulated MPI
+//! calls per wall-clock second, which unlike ranks/s does not depend on
+//! how many calls a rank makes) and the process **peak RSS**, and writes
+//! `BENCH_mpisim.json` (format v2) for `scripts/check_bench.py` to gate in
+//! CI. Calls/s is recorded, not gated.
 //!
 //! ```sh
 //! cargo bench -p siesta-bench --bench mpisim_scale            # full
@@ -70,8 +72,8 @@ fn main() {
         if cfg.quick { ", quick" } else { "" }
     );
     println!(
-        "{:>9}  {:>10}  {:>10}  {:>12}  {:>10}",
-        "ranks", "mean ms", "min ms", "ranks/s", "peak RSS"
+        "{:>9}  {:>10}  {:>10}  {:>12}  {:>12}  {:>10}",
+        "ranks", "mean ms", "min ms", "ranks/s", "calls/s", "peak RSS"
     );
 
     let mut points = String::new();
@@ -83,29 +85,33 @@ fn main() {
                 World::new(machine, ranks).run(halo2d_body(cfg.iters, cfg.face_bytes));
             let dt = t0.elapsed().as_secs_f64();
             black_box(stats.schedule_hash());
-            dt
+            (dt, stats.total_calls())
         };
         for _ in 0..cfg.warmup {
             run();
         }
         let mut total = 0.0;
         let mut min = f64::INFINITY;
+        let mut calls = 0;
         for _ in 0..cfg.reps {
-            let dt = run();
+            let (dt, c) = run();
             total += dt;
             min = min.min(dt);
+            calls = c;
         }
         let mean = total / cfg.reps as f64;
         // Throughput from the min time: the cleanest sample of what the
         // scheduler can do, which is what the regression floor gates.
         let rps = ranks as f64 / min;
+        let cps = calls as f64 / min;
         let rss = siesta_obs::peak_rss_bytes().unwrap_or(0);
         best_rps.push((ranks, rps));
         println!(
-            "{ranks:>9}  {:>10.2}  {:>10.2}  {:>12.0}  {:>8.1} MB",
+            "{ranks:>9}  {:>10.2}  {:>10.2}  {:>12.0}  {:>12.0}  {:>8.1} MB",
             mean * 1e3,
             min * 1e3,
             rps,
+            cps,
             rss as f64 / (1024.0 * 1024.0)
         );
         if !points.is_empty() {
@@ -113,10 +119,12 @@ fn main() {
         }
         points.push_str(&format!(
             "\n    {{\"phase\": \"halo2d\", \"ranks\": {ranks}, \"mean_ms\": {:.3}, \
-             \"min_ms\": {:.3}, \"ranks_per_sec\": {:.0}, \"peak_rss_bytes\": {rss}}}",
+             \"min_ms\": {:.3}, \"ranks_per_sec\": {:.0}, \"calls_per_sec\": {:.0}, \
+             \"peak_rss_bytes\": {rss}}}",
             mean * 1e3,
             min * 1e3,
-            rps
+            rps,
+            cps
         ));
     }
 
