@@ -8,9 +8,11 @@
 /// Peak resident set size of this process in bytes (`VmHWM`), or `None`
 /// where `/proc/self/status` is unavailable (non-Linux hosts).
 ///
-/// The value is a process-lifetime high-water mark: it never decreases,
-/// so measuring a phase means reading it after that phase and comparing
-/// against the budget, not subtracting a "before" sample.
+/// The value is a high-water mark: it only rises until something resets
+/// it, so measuring a phase means reading it after that phase and
+/// comparing against the budget, not subtracting a "before" sample.
+/// Writing `5` to `/proc/self/clear_refs` resets it to the current RSS;
+/// the end-to-end benchmark (`perfbench/`) does that at each phase entry.
 pub fn peak_rss_bytes() -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
     parse_vm_hwm(&status)
