@@ -3,8 +3,8 @@
 //! The flight recorder's contract (DESIGN.md §12) is that measuring the
 //! pipeline does not distort it: **<1%** pipeline slowdown with profiling
 //! off and **<5%** with `--profile`. This bench measures both, prints a
-//! summary, and emits `BENCH_obs.json` for `scripts/check_bench.py` to
-//! gate in CI.
+//! summary, and emits `BENCH_obs.json` (format v2) for
+//! `scripts/check_bench.py` to gate in CI.
 //!
 //! ```sh
 //! cargo bench -p siesta-bench --bench obs_overhead            # full
@@ -266,8 +266,8 @@ fn main() {
     } else {
         concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_obs.json")
     };
-    // Legacy gate format: every `<metric>_pct` with a sibling
-    // `budget_<metric>_pct` is enforced by scripts/check_bench.py.
+    // Format v2: scripts/check_bench.py gates every `<metric>` against
+    // its sibling `budget_max_<metric>`.
     let mut sim_json = String::new();
     for &(ranks, off, on, events, pct, budget) in &sim_rows {
         sim_json.push_str(&format!(
@@ -275,21 +275,21 @@ fn main() {
              \"sim_profile_{ranks}_on_ms\": {:.4},\n  \
              \"sim_profile_{ranks}_events\": {events},\n  \
              \"sim_profile_overhead_{ranks}_pct\": {pct:.4},\n  \
-             \"budget_sim_profile_overhead_{ranks}_pct\": {budget:.1},\n",
+             \"budget_max_sim_profile_overhead_{ranks}_pct\": {budget:.1},\n",
             off * 1e3,
             on * 1e3,
         ));
     }
     let json = format!(
-        "{{\n  \"bench\": \"obs_overhead\",\n  \"mode\": \"{}\",\n  \"host_parallelism\": {},\n  \
+        "{{\n  \"version\": 2,\n  \"bench\": \"obs_overhead\",\n  \"mode\": \"{}\",\n  \"host_parallelism\": {},\n  \
          \"workload\": \"{}\",\n  \"nprocs\": {},\n  \"size\": \"{:?}\",\n  \"iters\": {},\n  \
          \"pipeline_off_ms\": {:.4},\n  \"pipeline_profile_ms\": {:.4},\n  \
          \"spans_per_run\": {},\n  \"disabled_span_ns\": {:.3},\n  \
          \"overhead_off_pct\": {:.4},\n  \"overhead_profile_pct\": {:.4},\n  \
-         \"budget_overhead_off_pct\": 1.0,\n  \"budget_overhead_profile_pct\": 5.0,\n\
+         \"budget_max_overhead_off_pct\": 1.0,\n  \"budget_max_overhead_profile_pct\": 5.0,\n\
          {sim_json}  \
          \"sim_profile_peak_rss_pct\": {sim_peak_rss_pct:.4},\n  \
-         \"budget_sim_profile_peak_rss_pct\": 100.0\n}}\n",
+         \"budget_max_sim_profile_peak_rss_pct\": 100.0\n}}\n",
         if cfg.quick { "quick" } else { "full" },
         siesta_par::available_parallelism(),
         cfg.program.name(),

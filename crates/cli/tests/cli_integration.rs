@@ -79,6 +79,25 @@ fn full_cli_round_trip() {
     assert!(text.contains("time error"));
     assert!(text.contains("per metric"));
 
+    // compare observes no run, so it refuses an observer option before
+    // doing any work.
+    let matrix = tmp("mg_compare_cm.json");
+    let out = siesta(&[
+        "compare",
+        "--proxy",
+        proxy.to_str().unwrap(),
+        "--program",
+        "MG",
+        "--size",
+        "tiny",
+        "--comm-matrix",
+        matrix.to_str().unwrap(),
+    ]);
+    assert!(!out.status.success(), "compare accepted --comm-matrix");
+    assert!(!String::from_utf8_lossy(&out.stdout).contains("time error"));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--comm-matrix"));
+    assert!(!matrix.exists());
+
     std::fs::remove_file(&proxy).ok();
     std::fs::remove_file(&c_file).ok();
 }
@@ -206,8 +225,9 @@ fn offline_trace_to_synthesis_workflow() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("bad magic"));
 
-    // Options that shape a recording cannot apply to a saved trace: each
-    // is refused instead of silently ignored, and nothing is written.
+    // Options that shape or observe a recording cannot apply to a saved
+    // trace: each is refused instead of silently ignored, and nothing is
+    // written.
     let extra = tmp("extra.siestatrace");
     let rejected = tmp("rejected.siesta");
     let trace_arg = trace_file.to_str().unwrap();
@@ -220,12 +240,32 @@ fn offline_trace_to_synthesis_workflow() {
         ("--threshold", "0.5"),
         ("--stream-buf", "16"),
         ("--trace-store", extra_arg),
+        ("--comm-matrix", extra_arg),
+        ("--sim-trace-out", extra_arg),
     ] {
         let out = siesta(&["synthesize", "--from-trace", trace_arg, "--out", out_arg, opt, value]);
         assert!(!out.status.success(), "{opt} accepted with --from-trace");
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(err.contains(opt), "{opt}: unexpected message: {err}");
+        assert!(!extra.exists() && !rejected.exists(), "{opt}: output written");
     }
+    // In an empty directory, where --sim-profile's default trace path
+    // would land.
+    let cwd = tmp("from_trace_cwd");
+    std::fs::create_dir_all(&cwd).unwrap();
+    for flag in ["--sim-profile", "--critical-path"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_siesta"))
+            .args(["synthesize", "--from-trace", trace_arg, "--out", out_arg, flag])
+            .current_dir(&cwd)
+            .output()
+            .expect("binary runs");
+        assert!(!out.status.success(), "{flag} accepted with --from-trace");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(flag), "{flag}: unexpected message: {err}");
+        assert!(!rejected.exists(), "{flag}: output written");
+        assert_eq!(std::fs::read_dir(&cwd).unwrap().count(), 0, "{flag}: output written");
+    }
+    std::fs::remove_dir(&cwd).ok();
     let out = siesta(&[
         "synthesize", "--from-trace", trace_arg, "--out", out_arg, "--trace-store", extra_arg,
         "--program", "BT", "--nprocs", "7", "--threshold", "0.5", "--stream-buf", "16",
@@ -303,4 +343,91 @@ fn stats_alone_records_the_proxy_fit_error() {
         .and_then(|c| c.parse().ok())
         .unwrap_or_else(|| panic!("unparsable histogram line: {line}"));
     assert!(count > 0, "proxy.fit_error_bp recorded nothing under --stats: {line}");
+}
+
+#[test]
+fn simulate_writes_every_observer_artifact_at_any_width() {
+    let mut artifacts = Vec::new();
+    for threads in ["1", "2"] {
+        let vt = tmp(&format!("sim64_vt_t{threads}.json"));
+        let matrix = tmp(&format!("sim64_cm_t{threads}.json"));
+        let out = siesta(&[
+            "simulate",
+            "--sim-ranks",
+            "64",
+            "--sim-profile",
+            "--critical-path",
+            "--sim-trace-out",
+            vt.to_str().unwrap(),
+            "--comm-matrix",
+            matrix.to_str().unwrap(),
+            "--threads",
+            threads,
+        ]);
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert!(text.contains("MPI_Sendrecv"), "no wait/transfer breakdown:\n{text}");
+        assert!(text.contains("critical path:"), "no critical path:\n{text}");
+        artifacts.push((std::fs::read(&vt).unwrap(), std::fs::read(&matrix).unwrap()));
+        std::fs::remove_file(&vt).ok();
+        std::fs::remove_file(&matrix).ok();
+    }
+    assert!(artifacts[0].0 == artifacts[1].0, "virtual-time trace differs across --threads");
+    assert!(artifacts[0].1 == artifacts[1].1, "comm matrix differs across --threads");
+    let matrix = String::from_utf8_lossy(&artifacts[0].1);
+    assert!(matrix.contains("\"nranks\":64,") && matrix.contains("\"p2p\""), "{matrix}");
+}
+
+#[test]
+fn simulate_reports_ring_capped_profiles() {
+    // SIESTA_SIM_EVT_CAP bounds each rank's timeline to its newest events;
+    // the breakdown counts what was dropped, and the critical path falls
+    // back to program order where a producer was lost.
+    let out = Command::new(env!("CARGO_BIN_EXE_siesta"))
+        .args(["simulate", "--sim-ranks", "64", "--critical-path"])
+        .env("SIESTA_SIM_EVT_CAP", "8")
+        .output()
+        .expect("binary runs");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("(ring-capped: 2112 events dropped"), "{text}");
+    assert!(text.contains("program-order fallback"), "{text}");
+}
+
+#[test]
+fn profiled_replay_counts_its_mpi_calls() {
+    // Any world run while spans are recorded feeds the mpi.* metrics,
+    // including a replayed proxy.
+    let proxy = tmp("is_replay.siesta");
+    let profile = tmp("is_replay_profile.json");
+    let out = siesta(&[
+        "synthesize",
+        "--program",
+        "IS",
+        "--nprocs",
+        "8",
+        "--size",
+        "tiny",
+        "--out",
+        proxy.to_str().unwrap(),
+    ]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let out = siesta(&[
+        "replay",
+        "--proxy",
+        proxy.to_str().unwrap(),
+        "--profile",
+        profile.to_str().unwrap(),
+        "--stats",
+    ]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    std::fs::remove_file(&proxy).ok();
+    std::fs::remove_file(&profile).ok();
+    let text = String::from_utf8_lossy(&out.stdout);
+    let calls: Vec<u64> = text
+        .lines()
+        .filter(|l| l.trim_start().starts_with("mpi.calls."))
+        .filter_map(|l| l.split_whitespace().nth(1).and_then(|c| c.parse().ok()))
+        .collect();
+    assert!(calls.iter().any(|&c| c > 0), "no mpi.calls.* counted under --profile:\n{text}");
 }

@@ -14,8 +14,8 @@ use std::sync::Arc;
 
 use siesta_codegen::{ProxyProgram, TerminalOp};
 use siesta_grammar::{build_rank_grammars, merge_grammars, Grammar, MergeConfig};
-use siesta_mpisim::{FanoutHook, ObsHook, PmpiHook, Rank, RankFut, RunStats, World};
-use siesta_obs::{histogram, profiling_enabled, span};
+use siesta_mpisim::{Observe, Rank, RankFut, RunStats, World};
+use siesta_obs::{histogram, span};
 use siesta_perfmodel::Machine;
 use siesta_proxy::{shrink_counters, CommShrink, ProxySearcher, BLOCKS_C_SOURCE};
 use siesta_trace::{
@@ -39,6 +39,9 @@ pub struct SiestaConfig {
     /// saved trace takes): the reference the lift must match byte for
     /// byte, kept to measure what the lift saves.
     pub stream: bool,
+    /// Collectors stacked under the recorder in the traced run; the
+    /// traced [`RunStats`] returns them.
+    pub observe: Observe,
 }
 
 impl Default for SiestaConfig {
@@ -48,6 +51,7 @@ impl Default for SiestaConfig {
             merge: MergeConfig::default(),
             scale: 1.0,
             stream: true,
+            observe: Observe::default(),
         }
     }
 }
@@ -109,7 +113,8 @@ impl Siesta {
     /// stream drains into the rank's online Sequitur as calls complete,
     /// and streams that fit the buffer are built at the end, once per
     /// distinct stream. Returns per-rank tables + local-id grammars and
-    /// the (instrumented) run statistics.
+    /// the (instrumented) run statistics, which carry the collectors
+    /// [`SiestaConfig::observe`] asked for.
     pub fn trace_run<'env, F>(
         &self,
         machine: Machine,
@@ -121,24 +126,10 @@ impl Siesta {
     {
         let _span = span!("trace", nranks = nranks);
         let recorder = Arc::new(Recorder::new_streaming(nranks, self.config.trace));
-        // With profiling (or comm-matrix / virtual-time-profile
-        // collection) on, stack the observers under the recorder the way
-        // PMPI tools chain; otherwise install the recorder alone.
-        let sim_profile = siesta_mpisim::sim_profile_enabled();
-        let hook: Arc<dyn PmpiHook> = if profiling_enabled()
-            || siesta_mpisim::comm_matrix_enabled()
-            || sim_profile
-        {
-            let mut hooks: Vec<Arc<dyn PmpiHook>> =
-                vec![recorder.clone(), Arc::new(ObsHook::new(nranks))];
-            if sim_profile {
-                hooks.push(siesta_mpisim::SimProfiler::install(nranks));
-            }
-            Arc::new(FanoutHook::new(hooks))
-        } else {
-            recorder.clone()
-        };
-        let stats = World::new(machine, nranks).with_hook(hook).run(body);
+        let stats = World::new(machine, nranks)
+            .with_hook(recorder.clone())
+            .observe(self.config.observe)
+            .run(body);
         (recorder.finish_streamed(), stats)
     }
 

@@ -89,6 +89,8 @@ mod tests {
                 compute_events: 1,
                 sched_hash: 0,
             }],
+            comm_matrix: None,
+            sim_profile: None,
         }
     }
 

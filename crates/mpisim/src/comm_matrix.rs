@@ -1,12 +1,16 @@
 //! Per-rank communication-matrix collection.
 //!
-//! When enabled (the CLI's `--comm-matrix PATH`), [`crate::ObsHook`]
-//! feeds a process-global collector with one cell per `(src, dest)`
-//! global-rank pair: point-to-point send **counts** and **bytes**, plus
-//! per-rank collective contribution bytes (collectives have no single
-//! destination, so they get a vector, not matrix cells). This is the
-//! communication-pattern view tools like mpiP's sender/receiver
-//! histograms and the Caliper/Benchpark studies build their analysis on.
+//! A [`CommMatrix`] is a [`PmpiHook`] that tallies one cell per `(src,
+//! dest)` global-rank pair: point-to-point send **counts** and
+//! **bytes**, plus per-rank collective contribution bytes (collectives
+//! have no single destination, so they get a vector, not matrix cells).
+//! This is the communication-pattern view tools like mpiP's
+//! sender/receiver histograms and the Caliper/Benchpark studies build
+//! their analysis on. It belongs to one run: a [`crate::World`] asked to
+//! observe it (`Observe::comm_matrix`, the CLI's `--comm-matrix PATH`)
+//! stacks a fresh one under its hook and returns it in
+//! [`crate::RunStats::comm_matrix`], and [`CommMatrix::snapshot`] reads
+//! the tallies back.
 //!
 //! Storage is **sparse**: one hash row per source rank, holding only the
 //! destinations that rank actually sent to. Real MPI communication
@@ -25,34 +29,19 @@
 //! rank also the global one. Sends on split/duplicated communicators are
 //! tallied in `nonworld_skipped` instead of being misattributed.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 use siesta_hash::{fx_map, FxHashMap};
 
 use crate::comm::CommId;
-use crate::hook::{HookCtx, MpiCall};
+use crate::hook::{HookCtx, MpiCall, PmpiHook};
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-
-/// The collector for the current (most recent) instrumented run.
-static CURRENT: Mutex<Option<Arc<CommMatrixCells>>> = Mutex::new(None);
-
-/// Turn comm-matrix collection on or off (off by default). While on,
-/// every [`crate::ObsHook`] construction installs a fresh collector
-/// sized to its world.
-pub fn set_comm_matrix_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Is comm-matrix collection enabled?
-pub fn comm_matrix_enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Streaming collector: sparse per-source rows, written by the hook from
-/// whichever worker is polling the source rank.
-pub(crate) struct CommMatrixCells {
+/// The collector of one run: sparse per-source rows, written in `pre`
+/// from whichever worker is polling the source rank. Charges zero
+/// virtual overhead.
+pub struct CommMatrix {
     nranks: usize,
     /// `rows[src][dest] = (count, bytes)` — only touched destinations.
     rows: Vec<Mutex<FxHashMap<u32, (u64, u64)>>>,
@@ -63,9 +52,9 @@ pub(crate) struct CommMatrixCells {
     nonworld_skipped: AtomicU64,
 }
 
-impl CommMatrixCells {
-    fn new(nranks: usize) -> CommMatrixCells {
-        CommMatrixCells {
+impl CommMatrix {
+    pub(crate) fn new(nranks: usize) -> CommMatrix {
+        CommMatrix {
             nranks,
             rows: (0..nranks).map(|_| Mutex::new(fx_map())).collect(),
             collective_bytes: (0..nranks).map(|_| AtomicU64::new(0)).collect(),
@@ -84,21 +73,40 @@ impl CommMatrixCells {
         }
     }
 
-    /// Record one `pre`-hook call. Sends only (each message counted once,
-    /// at its source); collectives credit the caller's contribution.
-    pub(crate) fn record(&self, ctx: &HookCtx, call: &MpiCall) {
+    /// Flatten into the sorted sparse snapshot form.
+    pub fn snapshot(&self) -> CommMatrixSnapshot {
+        let mut flat: Vec<(u32, u32, u64, u64)> = Vec::new();
+        for (src, row) in self.rows.iter().enumerate() {
+            let row = row.lock().unwrap();
+            let base = flat.len();
+            flat.extend(
+                row.iter().map(|(&dest, &(count, bytes))| (src as u32, dest, count, bytes)),
+            );
+            flat[base..].sort_unstable_by_key(|c| c.1);
+        }
+        CommMatrixSnapshot {
+            nranks: self.nranks,
+            cells: flat,
+            collective_bytes: self
+                .collective_bytes
+                .iter()
+                .map(|c| c.load(Ordering::Relaxed))
+                .collect(),
+            nonworld_skipped: self.nonworld_skipped.load(Ordering::Relaxed),
+        }
+    }
+}
+
+impl PmpiHook for CommMatrix {
+    /// Sends only (each message counted once, at its source);
+    /// collectives credit the caller's contribution.
+    fn pre(&self, ctx: &HookCtx, call: &MpiCall) {
         match call {
             MpiCall::Send { comm, dest, bytes, .. }
-            | MpiCall::Isend { comm, dest, bytes, .. } => {
+            | MpiCall::Isend { comm, dest, bytes, .. }
+            | MpiCall::Sendrecv { comm, dest, send_bytes: bytes, .. } => {
                 if *comm == CommId::WORLD {
                     self.add_p2p(ctx.rank, *dest, *bytes as u64);
-                } else {
-                    self.nonworld_skipped.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            MpiCall::Sendrecv { comm, dest, send_bytes, .. } => {
-                if *comm == CommId::WORLD {
-                    self.add_p2p(ctx.rank, *dest, *send_bytes as u64);
                 } else {
                     self.nonworld_skipped.fetch_add(1, Ordering::Relaxed);
                 }
@@ -122,37 +130,14 @@ impl CommMatrixCells {
         }
     }
 
-    /// Flatten into the sorted sparse snapshot form.
-    fn snapshot(&self) -> CommMatrixSnapshot {
-        let mut flat: Vec<(u32, u32, u64, u64)> = Vec::new();
-        for (src, row) in self.rows.iter().enumerate() {
-            let row = row.lock().unwrap();
-            let base = flat.len();
-            flat.extend(
-                row.iter().map(|(&dest, &(count, bytes))| (src as u32, dest, count, bytes)),
-            );
-            flat[base..].sort_unstable_by_key(|c| c.1);
-        }
-        CommMatrixSnapshot {
-            nranks: self.nranks,
-            cells: flat,
-            collective_bytes: self
-                .collective_bytes
-                .iter()
-                .map(|c| c.load(Ordering::Relaxed))
-                .collect(),
-            nonworld_skipped: self.nonworld_skipped.load(Ordering::Relaxed),
-        }
-    }
+    fn post(&self, _ctx: &HookCtx, _call: &MpiCall) {}
 }
 
-/// Install (and return) a fresh collector for a world of `nranks`,
-/// replacing any previous one. Called by [`crate::ObsHook::new`] when
-/// collection is enabled.
-pub(crate) fn install(nranks: usize) -> Arc<CommMatrixCells> {
-    let cells = Arc::new(CommMatrixCells::new(nranks));
-    *CURRENT.lock().unwrap() = Some(cells.clone());
-    cells
+/// Size only: `RunStats` prints its collectors, never their addresses.
+impl fmt::Debug for CommMatrix {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("CommMatrix").field("nranks", &self.nranks).finish_non_exhaustive()
+    }
 }
 
 /// Final tallies of one instrumented run: occupied cells only, sorted
@@ -215,13 +200,6 @@ impl CommMatrixSnapshot {
     }
 }
 
-/// Take the collector installed by the most recent instrumented run,
-/// leaving none behind. `None` if collection was never enabled.
-pub fn take_comm_matrix() -> Option<CommMatrixSnapshot> {
-    let cells = CURRENT.lock().unwrap().take()?;
-    Some(cells.snapshot())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -242,13 +220,13 @@ mod tests {
 
     #[test]
     fn p2p_and_collectives_tally_separately() {
-        let cells = CommMatrixCells::new(4);
-        cells.record(&ctx(0), &MpiCall::Send { comm: CommId::WORLD, dest: 1, tag: 0, bytes: 100 });
-        cells.record(
+        let cells = CommMatrix::new(4);
+        cells.pre(&ctx(0), &MpiCall::Send { comm: CommId::WORLD, dest: 1, tag: 0, bytes: 100 });
+        cells.pre(
             &ctx(0),
             &MpiCall::Isend { comm: CommId::WORLD, dest: 1, tag: 0, bytes: 28, req: 0 },
         );
-        cells.record(
+        cells.pre(
             &ctx(2),
             &MpiCall::Sendrecv {
                 comm: CommId::WORLD,
@@ -261,12 +239,12 @@ mod tests {
             },
         );
         // Receives never double-count.
-        cells.record(&ctx(1), &MpiCall::Recv { comm: CommId::WORLD, src: 0, tag: 0, bytes: 100 });
-        cells.record(&ctx(3), &MpiCall::Allreduce { comm: CommId::WORLD, bytes: 8 });
+        cells.pre(&ctx(1), &MpiCall::Recv { comm: CommId::WORLD, src: 0, tag: 0, bytes: 100 });
+        cells.pre(&ctx(3), &MpiCall::Allreduce { comm: CommId::WORLD, bytes: 8 });
         // Non-world sends are skipped, not misattributed.
         let sub = CommId(7);
         assert_ne!(sub, CommId::WORLD);
-        cells.record(&ctx(1), &MpiCall::Send { comm: sub, dest: 0, tag: 0, bytes: 5 });
+        cells.pre(&ctx(1), &MpiCall::Send { comm: sub, dest: 0, tag: 0, bytes: 5 });
 
         let snap = cells.snapshot();
         assert_eq!(snap.count(0, 1), 2);
@@ -281,28 +259,33 @@ mod tests {
     }
 
     #[test]
-    fn install_and_take_round_trip() {
-        set_comm_matrix_enabled(true);
-        let cells = install(2);
-        cells.record(&ctx(0), &MpiCall::Send { comm: CommId::WORLD, dest: 1, tag: 9, bytes: 11 });
-        let snap = take_comm_matrix().expect("collector installed");
-        set_comm_matrix_enabled(false);
+    fn records_in_pre_only() {
+        let matrix = CommMatrix::new(2);
+        let send = MpiCall::Send { comm: CommId::WORLD, dest: 1, tag: 9, bytes: 11 };
+        matrix.pre(&ctx(0), &send);
+        matrix.post(&ctx(0), &send);
+        let recv = MpiCall::Recv { comm: CommId::WORLD, src: 0, tag: 9, bytes: 11 };
+        matrix.pre(&ctx(1), &recv);
+        matrix.post(&ctx(1), &recv);
+        let snap = matrix.snapshot();
         assert_eq!(snap.nranks, 2);
         assert_eq!(snap.count(0, 1), 1);
         assert_eq!(snap.byte_volume(0, 1), 11);
         assert_eq!(snap.count(1, 0), 0);
         assert_eq!(snap.nonworld_skipped, 0);
-        // Taken means gone.
-        assert!(take_comm_matrix().is_none());
+        assert_eq!(matrix.overhead_ns(), 0.0);
+        // Reading the tallies leaves them in place.
+        assert_eq!(matrix.snapshot(), snap);
+        assert_eq!(format!("{matrix:?}"), "CommMatrix { nranks: 2, .. }");
     }
 
     #[test]
     fn json_is_sorted_row_major_and_sparse() {
-        let cells = CommMatrixCells::new(3);
+        let cells = CommMatrix::new(3);
         // Insert out of order within a row; snapshot must sort.
-        cells.record(&ctx(1), &MpiCall::Send { comm: CommId::WORLD, dest: 2, tag: 0, bytes: 7 });
-        cells.record(&ctx(1), &MpiCall::Send { comm: CommId::WORLD, dest: 0, tag: 0, bytes: 3 });
-        cells.record(&ctx(0), &MpiCall::Send { comm: CommId::WORLD, dest: 2, tag: 0, bytes: 1 });
+        cells.pre(&ctx(1), &MpiCall::Send { comm: CommId::WORLD, dest: 2, tag: 0, bytes: 7 });
+        cells.pre(&ctx(1), &MpiCall::Send { comm: CommId::WORLD, dest: 0, tag: 0, bytes: 3 });
+        cells.pre(&ctx(0), &MpiCall::Send { comm: CommId::WORLD, dest: 2, tag: 0, bytes: 1 });
         let snap = cells.snapshot();
         assert_eq!(
             snap.cells,

@@ -169,13 +169,14 @@ struct Slot<'env, T> {
 /// Returns `Err(blocked_ranks)` if the simulation deadlocks: no rank is
 /// runnable but some have not finished. Between batches no rank is
 /// executing, so an empty wake queue with unfinished ranks is a true
-/// quiescent deadlock, never a race.
+/// quiescent deadlock, never a race. An `observed` run (see
+/// `World::try_run`) also records the scheduler introspection metrics.
 pub(crate) fn run_event<'env, T: Send>(
     futs: Vec<RankFut<'env, T>>,
+    observed: bool,
 ) -> Result<Vec<T>, Vec<usize>> {
     let n = futs.len();
-    let metrics = (siesta_obs::profiling_enabled() || crate::profiler::sim_profile_enabled())
-        .then(SchedMetrics::resolve);
+    let metrics = observed.then(SchedMetrics::resolve);
     let exec = Arc::new(ExecShared::new(n, metrics.is_some()));
     let wakers: Vec<Waker> = (0..n)
         .map(|rank| Waker::from(Arc::new(RankWaker { exec: exec.clone(), rank })))
@@ -296,7 +297,7 @@ mod tests {
     fn event_executor_runs_independent_futures() {
         let futs: Vec<RankFut<'_, usize>> =
             (0..64usize).map(|i| Box::pin(async move { i * 2 }) as RankFut<'_, usize>).collect();
-        let out = run_event(futs).expect("no deadlock");
+        let out = run_event(futs, false).expect("no deadlock");
         assert_eq!(out, (0..64).map(|i| i * 2).collect::<Vec<_>>());
     }
 
@@ -311,7 +312,7 @@ mod tests {
                 }) as RankFut<'_, u32>
             })
             .collect();
-        assert_eq!(run_event(futs).unwrap(), vec![0, 1, 2, 3]);
+        assert_eq!(run_event(futs, false).unwrap(), vec![0, 1, 2, 3]);
     }
 
     #[test]
@@ -329,7 +330,7 @@ mod tests {
                 Never.await;
             }),
         ];
-        assert_eq!(run_event(futs).unwrap_err(), vec![1]);
+        assert_eq!(run_event(futs, false).unwrap_err(), vec![1]);
     }
 
     #[test]
@@ -351,6 +352,6 @@ mod tests {
                 crate::message::AckWait(&cell).await
             }),
         ];
-        assert_eq!(run_event(futs).unwrap(), vec![0.0, 7.5]);
+        assert_eq!(run_event(futs, false).unwrap(), vec![0.0, 7.5]);
     }
 }

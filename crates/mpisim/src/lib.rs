@@ -42,7 +42,9 @@
 //! ([`MpiCall`]) and a context carrying the rank's virtual clock and
 //! cumulative computation counters. Collective-internal rounds do not hit
 //! the hook, exactly as PMPI sees `MPI_Bcast` once rather than its internal
-//! sends.
+//! sends. [`World::observe`] stacks per-run collectors ([`CommMatrix`],
+//! [`SimProfiler`]) under that hook, and the run returns them in its
+//! [`RunStats`].
 //!
 //! # Example
 //!
@@ -83,7 +85,7 @@ pub mod exec;
 pub mod hook;
 mod link;
 pub mod message;
-pub mod obs;
+mod obs;
 pub mod profiler;
 mod quorum;
 pub mod rank;
@@ -91,17 +93,11 @@ pub mod request;
 pub mod world;
 
 pub use comm::{CommGroup, CommId, Communicator};
-pub use comm_matrix::{
-    comm_matrix_enabled, set_comm_matrix_enabled, take_comm_matrix, CommMatrixSnapshot,
-};
+pub use comm_matrix::{CommMatrix, CommMatrixSnapshot};
 pub use critical::{critical_path, CriticalPathReport, PathStep, RankBreakdown};
 pub use hook::{HookCtx, MpiCall, PmpiHook};
 pub use message::{RecvStatus, Tag, ANY_TAG};
-pub use obs::{FanoutHook, ObsHook};
-pub use profiler::{
-    set_sim_profile_enabled, sim_profile_enabled, take_sim_profile, SimEvent, SimProfileSnapshot,
-    SimProfiler,
-};
+pub use profiler::{SimEvent, SimProfileSnapshot, SimProfiler};
 pub use rank::Rank;
 pub use request::Request;
-pub use world::{Deadlock, RankFut, RankStats, RunStats, World};
+pub use world::{Deadlock, Observe, RankFut, RankStats, RunStats, World};

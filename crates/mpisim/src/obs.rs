@@ -1,23 +1,24 @@
 //! Observability interposers: an [`ObsHook`] that feeds the `siesta-obs`
 //! metrics registry from the PMPI stream, and a [`FanoutHook`] that lets it
 //! stack underneath the trace recorder (real PMPI tools chain the same way).
+//! Only `World::try_run` builds them: an observed run stacks the caller's
+//! hook, then an `ObsHook`, then the collectors the run asked for.
 
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 
 use siesta_obs::metrics::{counter, histogram, Counter, Histogram};
 
-use crate::comm_matrix;
 use crate::hook::{HookCtx, MpiCall, PmpiHook, NUM_CALL_CLASSES};
 
 /// Broadcasts every hook event to each inner hook, in order. Per-call
 /// overhead charged to the virtual clock is the sum of the inner overheads.
-pub struct FanoutHook {
+pub(crate) struct FanoutHook {
     hooks: Vec<Arc<dyn PmpiHook>>,
 }
 
 impl FanoutHook {
-    pub fn new(hooks: Vec<Arc<dyn PmpiHook>>) -> FanoutHook {
+    pub(crate) fn new(hooks: Vec<Arc<dyn PmpiHook>>) -> FanoutHook {
         FanoutHook { hooks }
     }
 }
@@ -77,7 +78,7 @@ const CALL_COUNTER_NAMES: [&str; NUM_CALL_CLASSES] = [
 /// sampled at each MPI call). Charges zero virtual overhead: it observes
 /// the simulation without perturbing the clocks the paper's Table 3
 /// overhead column is computed from.
-pub struct ObsHook {
+pub(crate) struct ObsHook {
     /// Outstanding Isend/Irecv requests per rank.
     outstanding: Vec<AtomicI64>,
     /// Pre-resolved `mpi.calls.*` counters, indexed by
@@ -86,20 +87,15 @@ pub struct ObsHook {
     /// Pre-resolved histograms (same reason: no registry lock per call).
     message_bytes: &'static Histogram,
     queue_depth: &'static Histogram,
-    /// Per-rank-pair traffic cells, when `--comm-matrix` collection is on
-    /// (see [`crate::comm_matrix`]). Shared atomics: still lock-free.
-    comm_matrix: Option<Arc<comm_matrix::CommMatrixCells>>,
 }
 
 impl ObsHook {
-    pub fn new(nranks: usize) -> ObsHook {
+    pub(crate) fn new(nranks: usize) -> ObsHook {
         ObsHook {
             outstanding: (0..nranks).map(|_| AtomicI64::new(0)).collect(),
             call_counters: CALL_COUNTER_NAMES.map(counter),
             message_bytes: histogram("mpi.message_bytes"),
             queue_depth: histogram("mpi.queue_depth"),
-            comm_matrix: comm_matrix::comm_matrix_enabled()
-                .then(|| comm_matrix::install(nranks)),
         }
     }
 }
@@ -107,9 +103,6 @@ impl ObsHook {
 impl PmpiHook for ObsHook {
     fn pre(&self, ctx: &HookCtx, call: &MpiCall) {
         self.call_counters[call.class_index()].inc();
-        if let Some(matrix) = &self.comm_matrix {
-            matrix.record(ctx, call);
-        }
         let bytes = call.payload_bytes();
         if bytes > 0 {
             self.message_bytes.record(bytes as u64);

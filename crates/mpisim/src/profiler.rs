@@ -43,14 +43,18 @@
 //! appear on the timeline; the critical-path extractor counts them as
 //! unmatchable instead of guessing).
 //!
-//! Process-global enable/install/take plumbing mirrors
-//! [`crate::comm_matrix`]: the CLI enables collection, hook construction
-//! installs a fresh collector per world, and the exporter takes the last
-//! snapshot after the command ran.
+//! A profiler belongs to one run: a [`crate::World`] asked to observe
+//! it (`Observe::sim_profile`, the CLI's `--sim-profile`) stacks a fresh
+//! one under its hook and returns it in
+//! [`crate::RunStats::sim_profile`]; the caller snapshots it after
+//! reading its own timings, so the per-rank merge stays out of the timed
+//! run. Only the parked-chunk pool ([`CHUNK_POOL`]) is process-wide, and
+//! it is a cache.
 
 use std::cell::{Cell, UnsafeCell};
+use std::fmt;
 use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use siesta_obs::timeline::{Timeline, TrackSnapshot};
@@ -58,23 +62,6 @@ use siesta_obs::vtime::{self, ClassRow, VtSpan, VtTraceMeta};
 
 use crate::comm::CommId;
 use crate::hook::{HookCtx, MpiCall, PmpiHook, NUM_CALL_CLASSES};
-
-static ENABLED: AtomicBool = AtomicBool::new(false);
-
-/// The collector of the current (most recent) profiled run.
-static CURRENT: Mutex<Option<Arc<SimProfiler>>> = Mutex::new(None);
-
-/// Turn virtual-time profiling on or off (off by default). While on, the
-/// pipeline and the CLI's `simulate` command install a [`SimProfiler`]
-/// in the hook chain of every world they run.
-pub fn set_sim_profile_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Is virtual-time profiling enabled?
-pub fn sim_profile_enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
 
 /// "No peer recorded": non-world communicator, or the call has no peer.
 pub const NO_PEER: u32 = u32::MAX;
@@ -254,7 +241,8 @@ enum Store {
     Ring(Timeline<SimEvent>),
 }
 
-/// The recording hook. Construct per world via [`SimProfiler::install`].
+/// The recording hook. A [`crate::World`] observing its run builds one;
+/// [`SimProfiler::new`] builds a free-standing one.
 pub struct SimProfiler {
     store: Store,
 }
@@ -276,19 +264,16 @@ impl SimProfiler {
         Arc::new(SimProfiler { store })
     }
 
-    /// Build a profiler for `nranks` tracks and install it as the
-    /// process-global "current" collector (replacing any previous one).
+    /// The profiler an observed world stacks for `nranks` tracks.
     /// Per-rank capacity comes from `SIESTA_SIM_EVT_CAP` (0/unset =
     /// unbounded; at scale, ring mode keeps the newest events per rank
     /// with exact drop counts).
-    pub fn install(nranks: usize) -> Arc<SimProfiler> {
+    pub(crate) fn from_env(nranks: usize) -> Arc<SimProfiler> {
         let cap = std::env::var("SIESTA_SIM_EVT_CAP")
             .ok()
             .and_then(|v| v.parse().ok())
             .unwrap_or(0usize);
-        let p = Self::new(nranks, cap);
-        *CURRENT.lock().unwrap() = Some(p.clone());
-        p
+        Self::new(nranks, cap)
     }
 
     fn push(&self, rank: usize, seq: u32, ev: SimEvent) {
@@ -413,6 +398,13 @@ impl Drop for SimProfiler {
                 pool_put(&mut log.chunks.lock().unwrap());
             }
         }
+    }
+}
+
+/// Opaque: `RunStats` prints its collectors, never their addresses.
+impl fmt::Debug for SimProfiler {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SimProfiler").finish_non_exhaustive()
     }
 }
 
@@ -604,25 +596,10 @@ impl SimProfileSnapshot {
     }
 }
 
-/// Take the snapshot of the most recently installed profiler, leaving
-/// none behind. `None` if no profiled world ran.
-pub fn take_sim_profile() -> Option<SimProfileSnapshot> {
-    let p = CURRENT.lock().unwrap().take()?;
-    Some(p.snapshot())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use siesta_perfmodel::CounterVec;
-
-    /// The installed profiler is a process-wide slot, so tests that
-    /// install and take it must not overlap.
-    static SLOT_LOCK: Mutex<()> = Mutex::new(());
-
-    fn hold_slot() -> std::sync::MutexGuard<'static, ()> {
-        SLOT_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
 
     fn ctx(rank: usize, t0: f64, t1: f64, wait: f64) -> HookCtx {
         HookCtx {
@@ -640,8 +617,7 @@ mod tests {
 
     #[test]
     fn records_intervals_with_peer_and_wait() {
-        let _slot = hold_slot();
-        let p = SimProfiler::install(2);
+        let p = SimProfiler::new(2, 0);
         let send = MpiCall::Send { comm: CommId::WORLD, dest: 1, tag: 7, bytes: 64 };
         p.post(&ctx(0, 10.0, 30.0, 0.0), &send);
         let recv = MpiCall::Recv { comm: CommId::WORLD, src: 0, tag: 7, bytes: 64 };
@@ -650,7 +626,7 @@ mod tests {
         let sub = MpiCall::Send { comm: CommId(9), dest: 0, tag: 1, bytes: 8 };
         p.post(&ctx(1, 41.0, 42.0, 0.0), &sub);
 
-        let snap = take_sim_profile().expect("installed");
+        let snap = p.snapshot();
         assert_eq!(snap.nranks, 2);
         let s = &snap.tracks[0].events[0];
         assert_eq!((s.class, s.peer, s.tag, s.bytes), (0, 1, 7, 64));
@@ -658,16 +634,15 @@ mod tests {
         let r = &snap.tracks[1].events[0];
         assert_eq!((r.class, r.peer, r.wait_ns), (1, 0, 25.0));
         assert_eq!(snap.tracks[1].events[1].peer, NO_PEER);
-        assert!(take_sim_profile().is_none());
+        assert_eq!(format!("{p:?}"), "SimProfiler { .. }");
     }
 
     #[test]
     fn waitall_inlines_small_and_flags_overflow() {
-        let _slot = hold_slot();
-        let p = SimProfiler::install(1);
+        let p = SimProfiler::new(1, 0);
         p.post(&ctx(0, 0.0, 1.0, 0.0), &MpiCall::Waitall { reqs: vec![3, 1, 2] });
         p.post(&ctx(0, 1.0, 2.0, 0.0), &MpiCall::Waitall { reqs: (0..12).collect() });
-        let snap = take_sim_profile().unwrap();
+        let snap = p.snapshot();
         let small = &snap.tracks[0].events[0];
         assert_eq!(small.nreqs, 3);
         assert_eq!(&small.reqs[..3], &[3, 1, 2]);
@@ -676,13 +651,12 @@ mod tests {
 
     #[test]
     fn breakdown_and_trace_are_deterministic() {
-        let _slot = hold_slot();
-        let p = SimProfiler::install(4);
+        let p = SimProfiler::new(4, 0);
         for r in 0..4 {
             let call = MpiCall::Allreduce { comm: CommId::WORLD, bytes: 8 };
             p.post(&ctx(r, r as f64, 10.0, 10.0 - r as f64 - 1.0), &call);
         }
-        let snap = take_sim_profile().unwrap();
+        let snap = p.snapshot();
         let rows = snap.class_breakdown();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].name, "MPI_Allreduce");

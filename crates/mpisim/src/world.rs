@@ -6,8 +6,11 @@ use std::sync::Arc;
 
 use siesta_perfmodel::{CounterVec, Machine};
 
+use crate::comm_matrix::CommMatrix;
 use crate::engine::Engine;
 use crate::hook::PmpiHook;
+use crate::obs::{FanoutHook, ObsHook};
+use crate::profiler::SimProfiler;
 use crate::quorum::QuorumBoard;
 use crate::rank::{blocked, Rank, Shared};
 
@@ -17,11 +20,22 @@ use crate::rank::{blocked, Rank, Shared};
 pub type RankFut<'env> =
     std::pin::Pin<Box<dyn std::future::Future<Output = Rank> + Send + 'env>>;
 
+/// The per-run collectors a [`World`] stacks under its hook and returns
+/// in its [`RunStats`]. The default observes nothing.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Observe {
+    /// Tally a [`CommMatrix`].
+    pub comm_matrix: bool,
+    /// Record per-rank virtual-time timelines with a [`SimProfiler`].
+    pub sim_profile: bool,
+}
+
 /// Configuration for one simulated MPI job.
 pub struct World {
     machine: Machine,
     nranks: usize,
     hook: Option<Arc<dyn PmpiHook>>,
+    observe: Observe,
     seed: u64,
 }
 
@@ -36,12 +50,18 @@ impl World {
                 machine.platform.name
             );
         }
-        World { machine, nranks, hook: None, seed: 0x51e57a }
+        World { machine, nranks, hook: None, observe: Observe::default(), seed: 0x51e57a }
     }
 
     /// Install a PMPI interposer (the tracing side of Siesta).
     pub fn with_hook(mut self, hook: Arc<dyn PmpiHook>) -> World {
         self.hook = Some(hook);
+        self
+    }
+
+    /// Stack the collectors `observe` asks for (see [`World::try_run`]).
+    pub fn observe(mut self, observe: Observe) -> World {
+        self.observe = observe;
         self
     }
 
@@ -82,6 +102,12 @@ impl World {
 
     /// Like [`World::run`], but reports deadlock as an error instead of
     /// panicking.
+    ///
+    /// A run is *observed* while spans are recorded or when
+    /// [`World::observe`] asked for a collector. It then stacks, in this
+    /// order, the caller's hook, an `ObsHook` feeding the `mpi.*` metrics,
+    /// and the collectors, and records the `obs.sim.*` metrics. Every
+    /// collector charges zero overhead, so virtual time never moves.
     pub fn try_run<'env, F>(&self, body: F) -> Result<RunStats, Deadlock>
     where
         F: Fn(Rank) -> RankFut<'env> + Send + Sync,
@@ -92,9 +118,21 @@ impl World {
             self.machine.label(),
             if self.hook.is_some() { " (hooked)" } else { "" }
         );
+        let observed = siesta_obs::profiling_enabled() || self.observe != Observe::default();
+        let comm_matrix = self.observe.comm_matrix.then(|| Arc::new(CommMatrix::new(self.nranks)));
+        let sim_profile = self.observe.sim_profile.then(|| SimProfiler::from_env(self.nranks));
+        let hook = if observed {
+            let mut hooks: Vec<Arc<dyn PmpiHook>> = self.hook.iter().cloned().collect();
+            hooks.push(Arc::new(ObsHook::new(self.nranks)));
+            hooks.extend(comm_matrix.clone().map(|m| m as Arc<dyn PmpiHook>));
+            hooks.extend(sim_profile.clone().map(|p| p as Arc<dyn PmpiHook>));
+            Some(Arc::new(FanoutHook::new(hooks)) as Arc<dyn PmpiHook>)
+        } else {
+            self.hook.clone()
+        };
         let shared = Arc::new(Shared {
             engine: Engine::new(self.machine, self.nranks),
-            hook: self.hook.clone(),
+            hook,
             collectives: QuorumBoard::new(),
             splits: QuorumBoard::new(),
             seed: self.seed,
@@ -103,11 +141,11 @@ impl World {
         });
         let futs: Vec<RankFut<'env>> =
             (0..self.nranks).map(|r| body(Rank::new(shared.clone(), r))).collect();
-        let run = crate::exec::run_event(futs);
+        let run = crate::exec::run_event(futs, observed);
         // Which receives found their message queued depends on how ranks
         // interleave above one worker thread: observability data, gated
         // like the scheduler's own metrics.
-        if siesta_obs::profiling_enabled() || crate::profiler::sim_profile_enabled() {
+        if observed {
             let (at_post, parked) = shared.engine.recv_paths();
             siesta_obs::counter("obs.sim.recv.at_post").add(at_post);
             siesta_obs::counter("obs.sim.recv.parked").add(parked);
@@ -115,7 +153,8 @@ impl World {
         match run {
             Ok(ranks) => {
                 // The executor returns results in slot order == rank order.
-                Ok(RunStats { per_rank: ranks.into_iter().map(Rank::into_stats).collect() })
+                let per_rank = ranks.into_iter().map(Rank::into_stats).collect();
+                Ok(RunStats { per_rank, comm_matrix, sim_profile })
             }
             Err(stuck) => Err(Deadlock {
                 nranks: self.nranks,
@@ -192,6 +231,10 @@ pub struct RankStats {
 #[derive(Debug, Clone)]
 pub struct RunStats {
     pub per_rank: Vec<RankStats>,
+    /// The run's communication matrix, if [`Observe::comm_matrix`] was set.
+    pub comm_matrix: Option<Arc<CommMatrix>>,
+    /// The run's virtual-time profiler, if [`Observe::sim_profile`] was set.
+    pub sim_profile: Option<Arc<SimProfiler>>,
 }
 
 impl RunStats {

@@ -4,20 +4,15 @@
 Reads one or more BENCH_*.json files produced by the siesta-bench
 harnesses and fails (exit 1) if any measured value violates its budget.
 
-Two formats are understood:
-
-* Legacy (no ``version`` key, e.g. BENCH_obs.json): every top-level key
-  ``<metric>_pct`` with a sibling ``budget_<metric>_pct`` gates as
-  ``metric <= budget``.
-* Format v2 (``"version": 2``, e.g. BENCH_grammar.json): top-level
-  ``budget_min_<metric>`` / ``budget_max_<metric>`` keys gate the
-  sibling ``<metric>``, and each entry of ``points`` may carry
-  ``budget_max_mean_ms`` (gates its ``mean_ms``) and
-  ``budget_min_speedup_vs_1`` (gates its ``speedup_vs_1``). Speedup
-  budgets on points whose ``threads`` exceeds the file's
-  ``host_parallelism`` are *skipped* — a single-core recording host
-  cannot exhibit parallel speedup; the gate arms itself automatically
-  where the cores exist.
+Every file is in format v2 (``"version": 2``): top-level
+``budget_min_<metric>`` / ``budget_max_<metric>`` keys gate the sibling
+``<metric>``, and each entry of ``points`` may carry
+``budget_max_mean_ms`` (gates its ``mean_ms``) and
+``budget_min_speedup_vs_1`` (gates its ``speedup_vs_1``). Speedup
+budgets on points whose ``threads`` exceeds the file's
+``host_parallelism`` are *skipped* — a single-core recording host
+cannot exhibit parallel speedup; the gate arms itself automatically
+where the cores exist.
 
 Usage:
     scripts/check_bench.py BENCH_obs.json BENCH_grammar.json
@@ -54,23 +49,6 @@ def gate(path: str, label: str, measured: float, budget: float, slack: float,
             f"{path}: {label} = {measured:.4f} violates {op} "
             f"{budget:.4f} @ slack {slack:g} = {eff:.4f}"
         )
-
-
-def check_legacy(path: str, data: dict, slack: float) -> list[str]:
-    violations: list[str] = []
-    checked = 0
-    for key, value in sorted(data.items()):
-        if not key.startswith("budget_") or not key.endswith("_pct"):
-            continue
-        metric = key[len("budget_"):]
-        if metric not in data:
-            violations.append(f"{path}: {key} has no measured {metric}")
-            continue
-        checked += 1
-        gate(path, metric, float(data[metric]), float(value), slack, False, violations)
-    if checked == 0:
-        violations.append(f"{path}: no budget_*_pct keys found — nothing gated")
-    return violations
 
 
 def check_v2(path: str, data: dict, slack: float) -> list[str]:
@@ -117,9 +95,9 @@ def check_v2(path: str, data: dict, slack: float) -> list[str]:
 def check_file(path: str, slack: float) -> list[str]:
     with open(path, encoding="utf-8") as f:
         data = json.load(f)
-    if data.get("version") == 2:
-        return check_v2(path, data, slack)
-    return check_legacy(path, data, slack)
+    if data.get("version") != 2:
+        return [f"{path}: not a format v2 bench file (no \"version\": 2)"]
+    return check_v2(path, data, slack)
 
 
 def main() -> int:

@@ -37,7 +37,7 @@ use siesta_workloads::{ProblemSize, Program};
 const RANKS: [usize; 7] = [1, 2, 3, 5, 8, 13, 64];
 
 /// Held by every test of this binary: the receive-path test turns on the
-/// process-global sim-profile gate and reads process-global counters, to
+/// process-global profiling switch and reads process-global counters, to
 /// which the other test's runs would add.
 static COUNTERS: Mutex<()> = Mutex::new(());
 
@@ -495,7 +495,7 @@ fn point_to_point_cases_complete_receives_both_at_post_and_parked() {
     let _g = COUNTERS.lock().unwrap();
     let at_post = siesta_obs::counter("obs.sim.recv.at_post");
     let parked = siesta_obs::counter("obs.sim.recv.parked");
-    siesta_mpisim::set_sim_profile_enabled(true);
+    siesta_obs::set_profiling_enabled(true);
     for case in P2P_CASES {
         // (rendezvous, completed at post) pairs reached.
         let mut reached = BTreeSet::new();
@@ -524,5 +524,6 @@ fn point_to_point_cases_complete_receives_both_at_post_and_parked() {
             [(false, false), (false, true), (true, false), (true, true)].into();
         assert_eq!(reached, want, "{}: (rendezvous, completed at post) reached", case.name());
     }
-    siesta_mpisim::set_sim_profile_enabled(false);
+    siesta_obs::set_profiling_enabled(false);
+    siesta_obs::drain_spans();
 }
