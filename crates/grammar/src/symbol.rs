@@ -84,6 +84,17 @@ impl RankSet {
         }
     }
 
+    /// The set of the given inclusive ranges, or `None` unless they are
+    /// what a set keeps: every `start <= end`, ascending and coalesced (at
+    /// least one rank between neighbours), all below `nranks`. Decoders
+    /// build rank sets here, so a corrupt range is refused instead of
+    /// expanded rank by rank.
+    pub fn from_ranges(ranges: Vec<(u32, u32)>, nranks: usize) -> Option<RankSet> {
+        let valid = ranges.iter().all(|&(s, e)| s <= e && (e as usize) < nranks)
+            && ranges.windows(2).all(|w| w[0].1 as u64 + 1 < w[1].0 as u64);
+        valid.then_some(RankSet { ranges })
+    }
+
     fn push_sorted(&mut self, rank: u32) {
         if let Some(last) = self.ranges.last_mut() {
             if rank <= last.1 {
