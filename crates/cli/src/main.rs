@@ -48,7 +48,7 @@ COMMANDS:
                                      SIESTA_STREAM_BUF); a longer stream
                                      drains into an online Sequitur
                  --trace-store <f>   also write the merged trace as a
-                                     zero-copy columnar store, rank by rank
+                                     .siestatrace store of its grammars
                  observer options    observe the traced run (see below)
 
     replay       Execute a generated proxy-app on a chosen machine
@@ -67,7 +67,7 @@ COMMANDS:
                  --proxy <file>
 
     trace        Trace a workload; print the merged event table or save it
-                 as a zero-copy columnar store (.siestatrace)
+                 as a store of the merged grammars (.siestatrace)
                  --program <name> [--nprocs n] [--size s] [--platform p] [--flavor f]
                  [--out <file.siestatrace>] [--stream-buf <n>] [observer options]
 
@@ -401,10 +401,10 @@ fn cmd_synthesize(args: &Args) -> Result<(), String> {
         let machine = parse_machine(args)?;
         let scale = args.get_f64("scale", 1.0)?;
         let out = args.require("out")?;
-        let global =
-            siesta_trace::load_trace(Path::new(trace_path)).map_err(|e| e.to_string())?;
+        let sg = siesta_trace::load_trace(Path::new(trace_path))
+            .map_err(|e| format!("{trace_path}: {e}"))?;
         let config = SiestaConfig { scale, ..SiestaConfig::default() };
-        let synthesis = Siesta::new(config).synthesize_global(global, &machine);
+        let synthesis = Siesta::new(config).synthesize_streamed_global(sg, &machine);
         siesta_obs::info!(
             "synthesized from {trace_path}: raw {} -> size_C {} ({:.0}x)",
             human_bytes(synthesis.stats.raw_trace_bytes),
@@ -462,8 +462,8 @@ fn cmd_synthesize(args: &Args) -> Result<(), String> {
     let (trace, traced) = siesta.trace_run(machine, nprocs, move |r| program.body(size)(r));
     let sg = siesta.merge_streamed(trace);
     if let Some(p) = &trace_store {
-        sg.write_store(Path::new(p)).map_err(|e| format!("{p}: {e}"))?;
-        siesta_obs::info!("columnar trace store written to {p}");
+        siesta_trace::write_store(&sg, Path::new(p)).map_err(|e| format!("{p}: {e}"))?;
+        siesta_obs::info!("trace store written to {p}");
     }
     let synthesis = siesta.synthesize_streamed_global(sg, &machine);
     let s = &synthesis.stats;
@@ -635,13 +635,13 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
         ..SiestaConfig::default()
     };
     let siesta = Siesta::new(config);
-    // Sequences exist only as per-rank grammars; the store is written
-    // rank by rank.
+    // The store keeps the lifted grammars, so no rank's sequence is
+    // expanded unless the trace is printed.
     let (trace, traced) = siesta.trace_run(machine, nprocs, move |r| program.body(size)(r));
     let sg = siesta.merge_streamed(trace);
     match out {
         Some(out) => {
-            sg.write_store(Path::new(&out)).map_err(|e| format!("{out}: {e}"))?;
+            siesta_trace::write_store(&sg, Path::new(&out)).map_err(|e| format!("{out}: {e}"))?;
             siesta_obs::info!(
                 "saved merged trace: {} terminals, {} ranks",
                 sg.table.len(),

@@ -35,9 +35,9 @@ pub struct SiestaConfig {
     /// global ones. `true` (the default) lifts each rank's grammar through
     /// the table merge without expanding it ([`Siesta::synthesize`]).
     /// `false` expands every rank through [`merge_tables`] and rebuilds
-    /// its grammar with Sequitur ([`Siesta::synthesize_global`], the path a
-    /// saved trace takes): the reference the lift must match byte for
-    /// byte, kept to measure what the lift saves.
+    /// its grammar with Sequitur ([`Siesta::synthesize_global`]): the
+    /// reference the lift must match byte for byte, kept to measure what
+    /// the lift saves.
     pub stream: bool,
     /// Collectors stacked under the recorder in the traced run; the
     /// traced [`RunStats`] returns them.
@@ -143,9 +143,10 @@ impl Siesta {
         self.synthesize_streamed_global(sg, gen_machine)
     }
 
-    /// Synthesize from an already-merged (possibly loaded-from-disk)
-    /// [`GlobalTrace`] — the offline half of the paper's workflow: collect
-    /// the trace on the production system, synthesize anywhere.
+    /// Synthesize from flat merged sequences, rebuilding every rank's
+    /// grammar with Sequitur: the lift's rebuild reference, which must
+    /// match [`synthesize_streamed_global`](Siesta::synthesize_streamed_global)
+    /// byte for byte.
     pub fn synthesize_global(&self, global: GlobalTrace, gen_machine: &Machine) -> Synthesis {
         let _span = span!("synthesize", nranks = global.nranks);
         // Width is reported as a gauge, never as a span arg: span args are
@@ -181,7 +182,9 @@ impl Siesta {
     }
 
     /// Back half of [`synthesize`](Siesta::synthesize), from an
-    /// already-merged streamed trace.
+    /// already-merged streamed trace: the live one, or one loaded from a
+    /// trace store — the offline half of the paper's workflow (collect
+    /// the trace on the production system, synthesize anywhere).
     pub fn synthesize_streamed_global(
         &self,
         sg: StreamedGlobal,

@@ -50,7 +50,7 @@ pub use merge::{
     merge_rank_tables, merge_streamed, merge_tables, GlobalTrace, MergedTables, StreamedGlobal,
 };
 pub use pool::{FreePool, HandleMap};
-pub use store::{load_trace, store_to_bytes, write_store, StoreError, StoreWriter, TraceStore};
+pub use store::{load_trace, store_from_bytes, store_to_bytes, write_store, StoreError};
 pub use recorder::{
     resolve_stream_buf, Normalizer, Recorder, StreamedRank, StreamedTrace, TraceConfig,
     DEFAULT_STREAM_BUF, STREAM_BUF_MAX, STREAM_BUF_MIN,

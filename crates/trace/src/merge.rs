@@ -193,9 +193,9 @@ pub fn merge_rank_tables(tables: Vec<Vec<EventRecord>>) -> MergedTables {
 /// This is the reference for [`merge_streamed`]'s lift: each rank's
 /// *local* grammar is expanded and rewritten through its composed remap,
 /// so the result depends on neither the relabeling, its non-injective
-/// rebuild fallback, nor its memo. With `Siesta::synthesize_global`
-/// rebuilding the grammars, it is also the path a trace loaded from disk
-/// takes. Costs the memory streaming avoids: every sequence is flat.
+/// rebuild fallback, nor its memo. `Siesta::synthesize_global` rebuilds
+/// the grammars from it, as the lift's oracle. Costs the memory streaming
+/// avoids: every sequence is flat.
 pub fn merge_tables(st: StreamedTrace) -> GlobalTrace {
     let nranks = st.nranks;
     let raw_bytes = st.raw_bytes();
@@ -229,8 +229,9 @@ pub fn merge_tables(st: StreamedTrace) -> GlobalTrace {
 /// The job-wide trace a streaming ingest produces: one global terminal
 /// table plus per-rank grammars whose terminals are *global* ids. The flat
 /// per-rank id sequences never materialize — each rank's sequence exists
-/// only as its grammar, built online while the program ran.
-#[derive(Debug, Clone)]
+/// only as its grammar, built online while the program ran. The trace
+/// store ([`crate::store`]) saves and loads exactly this.
+#[derive(Debug, Clone, PartialEq)]
 pub struct StreamedGlobal {
     pub nranks: usize,
     pub table: Vec<EventRecord>,
@@ -248,30 +249,6 @@ impl StreamedGlobal {
     /// whole job's sequences.
     pub fn expand_rank(&self, rank: usize) -> Vec<u32> {
         self.grammars[rank].expand_main()
-    }
-
-    /// Write the columnar trace store, expanding one rank at a time. The
-    /// output is byte-identical to [`crate::store::write_store`] over the
-    /// [`merge_tables`] output of the same run.
-    pub fn write_store(&self, path: &std::path::Path) -> std::io::Result<()> {
-        use std::io::Write;
-        let file = std::fs::File::create(path)?;
-        let mut sink = std::io::BufWriter::new(file);
-        let mut w = crate::store::StoreWriter::new(
-            &mut sink,
-            self.nranks,
-            self.merge_rounds,
-            self.raw_bytes,
-            &self.table,
-        )?;
-        for rank in 0..self.nranks {
-            let seq = self.expand_rank(rank);
-            for chunk in seq.chunks(crate::store::DEFAULT_CHUNK_IDS) {
-                w.append_chunk(rank as u32, chunk)?;
-            }
-        }
-        w.finish()?;
-        sink.flush()
     }
 
     /// Materialize every sequence, e.g. for `text::render`. Costs the

@@ -10,10 +10,11 @@
 
 use proptest::prelude::*;
 
+use siesta_grammar::Sequitur;
 use siesta_perfmodel::CounterVec;
 use siesta_trace::{
-    abs_rank, counters_close, rel_rank, store_to_bytes, CommEvent, ComputeStats, EventRecord,
-    FreePool, GlobalTrace, HandleMap, StoreWriter, TraceStore,
+    abs_rank, counters_close, rel_rank, store_from_bytes, store_to_bytes, CommEvent, ComputeStats,
+    EventRecord, FreePool, HandleMap, StreamedGlobal,
 };
 
 proptest! {
@@ -167,23 +168,28 @@ fn arb_event() -> impl Strategy<Value = EventRecord> {
     ]
 }
 
-/// An arbitrary global trace: a table that may contain duplicate entries
-/// (the payload pool interns them; the refs column must still round-trip
-/// them as distinct ids) and per-rank id sequences of uneven lengths,
-/// including empty ranks.
-fn arb_trace() -> impl Strategy<Value = GlobalTrace> {
+/// An arbitrary merged trace: a table that may contain duplicate entries
+/// and per-rank grammars (batch Sequitur over id sequences of uneven
+/// lengths, including empty ones), where ranks drawing the same sequence
+/// share a stored grammar.
+fn arb_trace() -> impl Strategy<Value = StreamedGlobal> {
     (prop::collection::vec(arb_event(), 1..12), 1usize..6, 0usize..10_000_000, 0u32..8).prop_flat_map(
         |(table, nranks, raw_bytes, merge_rounds)| {
             let n = table.len() as u32;
-            prop::collection::vec(prop::collection::vec(0..n, 0..200), nranks..=nranks).prop_map(
-                move |seqs| GlobalTrace {
+            (
+                prop::collection::vec(prop::collection::vec(0..n, 0..200), 1..4),
+                prop::collection::vec(any::<prop::sample::Index>(), nranks..=nranks),
+            )
+                .prop_map(move |(seqs, picks)| StreamedGlobal {
                     nranks,
                     table: table.clone(),
-                    seqs,
+                    grammars: picks
+                        .iter()
+                        .map(|pick| Sequitur::build(&seqs[pick.index(seqs.len())]))
+                        .collect(),
                     raw_bytes,
                     merge_rounds,
-                },
-            )
+                })
         },
     )
 }
@@ -191,57 +197,28 @@ fn arb_trace() -> impl Strategy<Value = GlobalTrace> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Arbitrary traces survive the columnar store byte-exactly: header
-    /// fields, the full terminal table (comm payloads, duplicate entries,
-    /// exact compute-cluster f64 state), and every rank's id sequence.
+    /// Arbitrary traces survive the store exactly: header fields, the full
+    /// terminal table (comm payloads, duplicate entries, exact
+    /// compute-cluster f64 state), and every rank's grammar.
     #[test]
     fn store_round_trips(t in arb_trace()) {
-        let store = TraceStore::from_bytes(store_to_bytes(&t)).expect("parse");
-        let back = store.to_global_trace().expect("decode");
-        prop_assert_eq!(back.nranks, t.nranks);
-        prop_assert_eq!(back.merge_rounds, t.merge_rounds);
-        prop_assert_eq!(back.raw_bytes, t.raw_bytes);
-        prop_assert_eq!(back.table, t.table);
-        prop_assert_eq!(back.seqs, t.seqs);
-    }
-
-    /// The reader reassembles identical sequences regardless of how the
-    /// writer chunked them — the property that lets the streaming path
-    /// flush whenever its bounded buffer fills.
-    #[test]
-    fn store_chunking_is_reader_invariant(t in arb_trace(), cut in 1usize..64) {
-        let mut w = StoreWriter::new(
-            Vec::new(), t.nranks, t.merge_rounds, t.raw_bytes, &t.table,
-        ).unwrap();
-        for (rank, seq) in t.seqs.iter().enumerate() {
-            for piece in seq.chunks(cut) {
-                w.append_chunk(rank as u32, piece).unwrap();
-            }
-        }
-        let store = TraceStore::from_bytes(w.finish().unwrap()).expect("parse");
-        prop_assert_eq!(store.nranks(), t.nranks);
-        for (rank, seq) in t.seqs.iter().enumerate() {
-            prop_assert_eq!(&store.seq(rank), seq);
-        }
+        let back = store_from_bytes(&store_to_bytes(&t)).expect("decode");
+        prop_assert_eq!(back, t);
     }
 
     /// Any strict prefix of a valid store is rejected with an error —
-    /// never accepted, never a panic. Covers cuts inside the header,
-    /// columns, pool, chunk headers, id payloads, and the footer.
+    /// never accepted, never a panic.
     #[test]
     fn store_rejects_any_truncation(t in arb_trace(), frac in 0.0f64..1.0) {
         let bytes = store_to_bytes(&t);
         let cut = ((bytes.len() - 1) as f64 * frac) as usize;
-        prop_assert!(TraceStore::from_bytes(bytes[..cut].to_vec()).is_err());
+        prop_assert!(store_from_bytes(&bytes[..cut]).is_err());
     }
 
-    /// A single-bit flip anywhere in the file must never cause a panic or
-    /// an out-of-bounds access: either the structural walk rejects the
-    /// bytes, or every decode entry point still touches only validated
-    /// ranges (flips in dead padding or the free-form `raw_bytes` field
-    /// legitimately parse).
+    /// A single-bit flip anywhere in the file is rejected: the magic and
+    /// version are checked first and the checksum covers the rest.
     #[test]
-    fn store_never_panics_on_corruption(
+    fn store_rejects_any_bit_flip(
         t in arb_trace(),
         pos_raw in any::<usize>(),
         bit in 0u32..8,
@@ -249,13 +226,6 @@ proptest! {
         let mut bytes = store_to_bytes(&t);
         let pos = pos_raw % bytes.len();
         bytes[pos] ^= 1u8 << bit;
-        if let Ok(store) = TraceStore::from_bytes(bytes) {
-            let _ = store.table();
-            for rank in 0..store.nranks() {
-                let _ = store.seq_len(rank);
-                let _ = store.seq(rank);
-            }
-            let _ = store.to_global_trace();
-        }
+        prop_assert!(store_from_bytes(&bytes).is_err());
     }
 }

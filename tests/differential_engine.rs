@@ -2,32 +2,34 @@
 //! (each rank's grammar built from its bounded stream, then relabeled into
 //! global ids through the table merge without expansion) must produce
 //! **byte-identical** artifacts to the rebuild reference (expand every
-//! rank through `merge_tables`, then batch Sequitur per rank, as a trace
-//! loaded from disk is synthesized).
+//! rank through `merge_tables`, then batch Sequitur per rank).
 //!
 //! The two share the recorder, the simulator and the synthesis back half
 //! but nothing in between: one relabels grammars through composed table
 //! remaps (memoizing on a running content hash, rebuilding ranks whose
 //! remap is not injective), the other rewrites whole sequences and re-runs
-//! Sequitur. If grammar construction, table-merge remapping, memoization
-//! order, or store chunking depended on the path anywhere, these runs
-//! would diverge. Every comparison covers the full pipeline — proxy wire
-//! bytes, emitted C, the columnar trace store, the synthesis report,
-//! traced run stats with the event-schedule hash — on all nine paper
-//! workloads, across pool widths 1/2/8 and stream buffer sizes from the
-//! flush-heavy minimum to one no stream fills.
+//! Sequitur. If grammar construction, table-merge remapping or
+//! memoization order depended on the path anywhere, these runs would
+//! diverge. Every comparison covers the full pipeline — proxy wire
+//! bytes, emitted C, the trace store (whose rebuild-side grammars are
+//! batch Sequitur's), the synthesis report, traced run stats with the
+//! event-schedule hash — on all nine paper workloads, across pool widths
+//! 1/2/8 and stream buffer sizes from the flush-heavy minimum to one no
+//! stream fills.
 //!
 //! ```sh
 //! cargo test -p siesta-bench --test differential_engine
 //! ```
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use siesta_codegen::{emit_c, wire};
 use siesta_core::{Siesta, SiestaConfig};
+use siesta_grammar::build_rank_grammars;
 use siesta_perfmodel::{platform_a, Machine, MpiFlavor};
-use siesta_trace::{merge_tables, write_store, TraceConfig, STREAM_BUF_MAX, STREAM_BUF_MIN};
+use siesta_trace::{
+    merge_tables, store_to_bytes, StreamedGlobal, TraceConfig, STREAM_BUF_MAX, STREAM_BUF_MIN,
+};
 use siesta_workloads::{ProblemSize, Program};
 
 /// Serializes tests: the pool width is process-global.
@@ -49,23 +51,6 @@ struct Output {
     stats: String,
 }
 
-static STORE_SEQ: AtomicU64 = AtomicU64::new(0);
-
-/// Write the columnar store the way each path does — rank-at-a-time
-/// grammar expansion for the lift, the whole-trace writer for the rebuild
-/// — and return the file's bytes.
-fn store_file<F: FnOnce(&std::path::Path) -> std::io::Result<()>>(write: F) -> Vec<u8> {
-    let path = std::env::temp_dir().join(format!(
-        "siesta-diff-{}-{}.siestatrace",
-        std::process::id(),
-        STORE_SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    write(&path).expect("store write");
-    let bytes = std::fs::read(&path).expect("store read-back");
-    std::fs::remove_file(&path).ok();
-    bytes
-}
-
 /// Trace `program` and synthesize it by the lift (`stream`) or the
 /// rebuild.
 fn synthesize(stream: bool, width: usize, program: Program, config: SiestaConfig) -> Output {
@@ -74,11 +59,17 @@ fn synthesize(stream: bool, width: usize, program: Program, config: SiestaConfig
         let (trace, traced) = siesta.trace_run(machine(), NPROCS, program.body(ProblemSize::Tiny));
         let (synthesis, store_bytes) = if stream {
             let sg = siesta.merge_streamed(trace);
-            let store_bytes = store_file(|p| sg.write_store(p));
+            let store_bytes = store_to_bytes(&sg);
             (siesta.synthesize_streamed_global(sg, &machine()), store_bytes)
         } else {
             let global = merge_tables(trace);
-            let store_bytes = store_file(|p| write_store(&global, p));
+            let store_bytes = store_to_bytes(&StreamedGlobal {
+                nranks: global.nranks,
+                table: global.table.clone(),
+                grammars: build_rank_grammars(&global.seqs, true),
+                raw_bytes: global.raw_bytes,
+                merge_rounds: global.merge_rounds,
+            });
             (siesta.synthesize_global(global, &machine()), store_bytes)
         };
         Output {
@@ -101,7 +92,7 @@ fn assert_same(program: Program, label: &str, got: &Output, baseline: &Output) {
     assert_eq!(got.c_source, baseline.c_source, "{name}: C source diverges ({label})");
     assert_eq!(
         got.store_bytes, baseline.store_bytes,
-        "{name}: columnar trace store diverges ({label})"
+        "{name}: trace store diverges ({label})"
     );
     assert_eq!(got.report, baseline.report, "{name}: synthesis report diverges ({label})");
     assert_eq!(got.stats, baseline.stats, "{name}: traced run stats diverge ({label})");
@@ -155,9 +146,9 @@ fn memo_and_buffer_toggles_agree_across_modes() {
 #[test]
 fn streamed_store_feeds_offline_synthesis() {
     let _g = WIDTH_LOCK.lock().unwrap();
-    // The offline workflow: a store written rank-at-a-time from the lifted
-    // grammars, loaded back through the zero-copy reader, must synthesize
-    // to the same proxy as the live run.
+    // The offline workflow: a store of the lifted grammars, loaded back
+    // and synthesized through the same lift back half, must give the same
+    // proxy as the live run.
     for program in [Program::Sweep3d, Program::Is] {
         let live = synthesize(true, 2, program, SiestaConfig::default());
         let path = std::env::temp_dir().join(format!(
@@ -166,10 +157,10 @@ fn streamed_store_feeds_offline_synthesis() {
             program.name()
         ));
         std::fs::write(&path, &live.store_bytes).expect("store write");
-        let global = siesta_trace::load_trace(&path).expect("store load");
+        let sg = siesta_trace::load_trace(&path).expect("store load");
         std::fs::remove_file(&path).ok();
         let synthesis =
-            Siesta::new(SiestaConfig::default()).synthesize_global(global, &machine());
+            Siesta::new(SiestaConfig::default()).synthesize_streamed_global(sg, &machine());
         assert_eq!(
             wire::to_bytes(&synthesis.program),
             live.wire_bytes,

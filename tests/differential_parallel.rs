@@ -105,7 +105,7 @@ fn merged_trace_is_bit_identical_across_thread_counts() {
                 let (trace, _) = siesta.trace_run(machine(), nranks, move |r| {
                     Program::Sweep3d.body(ProblemSize::Tiny)(r)
                 });
-                siesta_trace::store_to_bytes(&siesta_trace::merge_tables(trace))
+                siesta_trace::store_to_bytes(&siesta.merge_streamed(trace))
             })
         };
         let baseline = trace_at(WIDTHS[0]);

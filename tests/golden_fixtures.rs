@@ -18,7 +18,7 @@ use std::path::{Path, PathBuf};
 use siesta_codegen::emit_c;
 use siesta_core::{Siesta, SiestaConfig};
 use siesta_perfmodel::{platform_a, Machine, MpiFlavor};
-use siesta_trace::{store_to_bytes, text, GlobalTrace, TraceStore};
+use siesta_trace::{store_from_bytes, store_to_bytes, text, StreamedGlobal};
 use siesta_workloads::{ProblemSize, Program};
 
 fn fixtures_dir() -> PathBuf {
@@ -37,12 +37,12 @@ const CASES: [(&str, Program, usize); 3] = [
     ("sweep3d6_tiny", Program::Sweep3d, 6),
 ];
 
-fn record(program: Program, nranks: usize) -> GlobalTrace {
+fn record(program: Program, nranks: usize) -> StreamedGlobal {
     let machine = Machine::new(platform_a(), MpiFlavor::OpenMpi);
     let siesta = Siesta::new(SiestaConfig::default());
     let (trace, _) =
         siesta.trace_run(machine, nranks, move |r| program.body(ProblemSize::Tiny)(r));
-    siesta_trace::merge_tables(trace)
+    siesta.merge_streamed(trace)
 }
 
 /// The snapshot of a synthesis that must stay stable: structure counts
@@ -156,15 +156,15 @@ fn all_nine_workloads_match_golden_at_every_width_and_memo() {
 fn recorded_traces_match_golden() {
     let dir = fixtures_dir();
     for (name, program, nranks) in CASES {
-        let global = record(program, nranks);
+        let sg = record(program, nranks);
         check_or_update(
             &dir.join(format!("{name}.trace.bin")),
-            &store_to_bytes(&global),
+            &store_to_bytes(&sg),
             &format!("{name}: recorded trace bytes"),
         );
         check_or_update(
             &dir.join(format!("{name}.trace.txt")),
-            text::render(&global).as_bytes(),
+            text::render(&sg.to_global_trace()).as_bytes(),
             &format!("{name}: rendered trace"),
         );
     }
@@ -175,14 +175,15 @@ fn synthesis_from_checked_in_traces_matches_golden() {
     let dir = fixtures_dir();
     let machine = Machine::new(platform_a(), MpiFlavor::OpenMpi);
     for (name, program, nranks) in CASES {
-        // Synthesize from the *checked-in* trace, so this snapshot is
-        // insulated from recording changes (those fail the test above
-        // instead). When updating, regenerate the trace first.
+        // Synthesize from the *checked-in* trace, through the same lift
+        // path a live run takes, so this snapshot is insulated from
+        // recording changes (those fail the test above instead). When
+        // updating, regenerate the trace first.
         let trace_path = dir.join(format!("{name}.trace.bin"));
-        let global = if updating() {
-            let g = record(program, nranks);
-            std::fs::write(&trace_path, store_to_bytes(&g)).unwrap();
-            g
+        let sg = if updating() {
+            let sg = record(program, nranks);
+            std::fs::write(&trace_path, store_to_bytes(&sg)).unwrap();
+            sg
         } else {
             let bytes = std::fs::read(&trace_path).unwrap_or_else(|e| {
                 panic!(
@@ -191,11 +192,10 @@ fn synthesis_from_checked_in_traces_matches_golden() {
                     trace_path.display()
                 )
             });
-            TraceStore::from_bytes(bytes)
-                .and_then(|store| store.to_global_trace())
-                .expect("checked-in trace parses")
+            store_from_bytes(&bytes).expect("checked-in trace parses")
         };
-        let synthesis = Siesta::new(SiestaConfig::default()).synthesize_global(global, &machine);
+        let synthesis =
+            Siesta::new(SiestaConfig::default()).synthesize_streamed_global(sg, &machine);
         check_or_update(
             &dir.join(format!("{name}.proxy.c")),
             emit_c(&synthesis.program).as_bytes(),
@@ -206,5 +206,44 @@ fn synthesis_from_checked_in_traces_matches_golden() {
             stats_snapshot(&synthesis.stats).as_bytes(),
             &format!("{name}: synthesis stats"),
         );
+    }
+}
+
+/// Every strict prefix and every single-bit flip of a checked-in trace
+/// store is refused: the magic and version are checked first, and the
+/// checksum covers every byte after them.
+#[test]
+fn trace_store_refuses_every_truncation_and_bit_flip() {
+    let bytes = std::fs::read(fixtures_dir().join("cg4_tiny.trace.bin")).unwrap();
+    assert!(store_from_bytes(&bytes).is_ok());
+    for cut in 0..bytes.len() {
+        assert!(store_from_bytes(&bytes[..cut]).is_err(), "truncation to {cut} bytes accepted");
+    }
+    let mut flipped = bytes.clone();
+    for bit in 0..bytes.len() * 8 {
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        assert!(store_from_bytes(&flipped).is_err(), "flip of bit {bit} accepted");
+        flipped[bit / 8] ^= 1 << (bit % 8);
+    }
+}
+
+/// Every strict prefix of a checked-in proxy is refused, and every
+/// single-bit flip decodes to a program or an error, never a panic.
+#[test]
+fn proxy_decoder_survives_every_truncation_and_bit_flip() {
+    use siesta_codegen::wire::from_bytes;
+
+    let bytes = std::fs::read(fixtures_dir().join("all9/CG16.wire.bin")).unwrap();
+    assert!(from_bytes(&bytes).is_ok());
+    for cut in 0..bytes.len() {
+        let decoded = std::panic::catch_unwind(|| from_bytes(&bytes[..cut]).is_err());
+        assert_eq!(decoded.ok(), Some(true), "truncation to {cut} bytes not refused");
+    }
+    let mut flipped = bytes.clone();
+    for bit in 0..bytes.len() * 8 {
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        let decoded = std::panic::catch_unwind(|| from_bytes(&flipped).is_ok());
+        assert!(decoded.is_ok(), "flip of bit {bit} panicked the decoder");
+        flipped[bit / 8] ^= 1 << (bit % 8);
     }
 }
