@@ -106,23 +106,31 @@ fn machine() -> Machine {
 /// Per-rank terminal tables of `events_per_rank` mostly-shared comm
 /// events: every 7th event is rank-private, so pair merges both dedup and
 /// grow.
-fn synthetic_tables(nranks: usize, events_per_rank: usize) -> Vec<Vec<siesta_trace::EventRecord>> {
-    use siesta_trace::{CommEvent, EventRecord};
-    (0..nranks)
+fn synthetic_tables(
+    nranks: usize,
+    events_per_rank: usize,
+) -> (Vec<siesta_trace::CommEvent>, Vec<Vec<siesta_trace::LocalEvent>>) {
+    use siesta_trace::{CommEvent, LocalEvent};
+    // The job's distinct events, numbered as the recorder numbers them:
+    // by first introduction, in rank order.
+    let mut events: Vec<CommEvent> = Vec::new();
+    let mut ids: std::collections::HashMap<CommEvent, u32> = std::collections::HashMap::new();
+    let tables = (0..nranks)
         .map(|r| {
             (0..events_per_rank)
                 .map(|i| {
                     let tag = if i % 7 == 0 { (r * 10_000 + i) as i32 } else { i as i32 };
-                    EventRecord::Comm(CommEvent::Send {
-                        rel: 1,
-                        tag,
-                        bytes: 64 + (i as u64 % 512),
-                        comm: 0,
-                    })
+                    let bytes = 64 + (i as u64 % 512);
+                    let event = CommEvent::Send { rel: 1, tag, bytes, comm: 0 };
+                    LocalEvent::Comm(*ids.entry(event).or_insert_with_key(|e| {
+                        events.push(e.clone());
+                        events.len() as u32 - 1
+                    }))
                 })
                 .collect()
         })
-        .collect()
+        .collect();
+    (events, tables)
 }
 
 /// A trace-like sequence: nested loops with occasional irregularities.
@@ -224,8 +232,10 @@ fn main() {
     // so the absorb path does real dedup work). Recorded tiny-size traces
     // sit below the merge's small-work guard, so they would measure the
     // inline path at every width.
-    let tables = synthetic_tables(64, 512);
-    sweep(&mut points, "table_merge_synth64x512", 5, || merge_rank_tables(tables.clone()));
+    let (events, tables) = synthetic_tables(64, 512);
+    sweep(&mut points, "table_merge_synth64x512", 5, || {
+        merge_rank_tables(&events, tables.clone())
+    });
 
     // Anchor to the workspace root regardless of the bench binary's cwd.
     write_scaling_json(

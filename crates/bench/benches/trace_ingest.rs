@@ -3,8 +3,8 @@
 //! Drives the PMPI recorder directly — synthetic `HookCtx` + `MpiCall`
 //! records in the shape of a 2D halo exchange (two isend / two irecv /
 //! waitall / allreduce per iteration, one clustered compute interval each)
-//! — so the numbers isolate *ingest*: normalization, hash-consing, and the
-//! sequence sink, with no simulator in the loop. Both modes run the one
+//! — so the numbers isolate *ingest*: normalization, event interning, and
+//! the sequence sink, with no simulator in the loop. Both modes run the one
 //! recorder. Streaming feeds each rank's online Sequitur through a bounded
 //! buffer (256 ids, well under a rank's stream, so every rank builds
 //! online rather than at finish); the materialized baseline sets the
@@ -192,7 +192,7 @@ fn main() {
     // meaningfully less than materialization — a ratio collapsing toward
     // 1.0 means the bounded buffer stopped bounding anything).
     let (eps_budget, ratio_budget, rss_cap_gb) =
-        if cfg.quick { (1_500_000.0, 1.0, 0.25) } else { (1_500_000.0, 1.25, 0.8) };
+        if cfg.quick { (1_500_000.0, 1.0, 0.25) } else { (1_500_000.0, 1.25, 0.45) };
 
     let path = if cfg.quick {
         concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_trace_quick.json")

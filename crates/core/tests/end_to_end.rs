@@ -5,7 +5,7 @@ use siesta_codegen::{emit_c, replay, TerminalOp};
 use siesta_core::{Siesta, SiestaConfig};
 use siesta_mpisim::RunStats;
 use siesta_perfmodel::{platform_a, platform_b, Machine, MpiFlavor};
-use siesta_trace::{CommEvent, EventRecord};
+use siesta_trace::{CommEvent, LocalEvent};
 use siesta_workloads::{ProblemSize, Program};
 
 fn machine() -> Machine {
@@ -240,7 +240,7 @@ fn stats_count_the_right_things() {
     let m = machine();
     let siesta = Siesta::new(SiestaConfig::default());
     let (trace, _) = siesta.trace_run(m, 8, Program::Is.body(ProblemSize::Tiny));
-    let any_compute = trace.ranks[0].table.iter().any(|e| matches!(e, EventRecord::Compute(_)));
+    let any_compute = trace.ranks[0].table.iter().any(|e| matches!(e, LocalEvent::Compute(_)));
     assert!(any_compute);
 }
 

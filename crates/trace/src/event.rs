@@ -144,6 +144,16 @@ impl EventRecord {
     }
 }
 
+/// One entry of a rank's local table, or of a partial table in the merge:
+/// a communication event by its id in the job's list of distinct events
+/// ([`crate::StreamedTrace::events`]), or a compute cluster's statistics.
+/// Communication events are stored once per job, not once per rank.
+#[derive(Debug, Clone, PartialEq)]
+pub enum LocalEvent {
+    Comm(u32),
+    Compute(ComputeStats),
+}
+
 /// The clustering criterion (paper: "we set a threshold to cluster similar
 /// computation events into one event"): two readings cluster when every
 /// metric agrees within `threshold` relative difference. The symmetric

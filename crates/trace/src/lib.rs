@@ -5,8 +5,9 @@
 //! normalizes it (relative ranks, free-number pools for request and
 //! communicator handles), measures the computation interval since the
 //! previous call through the hardware-counter model, clusters similar
-//! computation events, hash-conses everything into per-rank event tables,
-//! and streams each rank's id sequence into its Sequitur grammar.
+//! computation events, interns each distinct communication event once per
+//! job and gives every rank a local table of ids into that list, and
+//! streams each rank's id sequence into its Sequitur grammar.
 //! [`merge_streamed`] then folds the per-rank tables into one global
 //! terminal table with a ⌈log₂P⌉ binary reduction and relabels every
 //! rank's grammar into global ids, producing the [`StreamedGlobal`] the
@@ -45,7 +46,9 @@ pub mod store;
 pub mod text;
 pub mod wire;
 
-pub use event::{abs_rank, counters_close, rel_rank, CommEvent, ComputeStats, EventRecord};
+pub use event::{
+    abs_rank, counters_close, rel_rank, CommEvent, ComputeStats, EventRecord, LocalEvent,
+};
 pub use merge::{
     merge_rank_tables, merge_streamed, merge_tables, GlobalTrace, MergedTables, StreamedGlobal,
 };

@@ -8,14 +8,16 @@
 //! This module performs that merge as an actual binary reduction tree:
 //! per-rank tables combine pairwise, level by level, with each rank's id
 //! sequence remapped into the winning table. Communication events merge on
-//! structural equality (normalization already made them comparable);
-//! computation events merge when their representatives agree within the
-//! clustering threshold, pooling their counter statistics.
+//! their id in the job's list of distinct events — the recorder interned
+//! them, so equal ids are exactly structurally equal events; computation
+//! events merge when their representatives agree within the clustering
+//! threshold, pooling their counter statistics.
 
 use siesta_grammar::{Grammar, Sequitur};
 use siesta_hash::{fx_map_with_capacity, FxHashMap};
+use siesta_perfmodel::CounterVec;
 
-use crate::event::{counters_close, EventRecord};
+use crate::event::{counters_close, CommEvent, EventRecord, LocalEvent};
 use crate::recorder::StreamedTrace;
 
 /// Cross-rank compute clustering threshold. Representatives from different
@@ -52,10 +54,13 @@ pub struct MergedTables {
 }
 
 struct Partial {
-    table: Vec<EventRecord>,
-    comm_index: FxHashMap<crate::event::CommEvent, u32>,
-    /// (table id, representative) per compute cluster.
-    compute_clusters: Vec<(u32, siesta_perfmodel::CounterVec)>,
+    /// This partial's table: communication events by job event id,
+    /// compute clusters inline.
+    table: Vec<LocalEvent>,
+    /// Job event id → index in `table`.
+    comm_index: FxHashMap<u32, u32>,
+    /// (table index, representative) per compute cluster.
+    compute_clusters: Vec<(u32, CounterVec)>,
     /// (rank, composed local→this-table remap) pairs covered by this
     /// partial table. Remaps compose through absorb levels instead of
     /// rewriting whole sequences at every level: function composition
@@ -65,15 +70,15 @@ struct Partial {
 }
 
 impl Partial {
-    fn leaf(rank: usize, table: Vec<EventRecord>) -> Partial {
+    fn leaf(rank: usize, table: Vec<LocalEvent>) -> Partial {
         let mut comm_index = fx_map_with_capacity(table.len());
         let mut compute_clusters = Vec::new();
         for (i, e) in table.iter().enumerate() {
             match e {
-                EventRecord::Comm(c) => {
-                    comm_index.insert(c.clone(), i as u32);
+                LocalEvent::Comm(id) => {
+                    comm_index.insert(*id, i as u32);
                 }
-                EventRecord::Compute(s) => {
+                LocalEvent::Compute(s) => {
                     compute_clusters.push((i as u32, s.repr));
                 }
             }
@@ -87,16 +92,11 @@ impl Partial {
         let mut remap = vec![0u32; other.table.len()];
         for (i, e) in other.table.into_iter().enumerate() {
             let gid = match e {
-                EventRecord::Comm(c) => match self.comm_index.get(&c) {
-                    Some(&g) => g,
-                    None => {
-                        let g = self.table.len() as u32;
-                        self.comm_index.insert(c.clone(), g);
-                        self.table.push(EventRecord::Comm(c));
-                        g
-                    }
-                },
-                EventRecord::Compute(s) => {
+                LocalEvent::Comm(id) => *self.comm_index.entry(id).or_insert_with(|| {
+                    self.table.push(LocalEvent::Comm(id));
+                    self.table.len() as u32 - 1
+                }),
+                LocalEvent::Compute(s) => {
                     let hit = self
                         .compute_clusters
                         .iter()
@@ -104,7 +104,7 @@ impl Partial {
                         .map(|&(g, _)| g);
                     match hit {
                         Some(g) => {
-                            if let EventRecord::Compute(mine) = &mut self.table[g as usize] {
+                            if let LocalEvent::Compute(mine) = &mut self.table[g as usize] {
                                 mine.absorb_stats(&s);
                             }
                             g
@@ -112,7 +112,7 @@ impl Partial {
                         None => {
                             let g = self.table.len() as u32;
                             self.compute_clusters.push((g, s.repr));
-                            self.table.push(EventRecord::Compute(s));
+                            self.table.push(LocalEvent::Compute(s));
                             g
                         }
                     }
@@ -132,7 +132,12 @@ impl Partial {
 /// Merge per-rank terminal tables into one global table via a binary
 /// reduction tree, returning the table and per-rank remap vectors. Both
 /// [`merge_streamed`] and [`merge_tables`] build on it.
-pub fn merge_rank_tables(tables: Vec<Vec<EventRecord>>) -> MergedTables {
+///
+/// `tables[rank]` is a rank's local table; its communication entries are
+/// ids into `events`, the job's distinct events ([`StreamedTrace::events`]).
+/// Each event that reaches the global table becomes an [`EventRecord`]
+/// once, at the root.
+pub fn merge_rank_tables(events: &[CommEvent], tables: Vec<Vec<LocalEvent>>) -> MergedTables {
     let nranks = tables.len();
     let mut level: Vec<Partial> = tables
         .into_iter()
@@ -158,14 +163,14 @@ pub fn merge_rank_tables(tables: Vec<Vec<EventRecord>>) -> MergedTables {
         // traces would pay ~100µs per worker to merge microseconds of
         // work). The estimate is pure data, so the guard cannot perturb
         // determinism.
-        let events: usize = pairs
+        let work: usize = pairs
             .iter()
             .map(|(a, b)| a.table.len() + b.as_ref().map_or(0, |b| b.table.len()))
             .sum();
         const MIN_EVENTS_TO_FAN_OUT: usize = 4096;
         level = siesta_par::parallel_map_owned_min_work(
             pairs,
-            events,
+            work,
             MIN_EVENTS_TO_FAN_OUT,
             |_, (mut a, b)| {
                 if let Some(b) = b {
@@ -180,11 +185,19 @@ pub fn merge_rank_tables(tables: Vec<Vec<EventRecord>>) -> MergedTables {
     for (rank, r) in root.remaps {
         remaps[rank] = r;
     }
+    let table: Vec<EventRecord> = root
+        .table
+        .into_iter()
+        .map(|e| match e {
+            LocalEvent::Comm(id) => EventRecord::Comm(events[id as usize].clone()),
+            LocalEvent::Compute(s) => EventRecord::Compute(s),
+        })
+        .collect();
     siesta_obs::debug!(
         "table-merge: {nranks} ranks -> {} global terminals in {rounds} rounds",
-        root.table.len()
+        table.len()
     );
-    MergedTables { nranks, table: root.table, remaps, merge_rounds: rounds }
+    MergedTables { nranks, table, remaps, merge_rounds: rounds }
 }
 
 /// Merge all rank tables into one global table via a binary reduction tree
@@ -202,7 +215,7 @@ pub fn merge_tables(st: StreamedTrace) -> GlobalTrace {
     let events = st.total_events();
     let (tables, grammars): (Vec<_>, Vec<_>) =
         st.ranks.into_iter().map(|r| (r.table, r.grammar)).unzip();
-    let merged = merge_rank_tables(tables);
+    let merged = merge_rank_tables(&st.events, tables);
     const MIN_EVENTS_TO_FAN_OUT: usize = 4096;
     let pairs: Vec<(Grammar, Vec<u32>)> = grammars.into_iter().zip(merged.remaps).collect();
     let seqs = siesta_par::parallel_map_owned_min_work(
@@ -307,7 +320,7 @@ pub fn merge_streamed(st: StreamedTrace) -> StreamedGlobal {
         tables.push(r.table);
         locals.push((r.grammar, r.seq_hash, r.seq_len));
     }
-    let mut merged = merge_rank_tables(tables);
+    let mut merged = merge_rank_tables(&st.events, tables);
     let nglobal = merged.table.len();
 
     // Assign every rank an owner in index order: itself (unique) or the
@@ -406,8 +419,6 @@ pub fn merge_streamed(st: StreamedTrace) -> StreamedGlobal {
 mod tests {
     use super::*;
     use crate::event::{CommEvent, ComputeStats, EventRecord};
-    use crate::recorder::StreamedRank;
-    use siesta_perfmodel::CounterVec;
 
     fn comm(rel: u32) -> EventRecord {
         EventRecord::Comm(CommEvent::Send { rel, tag: 0, bytes: 64, comm: 0 })
@@ -420,13 +431,7 @@ mod tests {
     }
 
     fn trace(ranks: Vec<(Vec<EventRecord>, Vec<u32>)>) -> StreamedTrace {
-        StreamedTrace {
-            nranks: ranks.len(),
-            ranks: ranks
-                .into_iter()
-                .map(|(table, seq)| StreamedRank::from_seq(table, &seq, 100))
-                .collect(),
-        }
+        StreamedTrace::from_tables(ranks, 100)
     }
 
     #[test]
@@ -488,9 +493,10 @@ mod tests {
             (vec![compute(5.0, 10.0), comm(1)], vec![0, 1]),
             (vec![comm(1), compute(1.0, 10.0), comm(2)], vec![0, 1, 2, 0]),
         ];
-        let tables: Vec<Vec<EventRecord>> = ranks.iter().map(|(t, _)| t.clone()).collect();
-        let merged = merge_rank_tables(tables);
-        let g = merge_tables(trace(ranks.clone()));
+        let st = trace(ranks.clone());
+        let tables: Vec<Vec<LocalEvent>> = st.ranks.iter().map(|r| r.table.clone()).collect();
+        let merged = merge_rank_tables(&st.events, tables);
+        let g = merge_tables(st);
         assert_eq!(merged.table.len(), g.table.len());
         assert_eq!(merged.merge_rounds, g.merge_rounds);
         for (rank, (table, seq)) in ranks.iter().enumerate() {

@@ -62,11 +62,11 @@ impl<K: Eq + Hash + Copy> HandleMap<K> {
         HandleMap { pool: FreePool::new(), map: FxHashMap::default() }
     }
 
-    /// Pre-assign a handle (e.g. `MPI_COMM_WORLD` → 0).
-    pub fn preassign(&mut self, handle: K) -> u32 {
-        let id = self.pool.alloc();
-        self.map.insert(handle, id);
-        id
+    /// Take the next pool number without binding a handle to it: the
+    /// caller answers for that handle itself (e.g. `MPI_COMM_WORLD` → 0),
+    /// so it costs no map entry and no lookup.
+    pub fn reserve(&mut self) -> u32 {
+        self.pool.alloc()
     }
 
     /// Normalize a newly created handle.
@@ -135,8 +135,19 @@ mod tests {
     fn unbind_unknown_returns_none() {
         let mut m: HandleMap<u64> = HandleMap::new();
         assert_eq!(m.unbind(42), None);
-        m.preassign(1);
+        m.bind(1);
         assert_eq!(m.get(1), Some(0));
         assert_eq!(m.live(), 1);
+    }
+
+    #[test]
+    fn reserved_numbers_are_skipped_and_unmapped() {
+        let mut m: HandleMap<u64> = HandleMap::new();
+        assert_eq!(m.reserve(), 0);
+        assert_eq!(m.bind(7), 1);
+        assert_eq!(m.live(), 1);
+        // Releasing a bound handle never hands out the reserved number.
+        m.unbind(7);
+        assert_eq!(m.bind(8), 1);
     }
 }

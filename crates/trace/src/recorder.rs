@@ -7,24 +7,27 @@
 //!    end of the previous MPI call (the paper's virtual `MPI_Compute`) —
 //!    clustering it against cluster representatives with a relative-error threshold;
 //! 2. normalizes the call into a [`CommEvent`] (relative ranks, pool-
-//!    numbered handles) and hash-conses it into the rank-local event table;
+//!    numbered handles) and gives it a local id through the rank's index;
+//!    an event the rank has not seen before is first interned in the
+//!    job's table of distinct events, so each is stored once per job;
 //! 3. appends the event id to the rank's bounded stream buffer, which
 //!    drains into an online Sequitur, and accounts the raw (uncompressed)
 //!    trace bytes the record would occupy on disk.
 //!
 //! Each rank's state sits behind its own mutex, touched only by that rank's
-//! thread — interposition-style isolation with no cross-rank contention.
+//! thread — interposition-style isolation. The interner's lock is the one
+//! ranks share, and a rank takes it only at the first sight of an event.
 
 use std::hash::Hasher;
 use std::mem;
+use std::sync::{Arc, Mutex};
 
-use std::sync::Mutex;
 use siesta_grammar::{build_rank_grammars, Grammar, Sequitur};
 use siesta_hash::{FxHashMap, FxHasher};
 use siesta_mpisim::{CommId, HookCtx, MpiCall, PmpiHook};
 use siesta_perfmodel::CounterVec;
 
-use crate::event::{counters_close, rel_rank, CommEvent, ComputeStats, EventRecord};
+use crate::event::{counters_close, rel_rank, CommEvent, ComputeStats, LocalEvent};
 use crate::pool::HandleMap;
 use crate::serialize;
 
@@ -157,29 +160,56 @@ impl StreamSink {
     }
 }
 
+/// The job's distinct communication events, each held once and shared by
+/// every rank that saw it, mapped to its interning id: the order the job
+/// first saw them in, which races between ranks at any width above one.
+/// [`Recorder::finish_streamed`] renumbers them by rank instead.
+type Interner = Mutex<FxHashMap<Arc<CommEvent>, u32>>;
+
+/// The shared copy of `event` and its interning id, interning it if no
+/// rank has seen it yet.
+fn intern(interner: &Interner, event: CommEvent) -> (Arc<CommEvent>, u32) {
+    let mut index = interner.lock().expect("interner poisoned by a panicked rank");
+    if let Some((shared, &id)) = index.get_key_value(&event) {
+        return (Arc::clone(shared), id);
+    }
+    let id = index.len() as u32;
+    let shared = Arc::new(event);
+    index.insert(Arc::clone(&shared), id);
+    (shared, id)
+}
+
 struct RankTrace {
     sink: StreamSink,
-    table: Vec<EventRecord>,
-    comm_index: FxHashMap<CommEvent, u32>,
-    /// (table id, representative) per compute cluster; scanned linearly —
+    /// The communication events this rank has seen, each pointing at the
+    /// job's one copy, → (local id, interning id). Only this rank's thread
+    /// touches it, so a repeated event takes no lock other ranks share.
+    comm_index: FxHashMap<Arc<CommEvent>, (u32, u32)>,
+    /// (local id, statistics) per compute cluster, in opening order; the
+    /// statistics' `repr` is the membership key. Scanned linearly —
     /// programs have few distinct computation behaviours.
-    compute_clusters: Vec<(u32, CounterVec)>,
+    computes: Vec<(u32, ComputeStats)>,
     last_counters: CounterVec,
     normalizer: Normalizer,
     raw_bytes: usize,
 }
 
 impl RankTrace {
+    /// An idle rank's state: it allocates nothing until the rank posts.
     fn new(stream_buf: usize) -> RankTrace {
         RankTrace {
             sink: StreamSink::new(stream_buf.max(1)),
-            table: Vec::new(),
             comm_index: FxHashMap::default(),
-            compute_clusters: Vec::new(),
+            computes: Vec::new(),
             last_counters: CounterVec::default(),
             normalizer: Normalizer::new(),
             raw_bytes: 0,
         }
+    }
+
+    /// Local ids count up from 0 over both kinds of entry.
+    fn next_id(&self) -> u32 {
+        (self.comm_index.len() + self.computes.len()) as u32
     }
 
     fn close_compute_interval(&mut self, counters: CounterVec, threshold: f64) {
@@ -189,21 +219,21 @@ impl RankTrace {
             return;
         }
         let found = self
-            .compute_clusters
-            .iter()
-            .find(|(_, repr)| counters_close(repr, &delta, threshold))
-            .map(|&(id, _)| id);
+            .computes
+            .iter_mut()
+            .find(|(_, stats)| counters_close(&stats.repr, &delta, threshold));
         let id = match found {
-            Some(id) => {
-                if let EventRecord::Compute(stats) = &mut self.table[id as usize] {
-                    stats.absorb(delta);
-                }
-                id
+            Some((id, stats)) => {
+                stats.absorb(delta);
+                *id
             }
             None => {
-                let id = self.table.len() as u32;
-                self.table.push(EventRecord::Compute(ComputeStats::new(delta)));
-                self.compute_clusters.push((id, delta));
+                let id = self.next_id();
+                // Most ranks open exactly one cluster: room for one.
+                if self.computes.is_empty() {
+                    self.computes.reserve_exact(1);
+                }
+                self.computes.push((id, ComputeStats::new(delta)));
                 id
             }
         };
@@ -211,19 +241,37 @@ impl RankTrace {
         self.raw_bytes += serialize::compute_record_bytes();
     }
 
-    fn record_comm(&mut self, event: CommEvent) {
+    fn record_comm(&mut self, event: CommEvent, interner: &Interner) {
         self.raw_bytes += serialize::comm_record_bytes(&event);
         let id = match self.comm_index.get(&event) {
-            Some(&id) => id,
+            Some(&(id, _)) => id,
             None => {
-                let id = self.table.len() as u32;
-                self.table.push(EventRecord::Comm(event.clone()));
-                self.comm_index.insert(event, id);
+                let id = self.next_id();
+                let (shared, interned) = intern(interner, event);
+                self.comm_index.insert(shared, (id, interned));
                 id
             }
         };
         self.sink.push(id);
     }
+}
+
+/// A rank's local table in local-id order, its communication entries
+/// still holding interning ids. Consumes the rank's references to the
+/// shared events.
+fn local_table(
+    comm_index: FxHashMap<Arc<CommEvent>, (u32, u32)>,
+    computes: Vec<(u32, ComputeStats)>,
+) -> Vec<LocalEvent> {
+    // Every slot is overwritten: comm and compute ids partition 0..n.
+    let mut table = vec![LocalEvent::Comm(0); comm_index.len() + computes.len()];
+    for (_, (local, interned)) in comm_index {
+        table[local as usize] = LocalEvent::Comm(interned);
+    }
+    for (local, stats) in computes {
+        table[local as usize] = LocalEvent::Compute(stats);
+    }
+    table
 }
 
 /// Handle normalization state shared by any PMPI-style recorder: maps the
@@ -241,15 +289,23 @@ impl Default for Normalizer {
     }
 }
 
+/// `MPI_COMM_WORLD`'s pool number on every rank.
+const WORLD_POOL_ID: u32 = 0;
+
 impl Normalizer {
+    /// Allocates nothing: `MPI_COMM_WORLD` holds pool number 0 without a
+    /// map entry, and is answered without a lookup.
     pub fn new() -> Normalizer {
         let mut comms = HandleMap::new();
-        // MPI_COMM_WORLD is pool number 0 on every rank.
-        comms.preassign(CommId::WORLD.0);
+        let world = comms.reserve();
+        debug_assert_eq!(world, WORLD_POOL_ID);
         Normalizer { reqs: HandleMap::new(), comms }
     }
 
     fn comm_id(&self, comm: CommId) -> u32 {
+        if comm == CommId::WORLD {
+            return WORLD_POOL_ID;
+        }
         self.comms
             .get(comm.0)
             .expect("communicator used before creation — split/dup not traced?")
@@ -381,12 +437,15 @@ impl Normalizer {
                 CommEvent::CommDup { parent: parent_id, result: self.comms.bind(c.0) }
             }
             MpiCall::CommFree { comm } => {
+                assert!(
+                    *comm != CommId::WORLD,
+                    "MPI_Comm_free(MPI_COMM_WORLD) is erroneous MPI and cannot be traced"
+                );
                 let id = self.comms.unbind(comm.0).expect("free of untraced communicator");
                 CommEvent::CommFree { comm: id }
             }
         }
     }
-
 }
 
 /// Per-rank output of a streaming-ingest run: the local event table plus
@@ -394,9 +453,11 @@ impl Normalizer {
 /// online during the run, or at finish for a stream that fit the buffer),
 /// and a running content hash + length of the stream for cross-rank
 /// memoization.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StreamedRank {
-    pub table: Vec<EventRecord>,
+    /// The rank's local table in local-id order: communication events by
+    /// their id in [`StreamedTrace::events`], compute clusters inline.
+    pub table: Vec<LocalEvent>,
     /// Grammar over **rank-local** table ids (the pipeline relabels it
     /// into global ids after the table merge).
     pub grammar: Grammar,
@@ -408,9 +469,13 @@ pub struct StreamedRank {
 }
 
 /// Whole-job output of a streaming-ingest run (pre-merge).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StreamedTrace {
     pub nranks: usize,
+    /// The job's distinct communication events, each once, numbered in
+    /// first-introduction order: rank order, then local-id order. The
+    /// numbering depends on no schedule, so it is the same at any width.
+    pub events: Vec<CommEvent>,
     pub ranks: Vec<StreamedRank>,
 }
 
@@ -428,6 +493,9 @@ impl StreamedTrace {
 /// program, then call [`Recorder::finish_streamed`].
 pub struct Recorder {
     per_rank: Vec<Mutex<RankTrace>>,
+    /// Per recorder, never process-global: two syntheses in one process
+    /// number their events apart.
+    interner: Interner,
     config: TraceConfig,
 }
 
@@ -440,31 +508,58 @@ impl Recorder {
     pub fn new_streaming(nranks: usize, config: TraceConfig) -> Recorder {
         Recorder {
             per_rank: (0..nranks).map(|_| Mutex::new(RankTrace::new(config.stream_buf))).collect(),
+            interner: Interner::default(),
             config,
         }
     }
 
-    /// Extract the streamed trace, resetting the recorder. One pass in
-    /// rank order: a rank that flushed drains its residual buffer into its
-    /// builder and finalizes the grammar on the spot; a rank whose whole
-    /// stream still sits in its buffer folds it into the content hash, and
-    /// all such streams are then built together by
+    /// Extract the streamed trace, resetting the recorder in place. One
+    /// pass in rank order: a rank that flushed drains its residual buffer
+    /// into its builder and finalizes the grammar on the spot; a rank whose
+    /// whole stream still sits in its buffer folds it into the content
+    /// hash, and all such streams are then built together by
     /// [`build_rank_grammars`] — Sequitur once per distinct sequence, in
     /// first-seen order, fanned out over the pool. Sequitur is a pure
     /// function of its input and the dedupe compares whole sequences, so
     /// the grammars equal what a per-rank online build would produce.
-    /// The obs stream is deterministic whatever order the scheduler
-    /// completed the ranks in.
+    ///
+    /// The same pass numbers the interned events by their first
+    /// introduction (rank order, then local-id order), rewrites each
+    /// rank's table to those numbers, and moves each event into
+    /// [`StreamedTrace::events`] once. The obs stream and the whole trace
+    /// are deterministic whatever order the scheduler completed the ranks
+    /// in.
     pub fn finish_streamed(&self) -> StreamedTrace {
+        let interned = mem::take(&mut *self.interner.lock().expect("interner poisoned"));
+        let mut by_interning: Vec<Option<Arc<CommEvent>>> = vec![None; interned.len()];
+        for (event, id) in interned {
+            by_interning[id as usize] = Some(event);
+        }
+        // Interning id → job id, assigned at first introduction.
+        let mut job_ids: Vec<Option<u32>> = vec![None; by_interning.len()];
+        let mut events: Vec<Arc<CommEvent>> = Vec::with_capacity(by_interning.len());
+
         let mut flushes = 0u64;
         let mut peak = 0usize;
         let mut unflushed: Vec<usize> = Vec::new();
         let mut unflushed_seqs: Vec<Vec<u32>> = Vec::new();
         let mut ranks: Vec<StreamedRank> = Vec::with_capacity(self.per_rank.len());
         for (rank, m) in self.per_rank.iter().enumerate() {
-            let fresh = RankTrace::new(self.config.stream_buf);
-            let RankTrace { sink: mut s, table, raw_bytes, .. } =
-                mem::replace(&mut *m.lock().unwrap(), fresh);
+            // An idle `RankTrace` allocates nothing, so the reset is free.
+            let idle = RankTrace::new(self.config.stream_buf);
+            let RankTrace { sink: mut s, comm_index, computes, raw_bytes, .. } =
+                mem::replace(&mut *m.lock().expect("rank state poisoned"), idle);
+            let mut table = local_table(comm_index, computes);
+            for entry in &mut table {
+                if let LocalEvent::Comm(id) = entry {
+                    let interned = *id as usize;
+                    *id = *job_ids[interned].get_or_insert_with(|| {
+                        let shared = by_interning[interned].take();
+                        events.push(shared.expect("an interned event is introduced once"));
+                        events.len() as u32 - 1
+                    });
+                }
+            }
             peak = peak.max(s.peak_buffered);
             let grammar = if s.builder.is_some() {
                 s.flush();
@@ -484,6 +579,8 @@ impl Recorder {
                 raw_bytes,
             });
         }
+        // Every rank dropped its references above, so no event is copied.
+        let events: Vec<CommEvent> = events.into_iter().map(Arc::unwrap_or_clone).collect();
         // Skipped when every rank flushed, so no empty memo counters show.
         if !unflushed.is_empty() {
             let built = build_rank_grammars(&unflushed_seqs, true);
@@ -493,18 +590,20 @@ impl Recorder {
         }
         siesta_obs::counter("trace.stream.flushes").add(flushes);
         siesta_obs::gauge("trace.stream.peak_buffered").set(peak as i64);
-        let trace = StreamedTrace { nranks: self.per_rank.len(), ranks };
+        siesta_obs::counter("trace.intern.events").add(events.len() as u64);
+        let trace = StreamedTrace { nranks: self.per_rank.len(), events, ranks };
         siesta_obs::debug!(
             "trace: streamed {} events ({} raw bytes) across {} ranks, \
-             {flushes} flushes, peak {peak} buffered, {} streams built at finish",
+             {} distinct communication events, {flushes} flushes, \
+             peak {peak} buffered, {} streams built at finish",
             trace.total_events(),
             trace.raw_bytes(),
             trace.nranks,
+            trace.events.len(),
             unflushed.len()
         );
         trace
     }
-
 }
 
 impl PmpiHook for Recorder {
@@ -514,10 +613,10 @@ impl PmpiHook for Recorder {
     }
 
     fn post(&self, ctx: &HookCtx, call: &MpiCall) {
-        let mut tr = self.per_rank[ctx.rank].lock().unwrap();
+        let mut tr = self.per_rank[ctx.rank].lock().expect("rank state poisoned");
         tr.close_compute_interval(ctx.counters, self.config.cluster_threshold);
         let event = tr.normalizer.normalize(ctx, call);
-        tr.record_comm(event);
+        tr.record_comm(event, &self.interner);
     }
 
     fn overhead_ns(&self) -> f64 {
@@ -526,21 +625,49 @@ impl PmpiHook for Recorder {
 }
 
 #[cfg(test)]
-impl StreamedRank {
-    /// The rank a recorder streams for `seq` over `table`: its Sequitur
-    /// grammar, content hash and length.
-    pub(crate) fn from_seq(table: Vec<EventRecord>, seq: &[u32], raw_bytes: usize) -> StreamedRank {
-        let mut hash = FxHasher::default();
-        for &id in seq {
-            hash.write_u32(id);
-        }
-        StreamedRank {
-            table,
-            grammar: Sequitur::build(seq),
-            seq_hash: hash.finish(),
-            seq_len: seq.len(),
-            raw_bytes,
-        }
+impl StreamedTrace {
+    /// The trace a recorder returns for ranks that saw `table` and
+    /// streamed `seq`, each with `raw_bytes`: communication events are
+    /// interned in first-introduction order, and each rank carries its
+    /// Sequitur grammar, content hash and length.
+    pub(crate) fn from_tables(
+        ranks: Vec<(Vec<crate::EventRecord>, Vec<u32>)>,
+        raw_bytes: usize,
+    ) -> StreamedTrace {
+        use crate::EventRecord;
+        let mut events: Vec<CommEvent> = Vec::new();
+        let mut index: FxHashMap<CommEvent, u32> = FxHashMap::default();
+        let nranks = ranks.len();
+        let ranks = ranks
+            .into_iter()
+            .map(|(records, seq)| {
+                let table = records
+                    .into_iter()
+                    .map(|record| match record {
+                        EventRecord::Comm(c) => {
+                            let id = index.entry(c).or_insert_with_key(|c| {
+                                events.push(c.clone());
+                                events.len() as u32 - 1
+                            });
+                            LocalEvent::Comm(*id)
+                        }
+                        EventRecord::Compute(stats) => LocalEvent::Compute(stats),
+                    })
+                    .collect();
+                let mut hash = FxHasher::default();
+                for &id in &seq {
+                    hash.write_u32(id);
+                }
+                StreamedRank {
+                    table,
+                    grammar: Sequitur::build(&seq),
+                    seq_hash: hash.finish(),
+                    seq_len: seq.len(),
+                    raw_bytes,
+                }
+            })
+            .collect();
+        StreamedTrace { nranks, events, ranks }
     }
 }
 
@@ -597,8 +724,8 @@ mod tests {
         for r in &t.ranks {
             assert!(r.seq_len > 0);
             // The table contains both kinds.
-            assert!(r.table.iter().any(|e| e.is_comm()));
-            assert!(r.table.iter().any(|e| !e.is_comm()));
+            assert!(r.table.iter().any(|e| matches!(e, LocalEvent::Comm(_))));
+            assert!(r.table.iter().any(|e| matches!(e, LocalEvent::Compute(_))));
         }
     }
 
@@ -645,8 +772,8 @@ mod tests {
             seq(rd)
                 .iter()
                 .filter_map(|&id| match &rd.table[id as usize] {
-                    EventRecord::Comm(c) => Some(format!("{c:?}")),
-                    EventRecord::Compute(_) => None,
+                    LocalEvent::Comm(c) => Some(format!("{:?}", t.events[*c as usize])),
+                    LocalEvent::Compute(_) => None,
                 })
                 .collect()
         };
@@ -666,14 +793,7 @@ mod tests {
     fn flash_comm_management_is_traced() {
         // Small size so the regrid interval (every 5 steps) is reached.
         let t = record_with(Program::Sedov, 6, ProblemSize::Small, STREAM_BUF_MAX);
-        let has = |pred: &dyn Fn(&CommEvent) -> bool| {
-            t.ranks.iter().any(|r| {
-                r.table.iter().any(|e| match e {
-                    EventRecord::Comm(c) => pred(c),
-                    _ => false,
-                })
-            })
-        };
+        let has = |pred: &dyn Fn(&CommEvent) -> bool| t.events.iter().any(pred);
         assert!(has(&|c| matches!(c, CommEvent::CommDup { .. })));
         assert!(has(&|c| matches!(c, CommEvent::CommSplit { .. })));
         assert!(has(&|c| matches!(c, CommEvent::CommFree { .. })));
@@ -741,9 +861,107 @@ mod tests {
     fn streamed_finish_resets_state() {
         let rec = Arc::new(Recorder::new_streaming(4, TraceConfig::default()));
         Program::Is.run_hooked(machine(), 4, ProblemSize::Tiny, rec.clone());
-        assert!(rec.finish_streamed().total_events() > 0);
+        let first = rec.finish_streamed();
+        assert!(first.total_events() > 0);
         // Still a streaming recorder after the reset, and empty.
-        assert_eq!(rec.finish_streamed().total_events(), 0);
+        let empty = rec.finish_streamed();
+        assert_eq!(empty.total_events(), 0);
+        assert!(empty.events.is_empty());
+        // A second run through the same recorder starts from a fresh
+        // interner and fresh normalizers: the very same trace.
+        Program::Is.run_hooked(machine(), 4, ProblemSize::Tiny, rec.clone());
+        assert_eq!(rec.finish_streamed(), first);
+    }
+
+    #[test]
+    fn events_are_distinct_and_numbered_by_first_introduction() {
+        let t = record(Program::Sedov, 6);
+        // Walking ranks in order, then each table in local-id order, the
+        // first sight of each id is the next number: 0, 1, 2, ...
+        let mut next = 0u32;
+        for r in &t.ranks {
+            let mut seen_here = std::collections::HashSet::new();
+            for e in &r.table {
+                if let LocalEvent::Comm(id) = *e {
+                    assert!(seen_here.insert(id), "id {id} twice in one rank's table");
+                    assert!(id <= next, "id {id} introduced before {next}");
+                    if id == next {
+                        next += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(next as usize, t.events.len(), "every listed event is in some table");
+        let distinct: std::collections::HashSet<&CommEvent> = t.events.iter().collect();
+        assert_eq!(distinct.len(), t.events.len(), "an event is listed twice");
+    }
+
+    #[test]
+    fn interned_events_are_exactly_the_merged_comm_terminals() {
+        // 1,024 halo ranks see 5 communication events each, 9 distinct in
+        // the whole job. The list holds each once, and each is in some
+        // rank's table, so the merge finds exactly as many terminals.
+        let rec = Arc::new(Recorder::new_streaming(1024, TraceConfig::default()));
+        siesta_mpisim::World::new(machine(), 1024)
+            .with_hook(rec.clone())
+            .run(siesta_workloads::halo::halo2d_body(3, 4096));
+        let t = rec.finish_streamed();
+        let mut used = vec![false; t.events.len()];
+        for r in &t.ranks {
+            for e in &r.table {
+                if let LocalEvent::Comm(id) = *e {
+                    used[id as usize] = true;
+                }
+            }
+        }
+        assert!(used.iter().all(|&u| u), "an interned event is in no rank's table");
+        let events = t.events.len();
+        let merged = crate::merge_streamed(t);
+        let comm_terminals = merged.table.iter().filter(|e| e.is_comm()).count();
+        assert_eq!(events, comm_terminals);
+        assert_eq!(events, 9);
+    }
+
+    fn ctx(comm_size: usize) -> HookCtx {
+        HookCtx {
+            rank: 0,
+            clock_ns: 0.0,
+            counters: CounterVec::default(),
+            comm_rank: 0,
+            comm_size,
+            call_start_ns: 0.0,
+            wait_ns: 0.0,
+            call_seq: 0,
+        }
+    }
+
+    #[test]
+    fn world_is_pool_number_zero_and_derived_comms_follow() {
+        let mut n = Normalizer::new();
+        let (a, b, c) = (CommId(10), CommId(11), CommId(12));
+        let mut post = |call: MpiCall| n.normalize(&ctx(4), &call);
+        assert_eq!(post(MpiCall::Barrier { comm: CommId::WORLD }), CommEvent::Barrier { comm: 0 });
+        assert_eq!(
+            post(MpiCall::CommSplit { parent: CommId::WORLD, color: 1, key: 0, result: Some(a) }),
+            CommEvent::CommSplit { parent: 0, color: 1, key: 0, result: Some(1) }
+        );
+        assert_eq!(
+            post(MpiCall::CommDup { parent: a, result: Some(b) }),
+            CommEvent::CommDup { parent: 1, result: 2 }
+        );
+        assert_eq!(post(MpiCall::CommFree { comm: a }), CommEvent::CommFree { comm: 1 });
+        // The freed number is the smallest free one again; WORLD's 0 never is.
+        assert_eq!(
+            post(MpiCall::CommDup { parent: CommId::WORLD, result: Some(c) }),
+            CommEvent::CommDup { parent: 0, result: 1 }
+        );
+        assert_eq!(post(MpiCall::Barrier { comm: b }), CommEvent::Barrier { comm: 2 });
+    }
+
+    #[test]
+    #[should_panic(expected = "MPI_Comm_free(MPI_COMM_WORLD) is erroneous")]
+    fn freeing_world_is_refused() {
+        Normalizer::new().normalize(&ctx(4), &MpiCall::CommFree { comm: CommId::WORLD });
     }
 
     #[test]

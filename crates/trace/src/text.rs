@@ -125,7 +125,7 @@ pub fn render(trace: &GlobalTrace) -> String {
 mod tests {
     use super::*;
     use crate::event::ComputeStats;
-    use crate::recorder::{StreamedRank, StreamedTrace};
+    use crate::recorder::StreamedTrace;
     use siesta_perfmodel::CounterVec;
 
     #[test]
@@ -134,13 +134,13 @@ mod tests {
         let compute = EventRecord::Compute(ComputeStats::new(CounterVec::new(
             1e6, 2e6, 3e5, 1e4, 1e4, 100.0,
         )));
-        let trace = StreamedTrace {
-            nranks: 2,
-            ranks: vec![
-                StreamedRank::from_seq(vec![allreduce.clone(), compute], &[1, 0, 1, 0], 100),
-                StreamedRank::from_seq(vec![allreduce], &[0, 0], 50),
+        let trace = StreamedTrace::from_tables(
+            vec![
+                (vec![allreduce.clone(), compute], vec![1, 0, 1, 0]),
+                (vec![allreduce], vec![0, 0]),
             ],
-        };
+            100,
+        );
         let global = crate::merge::merge_tables(trace);
         let text = render(&global);
         assert!(text.contains("Allreduce  bytes=64"));

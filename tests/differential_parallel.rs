@@ -14,6 +14,7 @@ use std::sync::Mutex;
 use siesta_codegen::{emit_c, wire};
 use siesta_core::{Siesta, SiestaConfig};
 use siesta_perfmodel::{platform_a, Machine, MpiFlavor};
+use siesta_workloads::halo::halo2d_body;
 use siesta_workloads::{ProblemSize, Program};
 
 /// Serializes tests: the pool width is process-global state.
@@ -114,6 +115,35 @@ fn merged_trace_is_bit_identical_across_thread_counts() {
                 trace_at(width),
                 baseline,
                 "merged trace diverges at {width} threads (nranks={nranks})"
+            );
+        }
+    }
+}
+
+#[test]
+fn recorded_trace_is_equal_across_thread_counts() {
+    let _g = WIDTH_LOCK.lock().unwrap();
+    // Ranks race to intern the same events at any width above one; the
+    // trace `trace_run` returns (event list, local tables, grammars) must
+    // not show it. The halo ranks share 9 distinct events between 1,024.
+    let trace_at = |width: usize, halo: bool| {
+        siesta_par::with_threads(width, || {
+            let siesta = Siesta::new(SiestaConfig::default());
+            if halo {
+                siesta.trace_run(machine(), 1024, halo2d_body(3, 4096)).0
+            } else {
+                siesta.trace_run(machine(), 64, Program::Sweep3d.body(ProblemSize::Tiny)).0
+            }
+        })
+    };
+    for halo in [false, true] {
+        let baseline = trace_at(WIDTHS[0], halo);
+        // One run shows a race only sometimes: try each width thrice.
+        for &width in WIDTHS[1..].iter().cycle().take(6) {
+            assert!(
+                trace_at(width, halo) == baseline,
+                "recorded trace diverges at {width} threads ({})",
+                if halo { "halo/1024" } else { "SWEEP3D/64" }
             );
         }
     }
