@@ -44,8 +44,7 @@ COMMANDS:
                                      only --platform, --flavor, --scale,
                                      --out and --emit-c)
                  --stream-buf <n>    trace ingest buffer, in event ids per
-                                     rank (default 4096, env
-                                     SIESTA_STREAM_BUF); a longer stream
+                                     rank (default 4096); a longer stream
                                      drains into an online Sequitur
                  --trace-store <f>   also write the merged trace as a
                                      .siestatrace store of its grammars
@@ -125,7 +124,6 @@ ENVIRONMENT:
                             (byte-identical at any --threads width)
     SIESTA_SIM_EVT_CAP      bound --sim-profile to n events per rank (ring
                             buffer, exact dropped count; default unbounded)
-    SIESTA_STREAM_BUF       default --stream-buf (event ids per rank)
 ";
 
 fn main() -> ExitCode {
@@ -369,8 +367,7 @@ fn parse_machine_with_default(args: &Args, default_platform: &'static str) -> Re
 }
 
 /// Resolve the ingest buffer shared by `synthesize` and `trace`:
-/// `--stream-buf` (env `SIESTA_STREAM_BUF`), validated the same way as the
-/// other numeric flags.
+/// `--stream-buf`, validated the same way as the other numeric flags.
 fn parse_stream_buf(args: &Args) -> Result<usize, String> {
     let explicit = match args.get("stream-buf") {
         Some(_) => Some(args.get_usize("stream-buf", 0)?),

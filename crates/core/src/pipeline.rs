@@ -160,7 +160,6 @@ impl Siesta {
         // identical at any thread count.
         let grammars: Vec<Grammar> = {
             let _span = span!("sequitur-fanout", ranks = global.nranks);
-            siesta_obs::counter("par.sequitur.tasks").add(global.seqs.len() as u64);
             build_rank_grammars(&global.seqs, true)
         };
         self.finish_synthesis(

@@ -7,7 +7,7 @@ use crate::symbol::{RSym, Sym};
 
 /// A context-free grammar with run-length symbols. Rule 0 is the main rule
 /// (the start symbol `S`).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Grammar {
     pub rules: Vec<Vec<RSym>>,
 }

@@ -7,12 +7,14 @@
 //! byte-for-byte equal share one grammar build, so construction scales
 //! with the number of *unique* sequences instead of the rank count.
 //!
-//! The mechanism mirrors `ProxySearcher::search_batch`'s counter-vector
-//! dedup, and keeps the same determinism contract (DESIGN.md §10):
+//! The dedupe is `siesta_hash::first_seen`, the one the other dedupes of
+//! the pipeline call too, and it keeps their determinism contract
+//! (DESIGN.md §10):
 //!
 //! * Unique sequences are discovered in **first-seen rank order** — the
-//!   dedup index is a map, but the solve list is built by insertion
-//!   order, so neither hashing nor thread scheduling can reorder it.
+//!   dedup index is a map, but the build list is the order each sequence
+//!   first appears in, so neither hashing nor thread scheduling can
+//!   reorder it.
 //! * Duplicates receive a **clone** of the first-seen build. `Sequitur`
 //!   is a pure function of its input sequence, so the clone is
 //!   bit-identical to rebuilding — memoization on vs. off cannot change
@@ -22,14 +24,15 @@
 //! Hit rates are observable as `grammar.memo.hits` (ranks served by a
 //! clone) against `grammar.memo.unique` (grammars actually built).
 
-use siesta_hash::fx_map_with_capacity;
+use siesta_hash::{first_seen, FirstSeen};
 
 use crate::grammar::Grammar;
 use crate::sequitur::Sequitur;
 
-/// Small-work guard: fan out only when the sequences to build carry
-/// enough symbols to amortize the pool region hand-off. Shared by the
-/// pipeline's Sequitur phase via this module.
+/// Small-work guard: fan out only when the grammars to build, cluster,
+/// merge or lift carry enough symbols to amortize the pool region
+/// hand-off. Shared by this module, clustering, the main-rule merge and
+/// the trace crate's grammar lift.
 pub const MIN_SYMBOLS_TO_FAN_OUT: usize = 8192;
 
 /// Build one grammar per rank sequence. With `memoize`, duplicate
@@ -50,38 +53,24 @@ pub fn build_rank_grammars(seqs: &[Vec<u32>], memoize: bool) -> Vec<Grammar> {
             },
         );
     }
-    // Content-hash dedup (deterministic FxHash over the whole sequence;
-    // equality on collision, so a hash collision costs time, never
-    // correctness), first-seen order.
-    let mut index = fx_map_with_capacity::<&[u32], usize>(seqs.len());
-    let mut unique: Vec<&[u32]> = Vec::new();
-    let assign: Vec<usize> = seqs
-        .iter()
-        .map(|s| {
-            *index.entry(s.as_slice()).or_insert_with(|| {
-                unique.push(s.as_slice());
-                unique.len() - 1
-            })
-        })
-        .collect();
-    siesta_obs::counter("grammar.memo.unique").add(unique.len() as u64);
-    siesta_obs::counter("grammar.memo.hits").add((seqs.len() - unique.len()) as u64);
-    let symbols: usize = unique.iter().map(|s| s.len()).sum();
-    let built = siesta_par::parallel_map_min_work(
-        &unique,
-        symbols,
-        MIN_SYMBOLS_TO_FAN_OUT,
-        |u, seq| {
+    // Dedupe on the whole sequence, first-seen order (siesta_hash's
+    // contract: equality decides, the hash only routes).
+    let FirstSeen { class, first } = first_seen(seqs.iter().map(Vec::as_slice));
+    siesta_obs::counter("grammar.memo.unique").add(first.len() as u64);
+    siesta_obs::counter("grammar.memo.hits").add((seqs.len() - first.len()) as u64);
+    let symbols: usize = first.iter().map(|&r| seqs[r].len()).sum();
+    let built =
+        siesta_par::parallel_map_min_work(&first, symbols, MIN_SYMBOLS_TO_FAN_OUT, |u, &r| {
+            let seq = &seqs[r];
             let _span = siesta_obs::span!("sequitur", unique = u, symbols = seq.len());
             Sequitur::build(seq)
-        },
-    );
+        });
     if built.len() == seqs.len() {
         // No duplicates: first-seen order is input order, so the built
         // vector already is the answer — skip the per-rank clones.
         return built;
     }
-    assign.into_iter().map(|u| built[u].clone()).collect()
+    class.into_iter().map(|u| built[u].clone()).collect()
 }
 
 #[cfg(test)]

@@ -16,7 +16,7 @@
 //!    subsequence; every merged symbol carries a [`RankSet`] saying which
 //!    ranks execute it (Figure 3 of the paper).
 
-use siesta_hash::{fx_map, fx_map_with_capacity, FxHashMap};
+use siesta_hash::{first_seen, fx_map, fx_map_with_capacity, FirstSeen, FxHashMap};
 
 use crate::cluster::cluster_by_edit_distance;
 use crate::grammar::Grammar;
@@ -156,7 +156,7 @@ pub fn merge_grammars(grammars: &[Grammar], config: &MergeConfig) -> MergedGramm
     }
 
     // ---- Main rules to global symbol space.
-    let mains_global: Vec<Vec<RSym>> = grammars
+    let mut mains_global: Vec<Vec<RSym>> = grammars
         .iter()
         .zip(&maps)
         .map(|(g, map)| {
@@ -173,21 +173,14 @@ pub fn merge_grammars(grammars: &[Grammar], config: &MergeConfig) -> MergedGramm
         })
         .collect();
 
-    // ---- Deduplicate identical mains.
-    let mut variants: Vec<Vec<RSym>> = Vec::new();
-    let mut variant_ranks: Vec<RankSet> = Vec::new();
-    let mut variant_index: FxHashMap<Vec<RSym>, usize> = fx_map_with_capacity(nranks);
-    for (rank, main) in mains_global.iter().enumerate() {
-        match variant_index.get(main) {
-            Some(&i) => {
-                variant_ranks[i] = variant_ranks[i].union(&RankSet::single(rank as u32));
-            }
-            None => {
-                variant_index.insert(main.clone(), variants.len());
-                variants.push(main.clone());
-                variant_ranks.push(RankSet::single(rank as u32));
-            }
-        }
+    // ---- Deduplicate identical mains: each variant moves out of its
+    // first rank's main, and every rank joins its variant's rank set.
+    let FirstSeen { class, first } = first_seen(&mains_global);
+    let variants: Vec<Vec<RSym>> =
+        first.iter().map(|&rank| std::mem::take(&mut mains_global[rank])).collect();
+    let mut variant_ranks = vec![RankSet::empty(); variants.len()];
+    for (rank, &v) in class.iter().enumerate() {
+        variant_ranks[v] = variant_ranks[v].union(&RankSet::single(rank as u32));
     }
 
     // ---- Cluster variants by edit distance, merge within clusters by LCS.

@@ -4,10 +4,10 @@
 //! The std `HashMap` defaults to SipHash-1-3 behind a per-process
 //! `RandomState`. That is the right call for maps keyed by untrusted
 //! input, but the pipeline's hot maps — the Sequitur digram table, the
-//! merge remap tables, the QP-batch dedup index, the grammar memo index —
-//! are keyed by small trusted values (symbol pairs, rule ids, counter
-//! bit-patterns) and are rebuilt millions of times per synthesis. Two
-//! properties matter there and SipHash has neither:
+//! merge remap tables, the first-seen dedupes of [`first_seen`] — are
+//! keyed by trusted values (symbol pairs, rule ids, counter bit-patterns,
+//! id sequences, grammars) and are rebuilt millions of times per
+//! synthesis. Two properties matter there and SipHash has neither:
 //!
 //! 1. **Speed.** A multiply-rotate mix (the FxHash family, as used by the
 //!    Rust compiler and Firefox) hashes a digram key in a handful of
@@ -156,18 +156,46 @@ pub fn fx_set_with_capacity<T>(capacity: usize) -> FxHashSet<T> {
     FxHashSet::with_capacity_and_hasher(capacity, FxBuildHasher::default())
 }
 
-/// Hash one value with the deterministic hasher — the content-hash used by
-/// the cross-rank grammar memo index and anywhere else a stable 64-bit
-/// fingerprint of trusted data is needed.
-pub fn fx_hash_one<T: Hash + ?Sized>(value: &T) -> u64 {
-    let mut h = FxHasher::default();
-    value.hash(&mut h);
-    h.finish()
+/// Keys numbered by their first equal key: what [`first_seen`] returns.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct FirstSeen {
+    /// `class[i]` is the class of key `i`. Classes count up from 0 in the
+    /// order their first key appears.
+    pub class: Vec<usize>,
+    /// `first[c]` is the position of class `c`'s first key, so it is
+    /// ascending.
+    pub first: Vec<usize>,
+}
+
+/// Number `keys` by their first equal key: the one first-seen dedupe of
+/// the pipeline (rank sequences, counter vectors, main rules, lifted
+/// grammars). `Eq` decides which keys are equal and the hash only routes,
+/// so a collision costs a comparison, never a wrong class, and the
+/// numbering is a function of the keys and their order alone.
+pub fn first_seen<K: Hash + Eq>(keys: impl IntoIterator<Item = K>) -> FirstSeen {
+    let keys = keys.into_iter();
+    let mut index: FxHashMap<K, usize> = fx_map_with_capacity(keys.size_hint().0);
+    let mut first = Vec::new();
+    let class = keys
+        .enumerate()
+        .map(|(i, key)| {
+            *index.entry(key).or_insert_with(|| {
+                first.push(i);
+                first.len() - 1
+            })
+        })
+        .collect();
+    FirstSeen { class, first }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::hash::BuildHasher;
+
+    fn hash_of<T: Hash + ?Sized>(value: &T) -> u64 {
+        FxBuildHasher::default().hash_one(value)
+    }
 
     #[test]
     fn deterministic_across_processes() {
@@ -176,13 +204,12 @@ mod tests {
         // on every run — this test is the cross-process determinism
         // witness. If it ever fails, the algorithm changed and every
         // persisted fingerprint assumption should be re-examined.
-        assert_eq!(fx_hash_one(&0u64), 0);
-        assert_eq!(fx_hash_one(&1u64), 0x517c_c1b7_2722_0a95);
-        assert_eq!(fx_hash_one(&42u32), fx_hash_one(&42u32));
+        assert_eq!(hash_of(&0u64), 0);
+        assert_eq!(hash_of(&1u64), 0x517c_c1b7_2722_0a95);
+        assert_eq!(hash_of(&42u32), hash_of(&42u32));
         let seq: Vec<u32> = (0..100).collect();
-        assert_eq!(fx_hash_one(&seq), fx_hash_one(&seq.clone()));
+        assert_eq!(hash_of(&seq), hash_of(&seq.clone()));
         // Two fresh `Default` build-hashers agree (RandomState would not).
-        use std::hash::BuildHasher;
         let a = FxBuildHasher::default().hash_one(12345u64);
         let b = FxBuildHasher::default().hash_one(12345u64);
         assert_eq!(a, b);
@@ -194,7 +221,7 @@ mod tests {
         // (e.g. everything hashing to 0 after a refactor).
         let mut seen = FxHashSet::default();
         for i in 0..10_000u64 {
-            seen.insert(fx_hash_one(&i));
+            seen.insert(hash_of(&i));
         }
         assert_eq!(seen.len(), 10_000, "64-bit collisions in 10k counters");
     }
@@ -203,8 +230,8 @@ mod tests {
     fn byte_tail_length_disambiguates() {
         // The padded tail word embeds its length: a 1-byte and a 2-byte
         // suffix with equal padded bytes must not collide structurally.
-        assert_ne!(fx_hash_one(&[1u8][..]), fx_hash_one(&[1u8, 0][..]));
-        assert_ne!(fx_hash_one(b"ab".as_slice()), fx_hash_one(b"a".as_slice()));
+        assert_ne!(hash_of(&[1u8][..]), hash_of(&[1u8, 0][..]));
+        assert_ne!(hash_of(b"ab".as_slice()), hash_of(b"a".as_slice()));
     }
 
     #[test]
@@ -225,10 +252,41 @@ mod tests {
     fn sequence_hash_is_content_sensitive() {
         let a: Vec<u32> = vec![1, 2, 3, 4];
         let mut b = a.clone();
-        assert_eq!(fx_hash_one(&a), fx_hash_one(&b));
+        assert_eq!(hash_of(&a), hash_of(&b));
         b[2] = 9;
-        assert_ne!(fx_hash_one(&a), fx_hash_one(&b));
+        assert_ne!(hash_of(&a), hash_of(&b));
         // Order matters.
-        assert_ne!(fx_hash_one(&vec![1u32, 2]), fx_hash_one(&vec![2u32, 1]));
+        assert_ne!(hash_of(&vec![1u32, 2]), hash_of(&vec![2u32, 1]));
+    }
+
+    #[test]
+    fn first_seen_numbers_classes_in_order_of_appearance() {
+        let got = first_seen(["b", "a", "b", "c", "a", "b"]);
+        assert_eq!(got.class, vec![0, 1, 0, 2, 1, 0]);
+        assert_eq!(got.first, vec![0, 1, 3]);
+        // Borrowed keys work the same as owned ones.
+        let seqs = [vec![1u32, 2], vec![3], vec![1, 2]];
+        let got = first_seen(seqs.iter().map(Vec::as_slice));
+        assert_eq!(got.class, vec![0, 1, 0]);
+        assert_eq!(got.first, vec![0, 1]);
+    }
+
+    #[test]
+    fn first_seen_lets_eq_decide_when_every_hash_collides() {
+        #[derive(PartialEq, Eq)]
+        struct Colliding(u32);
+        impl Hash for Colliding {
+            fn hash<H: Hasher>(&self, state: &mut H) {
+                state.write_u64(7);
+            }
+        }
+        let got = first_seen([3, 1, 3, 2, 1].map(Colliding));
+        assert_eq!(got.class, vec![0, 1, 0, 2, 1]);
+        assert_eq!(got.first, vec![0, 1, 3]);
+    }
+
+    #[test]
+    fn first_seen_of_nothing_is_empty() {
+        assert_eq!(first_seen(std::iter::empty::<u64>()), FirstSeen::default());
     }
 }

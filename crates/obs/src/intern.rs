@@ -18,9 +18,10 @@
 //! diagnostics counter, not an expected event.
 
 use std::cell::RefCell;
+use std::hash::BuildHasher;
 use std::sync::Mutex;
 
-use siesta_hash::{fx_hash_one, FxHashMap, FxHashSet};
+use siesta_hash::{FxBuildHasher, FxHashMap, FxHashSet};
 
 /// Interned span args. `NONE` (0) means "no args" and is what a no-arg
 /// span carries — no formatting, no interning, no allocation.
@@ -47,7 +48,7 @@ thread_local! {
 /// Deterministic id for an args string (`id != 0` for non-empty input).
 fn id_of(s: &str) -> u64 {
     // Reserve 0 for "no args": remap a (vanishingly unlikely) zero hash.
-    fx_hash_one(s).max(1)
+    FxBuildHasher::default().hash_one(s).max(1)
 }
 
 /// Intern `s`, publishing it to the global string table on first sight.
@@ -128,7 +129,7 @@ mod tests {
     fn ids_are_content_hashes() {
         // Deterministic across calls (and, by the `siesta-hash` contract,
         // across processes): the id is a pure function of the content.
-        assert_eq!(intern("x=1").0, fx_hash_one("x=1").max(1));
+        assert_eq!(intern("x=1").0, FxBuildHasher::default().hash_one("x=1").max(1));
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! the target machine, fit repetition counts with the constrained QP, round
 //! to integers.
 
+use siesta_hash::{first_seen, FirstSeen};
 use siesta_perfmodel::{noise, CounterVec, CpuModel, KernelDesc, Machine};
 
 use crate::blocks::{blocks_for, NUM_BLOCKS, WRAPPER};
@@ -109,33 +110,22 @@ impl ProxySearcher {
     /// and identical to calling [`ProxySearcher::search`] per target,
     /// since the solver is deterministic.
     pub fn search_batch(&self, targets: &[CounterVec]) -> Vec<ComputeProxy> {
-        let mut index: siesta_hash::FxHashMap<[u64; 6], usize> =
-            siesta_hash::fx_map_with_capacity(targets.len());
-        let mut unique: Vec<CounterVec> = Vec::new();
         // First-seen order keeps the unique list (and hence the parallel
         // task numbering) independent of hash-map iteration.
-        let assign: Vec<usize> = targets
-            .iter()
-            .map(|t| {
-                let key = t.as_array().map(f64::to_bits);
-                *index.entry(key).or_insert_with(|| {
-                    unique.push(*t);
-                    unique.len() - 1
-                })
-            })
-            .collect();
+        let FirstSeen { class, first } =
+            first_seen(targets.iter().map(|t| t.as_array().map(f64::to_bits)));
         siesta_obs::counter("proxy.batch.targets").add(targets.len() as u64);
-        siesta_obs::counter("proxy.batch.unique_solves").add(unique.len() as u64);
+        siesta_obs::counter("proxy.batch.unique_solves").add(first.len() as u64);
         // Small-work guard: each QP solve is ~tens of µs, so a batch only
         // pays for worker spawns past a few dozen unique solves.
         const MIN_SOLVES_TO_FAN_OUT: usize = 64;
         let solved = siesta_par::parallel_map_min_work(
-            &unique,
-            unique.len(),
+            &first,
+            first.len(),
             MIN_SOLVES_TO_FAN_OUT,
-            |_, t| self.search(t),
+            |_, &i| self.search(&targets[i]),
         );
-        assign.into_iter().map(|u| solved[u].clone()).collect()
+        class.into_iter().map(|u| solved[u].clone()).collect()
     }
 
     /// Noise-free counters the proxy produces on `machine` (for error

@@ -13,8 +13,9 @@
 //! events merge when their representatives agree within the clustering
 //! threshold, pooling their counter statistics.
 
+use siesta_grammar::memo::MIN_SYMBOLS_TO_FAN_OUT;
 use siesta_grammar::{Grammar, Sequitur};
-use siesta_hash::{fx_map_with_capacity, FxHashMap};
+use siesta_hash::{first_seen, fx_map_with_capacity, FirstSeen, FxHashMap};
 use siesta_perfmodel::CounterVec;
 
 use crate::event::{counters_close, CommEvent, EventRecord, LocalEvent};
@@ -24,6 +25,13 @@ use crate::recorder::StreamedTrace;
 /// ranks measure the same kernel with independent noise, so the merge
 /// threshold matches the recording threshold.
 const MERGE_THRESHOLD: f64 = 0.15;
+
+/// Small-work guard of the merge rounds and the expansion: fan out only
+/// when the tables or sequences hold enough events to amortize the pool
+/// region hand-off (tiny traces would pay ~100µs per worker to merge
+/// microseconds of work). The estimates are pure data, so the guard
+/// cannot perturb determinism.
+const MIN_EVENTS_TO_FAN_OUT: usize = 4096;
 
 /// The job-wide trace after table merging: one global terminal table plus
 /// per-rank sequences of global ids.
@@ -158,16 +166,10 @@ pub fn merge_rank_tables(events: &[CommEvent], tables: Vec<Vec<LocalEvent>>) -> 
             pairs.push((a, it.next()));
         }
         siesta_obs::counter("par.table_merge.pairs").add(pairs.len() as u64);
-        // Small-work guard: a round is worth fanning out only when its
-        // tables hold enough events to amortize the thread spawns (tiny
-        // traces would pay ~100µs per worker to merge microseconds of
-        // work). The estimate is pure data, so the guard cannot perturb
-        // determinism.
         let work: usize = pairs
             .iter()
             .map(|(a, b)| a.table.len() + b.as_ref().map_or(0, |b| b.table.len()))
             .sum();
-        const MIN_EVENTS_TO_FAN_OUT: usize = 4096;
         level = siesta_par::parallel_map_owned_min_work(
             pairs,
             work,
@@ -216,7 +218,6 @@ pub fn merge_tables(st: StreamedTrace) -> GlobalTrace {
     let (tables, grammars): (Vec<_>, Vec<_>) =
         st.ranks.into_iter().map(|r| (r.table, r.grammar)).unzip();
     let merged = merge_rank_tables(&st.events, tables);
-    const MIN_EVENTS_TO_FAN_OUT: usize = 4096;
     let pairs: Vec<(Grammar, Vec<u32>)> = grammars.into_iter().zip(merged.remaps).collect();
     let seqs = siesta_par::parallel_map_owned_min_work(
         pairs,
@@ -305,66 +306,32 @@ fn remap_injective(remap: &[u32], nglobal: usize) -> bool {
 /// cluster — change the equality pattern, so those ranks (rare; counted in
 /// `grammar.stream.rebuilds`) expand, remap, and rebuild.
 ///
-/// Ranks whose running content hash, length, grammar, and composed remap
-/// all match an earlier rank clone its lifted grammar instead of
-/// relabeling again (`grammar.memo.stream_hits`). The hash only nominates
-/// a candidate — equality of grammar (which pins the exact local
-/// sequence) and remap decides, so a collision costs a comparison, never
-/// correctness.
+/// Ranks whose local grammar and composed remap both equal an earlier
+/// rank's (`siesta_hash::first_seen` on the pair) share its lifted grammar
+/// instead of relabeling again (`grammar.memo.stream_hits`). Sequitur is a
+/// pure function of its input, so the local grammar pins the rank's exact
+/// local stream, and the pair is the whole identity of the lifted grammar.
 pub fn merge_streamed(st: StreamedTrace) -> StreamedGlobal {
     let nranks = st.nranks;
     let raw_bytes = st.raw_bytes();
-    let mut tables = Vec::with_capacity(nranks);
-    let mut locals: Vec<(Grammar, u64, usize)> = Vec::with_capacity(nranks);
-    for r in st.ranks {
-        tables.push(r.table);
-        locals.push((r.grammar, r.seq_hash, r.seq_len));
-    }
+    let (tables, mut locals): (Vec<_>, Vec<_>) =
+        st.ranks.into_iter().map(|r| (r.table, r.grammar)).unzip();
     let mut merged = merge_rank_tables(&st.events, tables);
     let nglobal = merged.table.len();
 
-    // Assign every rank an owner in index order: itself (unique) or the
-    // first earlier rank proven to carry the same lifted grammar.
-    enum Slot {
-        Owner(u32),
-        Dup(u32),
-    }
-    let mut by_hash: FxHashMap<u64, Vec<u32>> = fx_map_with_capacity(nranks);
-    let mut slots = Vec::with_capacity(nranks);
-    let mut owners: Vec<u32> = Vec::new();
-    let mut stream_hits = 0u64;
-    for rank in 0..nranks {
-        let (grammar, hash, len) = &locals[rank];
-        let dup = by_hash.get(hash).and_then(|cands| {
-            cands.iter().copied().find(|&o| {
-                let (og, _, olen) = &locals[o as usize];
-                *olen == *len && merged.remaps[o as usize] == merged.remaps[rank] && og == grammar
-            })
-        });
-        match dup {
-            Some(owner) => {
-                stream_hits += 1;
-                slots.push(Slot::Dup(owner));
-            }
-            None => {
-                by_hash.entry(*hash).or_default().push(rank as u32);
-                slots.push(Slot::Owner(owners.len() as u32));
-                owners.push(rank as u32);
-            }
-        }
-    }
-    siesta_obs::counter("grammar.memo.stream_hits").add(stream_hits);
+    // Owners: the first rank of each distinct (local grammar, remap).
+    let FirstSeen { class, first: owners } = first_seen(locals.iter().zip(&merged.remaps));
+    siesta_obs::counter("grammar.memo.stream_hits").add((nranks - owners.len()) as u64);
 
     // Lift each unique rank's grammar to global ids, in parallel. Outputs
     // land in owner order, so the result is thread-count independent.
     let _span = siesta_obs::span!("sequitur-lift", ranks = nranks, unique = owners.len());
-    siesta_obs::counter("par.sequitur.tasks").add(owners.len() as u64);
     let mut rebuilds = 0u64;
     let items: Vec<(Grammar, Vec<u32>, bool)> = owners
         .iter()
         .map(|&rank| {
-            let g = std::mem::replace(&mut locals[rank as usize].0, Grammar { rules: vec![] });
-            let remap = std::mem::take(&mut merged.remaps[rank as usize]);
+            let g = std::mem::replace(&mut locals[rank], Grammar { rules: vec![] });
+            let remap = std::mem::take(&mut merged.remaps[rank]);
             let injective = remap_injective(&remap, nglobal);
             if !injective {
                 rebuilds += 1;
@@ -374,7 +341,6 @@ pub fn merge_streamed(st: StreamedTrace) -> StreamedGlobal {
         .collect();
     siesta_obs::counter("grammar.stream.rebuilds").add(rebuilds);
     let work: usize = items.iter().map(|(g, _, _)| g.size()).sum();
-    const MIN_SYMBOLS_TO_FAN_OUT: usize = 8192;
     let lifted: Vec<Grammar> = siesta_par::parallel_map_owned_min_work(
         items,
         work,
@@ -395,21 +361,10 @@ pub fn merge_streamed(st: StreamedTrace) -> StreamedGlobal {
         },
     );
 
-    let grammars: Vec<Grammar> = slots
-        .iter()
-        .map(|s| match s {
-            Slot::Owner(u) => lifted[*u as usize].clone(),
-            Slot::Dup(owner) => match &slots[*owner as usize] {
-                Slot::Owner(u) => lifted[*u as usize].clone(),
-                Slot::Dup(_) => unreachable!("owners are never duplicates"),
-            },
-        })
-        .collect();
-
     StreamedGlobal {
         nranks,
         table: merged.table,
-        grammars,
+        grammars: class.into_iter().map(|u| lifted[u].clone()).collect(),
         raw_bytes,
         merge_rounds: merged.merge_rounds,
     }
@@ -514,7 +469,9 @@ mod tests {
     fn streamed_merge_matches_materialized() {
         // Includes identical ranks (memo hits), a rank whose two compute
         // clusters collapse into one global cluster (non-injective remap →
-        // rebuild fallback), and an empty-ish rank.
+        // rebuild fallback), an empty-ish rank, and two ranks that record
+        // the same local stream over different events (CG's transpose
+        // partners): equal local grammars under different remaps.
         let ranks: Vec<(Vec<EventRecord>, Vec<u32>)> = vec![
             (vec![comm(1), compute(1.0, 10.0), comm(2)], vec![0, 1, 2, 0, 1]),
             (vec![comm(2), compute(1.02, 10.0)], vec![0, 1, 1, 0]),
@@ -527,9 +484,13 @@ mod tests {
             ),
             (vec![comm(1), compute(1.0, 10.0), comm(2)], vec![0, 1, 2, 0, 1]),
             (vec![comm(3)], vec![0]),
+            (vec![comm(6), comm(2)], vec![0, 1, 0, 1, 1]),
+            (vec![comm(7), comm(2)], vec![0, 1, 0, 1, 1]),
         ];
+        let st = trace(ranks.clone());
+        assert_eq!(st.ranks[5].grammar, st.ranks[6].grammar);
         let g = merge_tables(trace(ranks.clone()));
-        let sg = merge_streamed(trace(ranks.clone()));
+        let sg = merge_streamed(st);
         assert_eq!(sg.table.len(), g.table.len());
         assert_eq!(sg.merge_rounds, g.merge_rounds);
         assert_eq!(sg.raw_bytes, g.raw_bytes);
@@ -540,6 +501,9 @@ mod tests {
             assert_eq!(sg.grammars[rank], Sequitur::build(&g.seqs[rank]), "rank {rank}");
         }
         assert_eq!(sg.to_global_trace().seqs, g.seqs);
+        // One local stream, two lifted grammars; equal ranks share one.
+        assert_ne!(sg.grammars[5], sg.grammars[6]);
+        assert_eq!(sg.grammars[0], sg.grammars[3]);
     }
 
     #[test]

@@ -18,12 +18,11 @@
 //! thread — interposition-style isolation. The interner's lock is the one
 //! ranks share, and a rank takes it only at the first sight of an event.
 
-use std::hash::Hasher;
 use std::mem;
 use std::sync::{Arc, Mutex};
 
 use siesta_grammar::{build_rank_grammars, Grammar, Sequitur};
-use siesta_hash::{FxHashMap, FxHasher};
+use siesta_hash::FxHashMap;
 use siesta_mpisim::{CommId, HookCtx, MpiCall, PmpiHook};
 use siesta_perfmodel::CounterVec;
 
@@ -40,27 +39,17 @@ pub const STREAM_BUF_MIN: usize = 16;
 /// this "bounded buffering" is materialization by another name.
 pub const STREAM_BUF_MAX: usize = 1 << 24;
 
-/// Resolve the stream-buffer size: explicit (CLI) value if given, else the
-/// `SIESTA_STREAM_BUF` environment variable, else [`DEFAULT_STREAM_BUF`];
-/// range-checked either way so a bad flag and a bad env var fail the same.
+/// Resolve the stream-buffer size: the `--stream-buf` value if given,
+/// range-checked, else [`DEFAULT_STREAM_BUF`].
 pub fn resolve_stream_buf(explicit: Option<usize>) -> Result<usize, String> {
-    let (value, source) = match explicit {
-        Some(v) => (v, "--stream-buf".to_string()),
-        None => match std::env::var("SIESTA_STREAM_BUF") {
-            Ok(raw) => match raw.trim().parse::<usize>() {
-                Ok(v) => (v, format!("SIESTA_STREAM_BUF={raw}")),
-                Err(_) => return Err(format!("SIESTA_STREAM_BUF: not a number: {raw:?}")),
-            },
-            Err(_) => return Ok(DEFAULT_STREAM_BUF),
-        },
-    };
-    if !(STREAM_BUF_MIN..=STREAM_BUF_MAX).contains(&value) {
-        return Err(format!(
-            "{source}: stream buffer must be in [{STREAM_BUF_MIN}, {STREAM_BUF_MAX}], \
-             got {value}"
-        ));
+    match explicit {
+        None => Ok(DEFAULT_STREAM_BUF),
+        Some(v) if (STREAM_BUF_MIN..=STREAM_BUF_MAX).contains(&v) => Ok(v),
+        Some(v) => Err(format!(
+            "--stream-buf: stream buffer must be in [{STREAM_BUF_MIN}, {STREAM_BUF_MAX}], \
+             got {v}"
+        )),
     }
-    Ok(value)
 }
 
 /// Tracing configuration.
@@ -73,8 +62,7 @@ pub struct TraceConfig {
     /// record write. Produces the Table 3 overhead column.
     pub overhead_ns: f64,
     /// Bounded per-rank buffer between the hook and the online Sequitur,
-    /// in event ids. Overridable with
-    /// `--stream-buf` / `SIESTA_STREAM_BUF` via [`resolve_stream_buf`].
+    /// in event ids. Set by `--stream-buf` via [`resolve_stream_buf`].
     pub stream_buf: usize,
 }
 
@@ -91,7 +79,8 @@ impl Default for TraceConfig {
 /// Where a rank's id sequence goes: a bounded buffer feeding an online
 /// Sequitur. The sink never holds more than `limit` ids outside the
 /// grammar — a stream longer than the buffer exists only as its compressed
-/// grammar, the residual buffer, and a running content hash.
+/// grammar, the residual buffer and a length. It keeps no content hash:
+/// the grammar itself is the stream's identity downstream.
 struct StreamSink {
     buf: Vec<u32>,
     limit: usize,
@@ -100,10 +89,6 @@ struct StreamSink {
     /// distinct sequence, so the ranks of an SPMD job mostly never hold
     /// one. Boxed so an idle sink carries a pointer, not a builder.
     builder: Option<Box<Sequitur>>,
-    /// Running FxHash over the id stream; with `len` it keys the
-    /// cross-rank memo (verified by structural equality on hit, so a
-    /// collision costs time, never correctness).
-    hash: FxHasher,
     len: usize,
     flushes: u64,
     peak_buffered: usize,
@@ -118,7 +103,6 @@ impl StreamSink {
             buf: Vec::new(),
             limit,
             builder: None,
-            hash: FxHasher::default(),
             len: 0,
             flushes: 0,
             peak_buffered: 0,
@@ -140,7 +124,6 @@ impl StreamSink {
         }
         let builder = self.builder.get_or_insert_with(|| Box::new(Sequitur::new()));
         for &id in &self.buf {
-            self.hash.write_u32(id);
             builder.push(id);
         }
         self.len += self.buf.len();
@@ -148,13 +131,10 @@ impl StreamSink {
         self.buf.clear();
     }
 
-    /// Take the whole stream of a sink that never flushed, folding it into
-    /// the running hash and length.
+    /// Take the whole stream of a sink that never flushed, counting it
+    /// into the length.
     fn take_unflushed(&mut self) -> Vec<u32> {
         debug_assert!(self.builder.is_none() && self.len == 0);
-        for &id in &self.buf {
-            self.hash.write_u32(id);
-        }
         self.len = self.buf.len();
         mem::take(&mut self.buf)
     }
@@ -450,9 +430,10 @@ impl Normalizer {
 
 /// Per-rank output of a streaming-ingest run: the local event table plus
 /// the rank's id sequence in compressed form only — its grammar (built
-/// online during the run, or at finish for a stream that fit the buffer),
-/// and a running content hash + length of the stream for cross-rank
-/// memoization.
+/// online during the run, or at finish for a stream that fit the buffer)
+/// and the stream's length. Sequitur is a pure function of its input, so
+/// equal grammars are exactly equal streams: the lift's memo keys on the
+/// grammar itself.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamedRank {
     /// The rank's local table in local-id order: communication events by
@@ -461,8 +442,6 @@ pub struct StreamedRank {
     /// Grammar over **rank-local** table ids (the pipeline relabels it
     /// into global ids after the table merge).
     pub grammar: Grammar,
-    /// FxHash over the local id stream, in order.
-    pub seq_hash: u64,
     /// Number of events in the stream.
     pub seq_len: usize,
     pub raw_bytes: usize,
@@ -515,13 +494,13 @@ impl Recorder {
 
     /// Extract the streamed trace, resetting the recorder in place. One
     /// pass in rank order: a rank that flushed drains its residual buffer
-    /// into its builder and finalizes the grammar on the spot; a rank whose
-    /// whole stream still sits in its buffer folds it into the content
-    /// hash, and all such streams are then built together by
-    /// [`build_rank_grammars`] — Sequitur once per distinct sequence, in
-    /// first-seen order, fanned out over the pool. Sequitur is a pure
-    /// function of its input and the dedupe compares whole sequences, so
-    /// the grammars equal what a per-rank online build would produce.
+    /// into its builder and finalizes the grammar on the spot; ranks that
+    /// never flushed hand over their buffered streams, which are then built
+    /// together by [`build_rank_grammars`] — Sequitur once per distinct
+    /// sequence, in first-seen order, fanned out over the pool. Sequitur is
+    /// a pure function of its input and the dedupe compares whole
+    /// sequences, so the grammars equal what a per-rank online build would
+    /// produce.
     ///
     /// The same pass numbers the interned events by their first
     /// introduction (rank order, then local-id order), rewrites each
@@ -571,13 +550,7 @@ impl Recorder {
                 Grammar { rules: Vec::new() }
             };
             flushes += s.flushes;
-            ranks.push(StreamedRank {
-                table,
-                grammar,
-                seq_hash: s.hash.finish(),
-                seq_len: s.len,
-                raw_bytes,
-            });
+            ranks.push(StreamedRank { table, grammar, seq_len: s.len, raw_bytes });
         }
         // Every rank dropped its references above, so no event is copied.
         let events: Vec<CommEvent> = events.into_iter().map(Arc::unwrap_or_clone).collect();
@@ -629,7 +602,7 @@ impl StreamedTrace {
     /// The trace a recorder returns for ranks that saw `table` and
     /// streamed `seq`, each with `raw_bytes`: communication events are
     /// interned in first-introduction order, and each rank carries its
-    /// Sequitur grammar, content hash and length.
+    /// Sequitur grammar and length.
     pub(crate) fn from_tables(
         ranks: Vec<(Vec<crate::EventRecord>, Vec<u32>)>,
         raw_bytes: usize,
@@ -654,14 +627,9 @@ impl StreamedTrace {
                         EventRecord::Compute(stats) => LocalEvent::Compute(stats),
                     })
                     .collect();
-                let mut hash = FxHasher::default();
-                for &id in &seq {
-                    hash.write_u32(id);
-                }
                 StreamedRank {
                     table,
                     grammar: Sequitur::build(&seq),
-                    seq_hash: hash.finish(),
                     seq_len: seq.len(),
                     raw_bytes,
                 }
@@ -842,22 +810,6 @@ mod tests {
     }
 
     #[test]
-    fn stream_hash_keys_equal_sequences_only() {
-        let st = record_streamed(Program::Sweep3d, 8, 64);
-        for (i, a) in st.ranks.iter().enumerate() {
-            for (j, b) in st.ranks.iter().enumerate() {
-                let eq_seq = a.seq_len == b.seq_len && seq(a) == seq(b);
-                if eq_seq {
-                    assert_eq!(a.seq_hash, b.seq_hash, "ranks {i}/{j}");
-                }
-                if a.seq_hash != b.seq_hash {
-                    assert!(!eq_seq, "ranks {i}/{j}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn streamed_finish_resets_state() {
         let rec = Arc::new(Recorder::new_streaming(4, TraceConfig::default()));
         Program::Is.run_hooked(machine(), 4, ProblemSize::Tiny, rec.clone());
@@ -969,7 +921,7 @@ mod tests {
         // A buffer between the shortest and longest rank stream: long
         // ranks flush into an online builder, short ones are still fully
         // buffered at finish and built there, deduped across ranks. Both
-        // kinds must yield the batch grammar, length and content hash.
+        // kinds must yield the batch grammar and length.
         let program = Program::Sweep3d;
         let whole = record(program, 8);
         let lens: Vec<usize> = whole.ranks.iter().map(|r| r.seq_len).collect();
@@ -980,22 +932,16 @@ mod tests {
         let st = record_streamed(program, 8, buf);
         for (rank, (s, w)) in st.ranks.iter().zip(&whole.ranks).enumerate() {
             let w_seq = seq(w);
-            let mut hash = FxHasher::default();
-            for &id in &w_seq {
-                hash.write_u32(id);
-            }
             assert_eq!(s.table, w.table, "rank {rank}");
             assert_eq!(s.grammar, Sequitur::build(&w_seq), "rank {rank} buf={buf}");
             assert_eq!(s.seq_len, w_seq.len(), "rank {rank}");
-            assert_eq!(s.seq_hash, hash.finish(), "rank {rank}");
         }
     }
 
     #[test]
     fn resolve_stream_buf_precedence_and_validation() {
-        // Explicit beats default; out-of-range explicit rejected. (Env
-        // interaction is exercised via the CLI, not here — tests run in
-        // parallel and setting process-global env would race.)
+        // Explicit beats default; out-of-range explicit rejected.
+        assert_eq!(resolve_stream_buf(None), Ok(DEFAULT_STREAM_BUF));
         assert_eq!(resolve_stream_buf(Some(1024)), Ok(1024));
         assert!(resolve_stream_buf(Some(STREAM_BUF_MIN - 1)).is_err());
         assert!(resolve_stream_buf(Some(STREAM_BUF_MAX + 1)).is_err());

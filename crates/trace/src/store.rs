@@ -19,7 +19,9 @@
 //! * the terminal table as tagged records: tag 0 and an event, or tag 1
 //!   and a compute cluster's representative, sum and count;
 //! * the distinct grammars in first-seen rank order, each a rule list
-//!   whose rule 0 is the main rule;
+//!   whose rule 0 is the main rule. The writer numbers them with
+//!   `siesta_hash::first_seen`, keyed on the grammar itself: equality
+//!   decides, the hash only routes;
 //! * one `u32` grammar index per rank;
 //! * a `u64` FxHash of all preceding bytes. A flipped bit changes exactly
 //!   one input word of the hash and every mixing step is a bijection, so
@@ -33,7 +35,7 @@ use std::hash::Hasher;
 use std::path::Path;
 
 use siesta_grammar::Grammar;
-use siesta_hash::{fx_hash_one, FxHashMap, FxHasher};
+use siesta_hash::{first_seen, FirstSeen, FxHasher};
 
 use crate::event::{ComputeStats, EventRecord};
 use crate::merge::StreamedGlobal;
@@ -118,30 +120,14 @@ pub fn store_to_bytes(sg: &StreamedGlobal) -> Vec<u8> {
     for rec in &sg.table {
         put_record(&mut w, rec);
     }
-    // Distinct grammars in first-seen rank order: the hash routes,
-    // equality decides.
-    let mut distinct: Vec<&Grammar> = Vec::new();
-    let mut by_hash: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
-    let mut index = Vec::with_capacity(sg.grammars.len());
-    for g in &sg.grammars {
-        let bucket = by_hash.entry(fx_hash_one(&g.rules)).or_default();
-        let id = match bucket.iter().find(|&&i| distinct[i as usize] == g) {
-            Some(&i) => i,
-            None => {
-                let i = distinct.len() as u32;
-                distinct.push(g);
-                bucket.push(i);
-                i
-            }
-        };
-        index.push(id);
+    // Distinct grammars in first-seen rank order, then each rank's index.
+    let FirstSeen { class, first } = first_seen(&sg.grammars);
+    w.u32(first.len() as u32);
+    for &rank in &first {
+        put_rules(&mut w, &sg.grammars[rank].rules);
     }
-    w.u32(distinct.len() as u32);
-    for g in distinct {
-        put_rules(&mut w, &g.rules);
-    }
-    for id in index {
-        w.u32(id);
+    for id in class {
+        w.u32(id as u32);
     }
     let sum = checksum(&w.buf);
     w.u64(sum);
