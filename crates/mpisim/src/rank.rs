@@ -32,6 +32,9 @@ pub(crate) struct Shared {
     /// Quorums of the all-member collectives, keyed by (communicator,
     /// collective sequence number).
     pub collectives: QuorumBoard<Member>,
+    /// Transfers their evaluations computed: `obs.sim.quorum.member_rounds`
+    /// of an observed run.
+    pub member_rounds: AtomicU64,
     /// Quorums of `comm_split`, keyed by (parent communicator, derivation
     /// sequence number): a key space apart from the collectives'.
     pub splits: QuorumBoard<SplitEntry>,
@@ -85,6 +88,33 @@ pub(crate) mod blocked {
     }
 }
 
+/// A rank's blocked-wait sums. The all-member collectives deposit them on
+/// the quorum board and get them back advanced, so both paths apply one
+/// rule, [`WaitSums::note`].
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct WaitSums {
+    /// Inside the current hooked call: reset by `hook_pre_raw`, reported
+    /// through `HookCtx::wait_ns` in the post hook.
+    pub call_ns: f64,
+    /// Over the whole run.
+    pub total_ns: f64,
+}
+
+impl WaitSums {
+    /// Record virtual time a rank is about to sit blocked: its clock is
+    /// jumping forward by `delta_ns` to a completion time produced by a
+    /// *peer* (message arrival, rendezvous ack, split fill, a collective's
+    /// round). A negative, zero or NaN delta means the completion was
+    /// already in the past: no wait. That case adds +0.0 instead of
+    /// branching, which leaves every bit unchanged because both sums start
+    /// at +0.0 and only grow.
+    pub fn note(&mut self, delta_ns: f64) {
+        let blocked = if delta_ns > 0.0 { delta_ns } else { 0.0 };
+        self.call_ns += blocked;
+        self.total_ns += blocked;
+    }
+}
+
 /// One member's `MPI_Comm_split` contribution: `(color, key)` and its
 /// entry clock. Data moves through the split board; *time* is charged by
 /// an allgather-shaped cost model over the contributors' entry clocks, so
@@ -109,11 +139,8 @@ pub struct Rank {
     pub(crate) coll_seq: FxHashMap<u64, u32>,
     pub(crate) compute_ns: f64,
     pub(crate) mpi_ns: f64,
-    /// Total blocked-wait time (see [`Rank::note_wait`]).
-    pub(crate) wait_ns_total: f64,
-    /// Blocked-wait accumulated inside the current hooked call; reset by
-    /// `hook_pre_raw`, reported through `HookCtx::wait_ns` in the post hook.
-    pub(crate) cur_wait_ns: f64,
+    /// Blocked-wait time (see [`Rank::note_wait`]).
+    pub(crate) wait: WaitSums,
     /// Virtual clock at the current call's pre hook (`HookCtx::call_start_ns`).
     pub(crate) cur_call_t0: f64,
     /// Hooked calls completed so far: feeds [`HookCtx::call_seq`].
@@ -139,8 +166,7 @@ impl Rank {
             coll_seq: FxHashMap::default(),
             compute_ns: 0.0,
             mpi_ns: 0.0,
-            wait_ns_total: 0.0,
-            cur_wait_ns: 0.0,
+            wait: WaitSums::default(),
             cur_call_t0: 0.0,
             hooked_calls: 0,
             app_calls: 0,
@@ -533,7 +559,7 @@ impl Rank {
         // Hooked calls never nest (collective plumbing bypasses the hooks),
         // so one pre-slot per rank suffices for the per-call wait total.
         self.cur_call_t0 = self.clock;
-        self.cur_wait_ns = 0.0;
+        self.wait.call_ns = 0.0;
         if let Some(hook) = &self.shared.hook {
             let ctx = HookCtx {
                 rank: self.rank,
@@ -559,7 +585,7 @@ impl Rank {
                 comm_rank,
                 comm_size,
                 call_start_ns: self.cur_call_t0,
-                wait_ns: self.cur_wait_ns,
+                wait_ns: self.wait.call_ns,
                 call_seq: self.hooked_calls,
             };
             hook.post(&ctx, call);
@@ -568,17 +594,10 @@ impl Rank {
         }
     }
 
-    /// Record virtual time the rank is about to sit blocked: the clock is
-    /// jumping forward to a completion time produced by a *peer* (message
-    /// arrival, rendezvous ack, split fill). Negative or zero deltas mean
-    /// the completion was already in the past — no wait. The all-member
-    /// collectives apply the same rule to their deposited wait sums
-    /// (`collectives::Member::note_wait`).
+    /// Record virtual time the rank is about to sit blocked (see
+    /// [`WaitSums::note`]).
     pub(crate) fn note_wait(&mut self, delta_ns: f64) {
-        if delta_ns > 0.0 {
-            self.cur_wait_ns += delta_ns;
-            self.wait_ns_total += delta_ns;
-        }
+        self.wait.note(delta_ns);
     }
 
     pub(crate) fn account_mpi(&mut self, t0: f64, sent_bytes: usize) {
@@ -748,7 +767,7 @@ impl Rank {
             counters: self.counters,
             compute_ns: self.compute_ns,
             mpi_ns: self.mpi_ns,
-            wait_ns: self.wait_ns_total,
+            wait_ns: self.wait.total_ns,
             app_calls: self.app_calls,
             bytes_sent: self.bytes_sent,
             compute_events: self.compute_events,

@@ -134,6 +134,7 @@ impl World {
             engine: Engine::new(self.machine, self.nranks),
             hook,
             collectives: QuorumBoard::new(),
+            member_rounds: AtomicU64::new(0),
             splits: QuorumBoard::new(),
             seed: self.seed,
             nranks: self.nranks,
@@ -144,11 +145,14 @@ impl World {
         let run = crate::exec::run_event(futs, observed);
         // Which receives found their message queued depends on how ranks
         // interleave above one worker thread: observability data, gated
-        // like the scheduler's own metrics.
+        // like the scheduler's own metrics. The quorum evaluator's work does
+        // not, but it is engine introspection too.
         if observed {
             let (at_post, parked) = shared.engine.recv_paths();
             siesta_obs::counter("obs.sim.recv.at_post").add(at_post);
             siesta_obs::counter("obs.sim.recv.parked").add(parked);
+            let member_rounds = shared.member_rounds.load(Ordering::Relaxed);
+            siesta_obs::counter("obs.sim.quorum.member_rounds").add(member_rounds);
         }
         match run {
             Ok(ranks) => {

@@ -118,32 +118,60 @@ fn unmatched_recv_is_a_clean_deadlock_error() {
     assert_eq!(err.ranks, vec![(1, err.ranks[0].1.clone())]);
 }
 
+/// Run a 2-rank world with `body` and return the message of the panic it
+/// must raise.
+fn world_panic_message<F>(body: F) -> String
+where
+    F: Fn(Rank) -> RankFut<'static> + Send + Sync,
+{
+    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        World::new(machine(), 2).run(body);
+    }));
+    let payload = result.expect_err("expected a panic");
+    payload
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+        .unwrap_or_default()
+}
+
 #[test]
 fn mismatched_collectives_panic_naming_both_ranks() {
     // Rank 0 enters a barrier while rank 1 enters an allreduce at the same
     // point of the communicator's collective order.
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        World::new(machine(), 2).run(|mut rank| {
-            Box::pin(async move {
-                let comm = rank.comm_world();
-                if rank.rank() == 0 {
-                    rank.barrier(&comm).await;
-                } else {
-                    rank.allreduce(&comm, 8).await;
-                }
-                rank
-            })
-        });
-    }));
-    let payload = result.expect_err("mismatched collectives must panic");
-    let msg = payload
-        .downcast_ref::<String>()
-        .cloned()
-        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-        .unwrap_or_default();
+    let msg = world_panic_message(|mut rank| {
+        Box::pin(async move {
+            let comm = rank.comm_world();
+            if rank.rank() == 0 {
+                rank.barrier(&comm).await;
+            } else {
+                rank.allreduce(&comm, 8).await;
+            }
+            rank
+        })
+    });
     assert!(msg.contains("mismatched collective"), "{msg}");
     assert!(msg.contains("rank 0 called MPI_Barrier"), "{msg}");
     assert!(msg.contains("rank 1 called MPI_Allreduce of 8 B"), "{msg}");
+}
+
+#[test]
+fn mismatched_alltoallv_counts_panic_naming_both_ranks() {
+    // Rank 0 sends 8 B to rank 1, whose recv_counts[0] expects 16 B. Every
+    // other block matches.
+    let msg = world_panic_message(|mut rank| {
+        Box::pin(async move {
+            let comm = rank.comm_world();
+            if rank.rank() == 0 {
+                rank.alltoallv(&comm, &[0, 8], &[0, 8]).await;
+            } else {
+                rank.alltoallv(&comm, &[8, 0], &[16, 0]).await;
+            }
+            rank
+        })
+    });
+    assert!(msg.contains("mismatched MPI_Alltoallv counts"), "{msg}");
+    assert!(msg.contains("rank 0 sent 8 B to rank 1, which expected 16 B"), "{msg}");
 }
 
 #[test]

@@ -106,8 +106,9 @@ mod tests {
     #[test]
     fn is_alltoallv_counts_are_transposes() {
         // The jitter matrices must agree: what rank a sends to b equals
-        // what b expects from a. A mismatch would deadlock the alltoallv,
-        // so simply completing is the real assertion; run at 16 ranks.
+        // what b expects from a. `alltoallv` panics on a mismatch, naming
+        // both ranks, so simply completing is the real assertion; run at
+        // 16 ranks.
         let stats = Program::Is.run(machine(), 16, ProblemSize::Tiny);
         assert!(stats.elapsed_ns() > 0.0);
     }
