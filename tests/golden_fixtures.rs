@@ -15,7 +15,8 @@
 
 use std::path::{Path, PathBuf};
 
-use siesta_codegen::emit_c;
+use siesta_baselines::scalabench;
+use siesta_codegen::{emit_c, retarget, wire, ProxyProgram};
 use siesta_core::{Siesta, SiestaConfig};
 use siesta_perfmodel::{platform_a, Machine, MpiFlavor};
 use siesta_trace::{store_from_bytes, store_to_bytes, text, StreamedGlobal};
@@ -101,8 +102,6 @@ fn check_or_update(path: &Path, actual: &[u8], what: &str) {
 /// cannot silently change synthesized output.
 #[test]
 fn all_nine_workloads_match_golden_at_every_width_and_memo() {
-    use siesta_codegen::wire;
-
     let dir = fixtures_dir().join("all9");
     if updating() {
         std::fs::create_dir_all(&dir).unwrap();
@@ -150,6 +149,107 @@ fn all_nine_workloads_match_golden_at_every_width_and_memo() {
             assert_eq!(s, stats, "{what}: synthesis report diverges from golden");
         }
     }
+}
+
+/// 64-bit FNV-1a digest of an artifact, so one fixture line can pin it.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Retarget every terminal of `proxy` on its own, as a one-symbol SPMD
+/// proxy, to `nranks`: no workload proxy is fully SPMD, so this is how
+/// real events reach the terminal rewrite. Reports how many terminals
+/// were rewritten and refused, and a digest of every outcome (the
+/// rewritten proxy's wire bytes, or the refusal's text).
+fn retarget_each_terminal(proxy: &ProxyProgram, nranks: usize) -> String {
+    use siesta_grammar::{MainSym, MergedMain, RankSet, Sym};
+
+    let everyone = RankSet::all(proxy.nranks as u32);
+    let (mut rewritten, mut refused, mut outcomes) = (0, 0, Vec::new());
+    for t in &proxy.terminals {
+        let one = ProxyProgram {
+            nranks: proxy.nranks,
+            terminals: vec![t.clone()],
+            rules: Vec::new(),
+            mains: vec![MergedMain {
+                ranks: everyone.clone(),
+                body: vec![MainSym { sym: Sym::T(0), exp: 1, ranks: everyone.clone() }],
+            }],
+            scale: proxy.scale,
+            generated_on: proxy.generated_on.clone(),
+        };
+        match retarget(&one, nranks) {
+            Ok(p) => {
+                rewritten += 1;
+                outcomes.extend(wire::to_bytes(&p));
+            }
+            Err(e) => {
+                refused += 1;
+                outcomes.extend(e.to_string().bytes());
+            }
+        }
+    }
+    format!("rewritten={rewritten} refused={refused} digest={:016x}", fnv1a(&outcomes))
+}
+
+/// The back half of the pipeline beyond a scale-1 synthesis, which no
+/// other golden covers: the §2.7 shrink of every communication volume
+/// (`SiestaConfig::scaled()` on all nine programs), the ScalaBench-like
+/// baseline's RSD compression and replay, and scale retargeting (the
+/// IS/16 proxy as a whole, and every terminal of all nine 16-rank
+/// proxies). One line per case in `tests/fixtures/back_half.txt`: digests
+/// of the artifact bytes, the replay's schedule hash and RSD item count,
+/// or the refusal.
+#[test]
+fn back_half_outputs_match_golden() {
+    let machine = Machine::new(platform_a(), MpiFlavor::OpenMpi);
+    let synthesize = |config: SiestaConfig, program: Program| {
+        let siesta = Siesta::new(config);
+        siesta.synthesize_run(machine, 16, move |r| program.body(ProblemSize::Tiny)(r)).0.program
+    };
+    let mut lines = Vec::new();
+    for program in Program::ALL {
+        let scaled = synthesize(SiestaConfig::scaled(), program);
+        lines.push(format!(
+            "scaled {}16 wire={:016x} c={:016x}",
+            program.name(),
+            fnv1a(&wire::to_bytes(&scaled)),
+            fnv1a(emit_c(&scaled).as_bytes())
+        ));
+    }
+    for program in
+        [Program::Bt, Program::Cg, Program::Is, Program::Mg, Program::Sp, Program::Sweep3d]
+    {
+        let app = scalabench::trace_and_synthesize(machine, 16, program.body(ProblemSize::Tiny))
+            .expect("NPB and SWEEP3D need no communicator management");
+        lines.push(format!(
+            "scalabench {}16 sched={:016x} items={}",
+            program.name(),
+            app.replay(machine).schedule_hash(),
+            app.total_items()
+        ));
+    }
+    for program in Program::ALL {
+        let proxy = synthesize(SiestaConfig::default(), program);
+        for nranks in [8, 32] {
+            if program == Program::Is {
+                let outcome = match retarget(&proxy, nranks) {
+                    Ok(p) => format!("wire={:016x}", fnv1a(&wire::to_bytes(&p))),
+                    Err(e) => format!("refused: {e}"),
+                };
+                lines.push(format!("retarget IS16->{nranks} {outcome}"));
+            }
+            lines.push(format!(
+                "retarget-terminals {}16->{nranks} {}",
+                program.name(),
+                retarget_each_terminal(&proxy, nranks)
+            ));
+        }
+    }
+    let actual = lines.join("\n") + "\n";
+    check_or_update(&fixtures_dir().join("back_half.txt"), actual.as_bytes(), "back half");
 }
 
 #[test]
