@@ -20,14 +20,12 @@
 
 use std::future::Future;
 use std::pin::Pin;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use std::sync::Mutex;
-use siesta_mpisim::{
-    Communicator, HookCtx, MpiCall, PmpiHook, Rank, RankFut, Request, RunStats, World,
-};
+use siesta_codegen::{exec_comm, ReplayCtx};
+use siesta_mpisim::{HookCtx, MpiCall, PmpiHook, Rank, RankFut, RunStats, World};
 use siesta_perfmodel::Machine;
-use siesta_trace::{abs_rank, CommEvent, Normalizer};
+use siesta_trace::{CommEvent, Normalizer};
 
 /// Why generation failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -187,74 +185,6 @@ impl FloatStat {
     }
 }
 
-/// The volume fields of an event, in a canonical order.
-fn volumes_of(e: &CommEvent) -> Vec<u64> {
-    match e {
-        CommEvent::Send { bytes, .. }
-        | CommEvent::Recv { bytes, .. }
-        | CommEvent::Isend { bytes, .. }
-        | CommEvent::Irecv { bytes, .. }
-        | CommEvent::Bcast { bytes, .. }
-        | CommEvent::Reduce { bytes, .. }
-        | CommEvent::Allreduce { bytes, .. }
-        | CommEvent::Allgather { bytes, .. }
-        | CommEvent::Gather { bytes, .. }
-        | CommEvent::Scatter { bytes, .. } => vec![*bytes],
-        CommEvent::Alltoall { bytes_per_peer, .. } => vec![*bytes_per_peer],
-        CommEvent::Sendrecv { send_bytes, recv_bytes, .. } => vec![*send_bytes, *recv_bytes],
-        CommEvent::Alltoallv { send_counts, recv_counts, .. } => {
-            let mut v = send_counts.clone();
-            v.extend_from_slice(recv_counts);
-            v
-        }
-        CommEvent::Gatherv { counts, .. } | CommEvent::Scatterv { counts, .. } => counts.clone(),
-        CommEvent::Scan { bytes, .. } => vec![*bytes],
-        CommEvent::ReduceScatterBlock { bytes_per_rank, .. } => vec![*bytes_per_rank],
-        _ => vec![],
-    }
-}
-
-/// Rebuild an event from a shape and representative volumes.
-fn with_volumes(shape: &CommEvent, vols: &[u64]) -> CommEvent {
-    let mut e = shape.clone();
-    match &mut e {
-        CommEvent::Send { bytes, .. }
-        | CommEvent::Recv { bytes, .. }
-        | CommEvent::Isend { bytes, .. }
-        | CommEvent::Irecv { bytes, .. }
-        | CommEvent::Bcast { bytes, .. }
-        | CommEvent::Reduce { bytes, .. }
-        | CommEvent::Allreduce { bytes, .. }
-        | CommEvent::Allgather { bytes, .. }
-        | CommEvent::Gather { bytes, .. }
-        | CommEvent::Scatter { bytes, .. } => *bytes = vols[0],
-        CommEvent::Alltoall { bytes_per_peer, .. } => *bytes_per_peer = vols[0],
-        CommEvent::Sendrecv { send_bytes, recv_bytes, .. } => {
-            *send_bytes = vols[0];
-            *recv_bytes = vols[1];
-        }
-        CommEvent::Alltoallv { send_counts, recv_counts, .. } => {
-            let n = send_counts.len();
-            send_counts.copy_from_slice(&vols[..n]);
-            recv_counts.copy_from_slice(&vols[n..]);
-        }
-        CommEvent::Gatherv { counts, .. } | CommEvent::Scatterv { counts, .. } => {
-            counts.copy_from_slice(vols);
-        }
-        CommEvent::Scan { bytes, .. } => *bytes = vols[0],
-        CommEvent::ReduceScatterBlock { bytes_per_rank, .. } => *bytes_per_rank = vols[0],
-        _ => {}
-    }
-    e
-}
-
-/// The matching shape: the event with volumes zeroed. Relaxed matching is
-/// what lets RSDs fold iterations whose only difference is message size.
-fn shape_of(e: &CommEvent) -> CommEvent {
-    let vols = volumes_of(e);
-    with_volumes(e, &vec![0; vols.len()])
-}
-
 // ---------------------------------------------------------------------
 // RSD program
 // ---------------------------------------------------------------------
@@ -323,12 +253,12 @@ const MAX_WINDOW: usize = 64;
 fn compress(events: Vec<RawEvent>) -> Vec<RsdItem> {
     let mut out: Vec<RsdItem> = Vec::new();
     for raw in events {
-        let vols = volumes_of(&raw.event).iter().map(|&v| ValueHist::of(v)).collect();
-        out.push(RsdItem::Ev(Slot {
-            shape: shape_of(&raw.event),
-            vols,
-            gap: FloatStat::of(raw.gap_ns),
-        }));
+        // Relaxed matching: the shape is the event with its volumes
+        // zeroed, so iterations that differ only in message size fold,
+        // and the volumes pool into histograms.
+        let mut shape = raw.event;
+        let vols = shape.volumes_mut().map(|v| ValueHist::of(std::mem::take(v))).collect();
+        out.push(RsdItem::Ev(Slot { shape, vols, gap: FloatStat::of(raw.gap_ns) }));
         fold_tail(&mut out);
     }
     out
@@ -456,23 +386,14 @@ impl ScalaApp {
     pub fn replay(&self, machine: Machine) -> RunStats {
         World::new(machine, self.nranks).run(|mut rank| {
             Box::pin(async move {
-                let items = &self.programs[rank.rank()];
-                let mut ctx = ReplayCtx {
-                    world: rank.comm_world(),
-                    reqs: std::collections::HashMap::new(),
-                };
-                for item in items {
+                let mut ctx = ReplayCtx::new(&rank);
+                for item in &self.programs[rank.rank()] {
                     replay_item(&mut rank, item, &mut ctx).await;
                 }
                 rank
             })
         })
     }
-}
-
-struct ReplayCtx {
-    world: Communicator,
-    reqs: std::collections::HashMap<u32, Request>,
 }
 
 /// RSD loops nest, and async fns cannot recurse without indirection, so
@@ -493,101 +414,14 @@ fn replay_item<'a>(
             }
             RsdItem::Ev(slot) => {
                 rank.sleep_ns(slot.gap.mean());
-                let vols: Vec<u64> = slot.vols.iter().map(|h| h.representative()).collect();
-                let event = with_volumes(&slot.shape, &vols);
-                replay_event(rank, &event, ctx).await;
+                let mut event = slot.shape.clone();
+                for (v, h) in event.volumes_mut().zip(&slot.vols) {
+                    *v = h.representative();
+                }
+                exec_comm(rank, &event, ctx).await;
             }
         }
     })
-}
-
-async fn replay_event(rank: &mut Rank, e: &CommEvent, ctx: &mut ReplayCtx) {
-    let c = ctx.world.clone();
-    match e {
-        CommEvent::Send { rel, tag, bytes, .. } => {
-            let dest = abs_rank(c.rank(), *rel, c.size());
-            rank.send(&c, dest, *tag, *bytes as usize).await;
-        }
-        CommEvent::Recv { rel, tag, bytes, .. } => {
-            let src = abs_rank(c.rank(), *rel, c.size());
-            rank.recv(&c, src, *tag, *bytes as usize).await;
-        }
-        CommEvent::Isend { rel, tag, bytes, req, .. } => {
-            let dest = abs_rank(c.rank(), *rel, c.size());
-            let r = rank.isend(&c, dest, *tag, *bytes as usize);
-            ctx.reqs.insert(*req, r);
-        }
-        CommEvent::Irecv { rel, tag, bytes, req, .. } => {
-            let src = abs_rank(c.rank(), *rel, c.size());
-            let r = rank.irecv(&c, src, *tag, *bytes as usize);
-            ctx.reqs.insert(*req, r);
-        }
-        CommEvent::Wait { req } => {
-            let r = ctx.reqs.remove(req).expect("scalabench wait");
-            rank.wait(r).await;
-        }
-        CommEvent::Waitall { reqs } => {
-            let rs: Vec<Request> = reqs
-                .iter()
-                .map(|id| ctx.reqs.remove(id).expect("scalabench waitall"))
-                .collect();
-            rank.waitall(&rs).await;
-        }
-        CommEvent::Sendrecv {
-            dest_rel,
-            send_tag,
-            send_bytes,
-            src_rel,
-            recv_tag,
-            recv_bytes,
-            ..
-        } => {
-            let dest = abs_rank(c.rank(), *dest_rel, c.size());
-            let src = abs_rank(c.rank(), *src_rel, c.size());
-            rank.sendrecv(
-                &c,
-                dest,
-                *send_tag,
-                *send_bytes as usize,
-                src,
-                *recv_tag,
-                *recv_bytes as usize,
-            )
-            .await;
-        }
-        CommEvent::Barrier { .. } => rank.barrier(&c).await,
-        CommEvent::Bcast { root, bytes, .. } => rank.bcast(&c, *root as usize, *bytes as usize).await,
-        CommEvent::Reduce { root, bytes, .. } => rank.reduce(&c, *root as usize, *bytes as usize).await,
-        CommEvent::Allreduce { bytes, .. } => rank.allreduce(&c, *bytes as usize).await,
-        CommEvent::Allgather { bytes, .. } => rank.allgather(&c, *bytes as usize).await,
-        CommEvent::Alltoall { bytes_per_peer, .. } => {
-            rank.alltoall(&c, *bytes_per_peer as usize).await
-        }
-        CommEvent::Alltoallv { send_counts, recv_counts, .. } => {
-            let sc: Vec<usize> = send_counts.iter().map(|&v| v as usize).collect();
-            let rc: Vec<usize> = recv_counts.iter().map(|&v| v as usize).collect();
-            rank.alltoallv(&c, &sc, &rc).await;
-        }
-        CommEvent::Gather { root, bytes, .. } => rank.gather(&c, *root as usize, *bytes as usize).await,
-        CommEvent::Scatter { root, bytes, .. } => {
-            rank.scatter(&c, *root as usize, *bytes as usize).await
-        }
-        CommEvent::Gatherv { root, counts, .. } => {
-            let counts: Vec<usize> = counts.iter().map(|&v| v as usize).collect();
-            rank.gatherv(&c, *root as usize, &counts).await;
-        }
-        CommEvent::Scatterv { root, counts, .. } => {
-            let counts: Vec<usize> = counts.iter().map(|&v| v as usize).collect();
-            rank.scatterv(&c, *root as usize, &counts).await;
-        }
-        CommEvent::Scan { bytes, .. } => rank.scan(&c, *bytes as usize).await,
-        CommEvent::ReduceScatterBlock { bytes_per_rank, .. } => {
-            rank.reduce_scatter_block(&c, *bytes_per_rank as usize).await
-        }
-        CommEvent::CommSplit { .. } | CommEvent::CommDup { .. } | CommEvent::CommFree { .. } => {
-            unreachable!("comm management rejected at generation")
-        }
-    }
 }
 
 // ---------------------------------------------------------------------

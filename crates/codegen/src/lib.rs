@@ -20,6 +20,6 @@ pub mod wire;
 
 pub use c_emit::emit_c;
 pub use ir::{ProxyProgram, TerminalOp};
-pub use replay::{predicted_compute_counters, replay};
+pub use replay::{exec_comm, predicted_compute_counters, replay, ReplayCtx};
 pub use retarget::{retarget, RetargetError};
 pub use wire::{from_bytes, to_bytes, WireError};

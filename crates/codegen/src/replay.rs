@@ -37,9 +37,18 @@ pub fn replay(program: &ProxyProgram, machine: Machine) -> RunStats {
     })
 }
 
-struct ReplayCtx {
+/// One rank's handle tables while it replays normalized events: the live
+/// communicator and request behind each pool number.
+pub struct ReplayCtx {
     comms: HashMap<u32, Communicator>,
     reqs: HashMap<u32, Request>,
+}
+
+impl ReplayCtx {
+    /// Tables holding only `MPI_COMM_WORLD`, as pool number 0.
+    pub fn new(rank: &Rank) -> ReplayCtx {
+        ReplayCtx { comms: HashMap::from([(0, rank.comm_world())]), reqs: HashMap::new() }
+    }
 }
 
 async fn replay_rank(rank: &mut Rank, program: &ProxyProgram, blocks: &[KernelDesc; NUM_BLOCKS]) {
@@ -48,8 +57,7 @@ async fn replay_rank(rank: &mut Rank, program: &ProxyProgram, blocks: &[KernelDe
         Some(m) => m,
         None => return,
     };
-    let mut ctx = ReplayCtx { comms: HashMap::new(), reqs: HashMap::new() };
-    ctx.comms.insert(0, rank.comm_world());
+    let mut ctx = ReplayCtx::new(rank);
     // Clone the body reference walk: main body symbols in order.
     for ms in &main.body {
         if !ms.ranks.contains(me) {
@@ -108,7 +116,11 @@ fn comm_of(ctx: &ReplayCtx, id: u32) -> &Communicator {
         .expect("proxy used a communicator before creating it")
 }
 
-async fn exec_comm(rank: &mut Rank, event: &CommEvent, ctx: &mut ReplayCtx) {
+/// Make the `Rank` call a normalized event records, decoding its relative
+/// ranks and pool numbers through `ctx`: the one interpreter of
+/// [`CommEvent`]s, shared by proxy replay and the ScalaBench-like
+/// baseline.
+pub async fn exec_comm(rank: &mut Rank, event: &CommEvent, ctx: &mut ReplayCtx) {
     match event {
         CommEvent::Send { rel, tag, bytes, comm } => {
             let c = comm_of(ctx, *comm).clone();

@@ -118,63 +118,9 @@ pub fn retarget(program: &ProxyProgram, new_nranks: usize) -> Result<ProxyProgra
     };
     let mut terminals = Vec::with_capacity(program.terminals.len());
     for t in &program.terminals {
-        let mapped = match t {
-            TerminalOp::Compute { .. } => t.clone(),
-            TerminalOp::Comm(e) => TerminalOp::Comm(match e {
-                CommEvent::Send { rel, tag, bytes, comm } => {
-                    CommEvent::Send { rel: map_rel(*rel)?, tag: *tag, bytes: *bytes, comm: *comm }
-                }
-                CommEvent::Recv { rel, tag, bytes, comm } => {
-                    CommEvent::Recv { rel: map_rel(*rel)?, tag: *tag, bytes: *bytes, comm: *comm }
-                }
-                CommEvent::Isend { rel, tag, bytes, comm, req } => CommEvent::Isend {
-                    rel: map_rel(*rel)?,
-                    tag: *tag,
-                    bytes: *bytes,
-                    comm: *comm,
-                    req: *req,
-                },
-                CommEvent::Irecv { rel, tag, bytes, comm, req } => CommEvent::Irecv {
-                    rel: map_rel(*rel)?,
-                    tag: *tag,
-                    bytes: *bytes,
-                    comm: *comm,
-                    req: *req,
-                },
-                CommEvent::Sendrecv {
-                    dest_rel,
-                    send_tag,
-                    send_bytes,
-                    src_rel,
-                    recv_tag,
-                    recv_bytes,
-                    comm,
-                } => CommEvent::Sendrecv {
-                    dest_rel: map_rel(*dest_rel)?,
-                    send_tag: *send_tag,
-                    send_bytes: *send_bytes,
-                    src_rel: map_rel(*src_rel)?,
-                    recv_tag: *recv_tag,
-                    recv_bytes: *recv_bytes,
-                    comm: *comm,
-                },
-                CommEvent::Alltoallv { comm, send_counts, recv_counts } => {
-                    CommEvent::Alltoallv {
-                        comm: *comm,
-                        send_counts: uniform(send_counts, "MPI_Alltoallv")?,
-                        recv_counts: uniform(recv_counts, "MPI_Alltoallv")?,
-                    }
-                }
-                CommEvent::Gatherv { comm, root, counts } => CommEvent::Gatherv {
-                    comm: *comm,
-                    root: *root,
-                    counts: uniform(counts, "MPI_Gatherv")?,
-                },
-                CommEvent::Scatterv { comm, root, counts } => CommEvent::Scatterv {
-                    comm: *comm,
-                    root: *root,
-                    counts: uniform(counts, "MPI_Scatterv")?,
-                },
+        let mut t = t.clone();
+        if let TerminalOp::Comm(e) = &mut t {
+            match e {
                 CommEvent::CommSplit { .. }
                 | CommEvent::CommDup { .. }
                 | CommEvent::CommFree { .. } => return Err(RetargetError::CommManagement),
@@ -188,10 +134,17 @@ pub fn retarget(program: &ProxyProgram, new_nranks: usize) -> Result<ProxyProgra
                 {
                     return Err(RetargetError::BadSize(new_nranks));
                 }
-                other => other.clone(),
-            }),
-        };
-        terminals.push(mapped);
+                _ => {}
+            }
+            for rel in e.peers_mut() {
+                *rel = map_rel(*rel)?;
+            }
+            let op = e.func_name();
+            for counts in e.counts_mut() {
+                *counts = uniform(counts, op)?;
+            }
+        }
+        terminals.push(t);
     }
 
     // Rules are over terminals only — unchanged. The main rule gets the
@@ -296,6 +249,14 @@ mod tests {
             Err(RetargetError::OffsetOutOfRange { .. })
         ));
         assert!(retarget(&p, 16).is_ok());
+        // With both offsets out of range, the destination is reported.
+        if let TerminalOp::Comm(CommEvent::Sendrecv { src_rel, .. }) = &mut p.terminals[0] {
+            *src_rel = 5; // −3
+        }
+        assert_eq!(
+            retarget(&p, 3),
+            Err(RetargetError::OffsetOutOfRange { rel: 3, old: 8, new: 3 })
+        );
     }
 
     #[test]

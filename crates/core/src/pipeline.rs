@@ -334,95 +334,21 @@ fn size_c(table: &[EventRecord], program: &ProxyProgram) -> usize {
 
 /// Shrink the volume of a communication event by the scaling factor
 /// (Section 2.7). Point-to-point and rooted/unrooted collective volumes go
-/// through the regression model; `alltoallv` count vectors shrink
-/// proportionally (their per-peer chunks are below the regression's
-/// latency floor).
+/// through the regression model; `alltoallv`/`gatherv`/`scatterv` count
+/// vectors shrink proportionally (their per-peer chunks are below the
+/// regression's latency floor).
 fn shrink_comm(e: &CommEvent, s: &CommShrink, k: f64) -> CommEvent {
+    let mut e = e.clone();
     if k <= 1.0 {
-        return e.clone();
+        return e;
     }
-    let sh = |b: u64| s.shrink_bytes(b, k);
-    match e {
-        CommEvent::Send { rel, tag, bytes, comm } => {
-            CommEvent::Send { rel: *rel, tag: *tag, bytes: sh(*bytes), comm: *comm }
-        }
-        CommEvent::Recv { rel, tag, bytes, comm } => {
-            CommEvent::Recv { rel: *rel, tag: *tag, bytes: sh(*bytes), comm: *comm }
-        }
-        CommEvent::Isend { rel, tag, bytes, comm, req } => CommEvent::Isend {
-            rel: *rel,
-            tag: *tag,
-            bytes: sh(*bytes),
-            comm: *comm,
-            req: *req,
-        },
-        CommEvent::Irecv { rel, tag, bytes, comm, req } => CommEvent::Irecv {
-            rel: *rel,
-            tag: *tag,
-            bytes: sh(*bytes),
-            comm: *comm,
-            req: *req,
-        },
-        CommEvent::Sendrecv {
-            dest_rel,
-            send_tag,
-            send_bytes,
-            src_rel,
-            recv_tag,
-            recv_bytes,
-            comm,
-        } => CommEvent::Sendrecv {
-            dest_rel: *dest_rel,
-            send_tag: *send_tag,
-            send_bytes: sh(*send_bytes),
-            src_rel: *src_rel,
-            recv_tag: *recv_tag,
-            recv_bytes: sh(*recv_bytes),
-            comm: *comm,
-        },
-        CommEvent::Bcast { comm, root, bytes } => {
-            CommEvent::Bcast { comm: *comm, root: *root, bytes: sh(*bytes) }
-        }
-        CommEvent::Reduce { comm, root, bytes } => {
-            CommEvent::Reduce { comm: *comm, root: *root, bytes: sh(*bytes) }
-        }
-        CommEvent::Allreduce { comm, bytes } => {
-            CommEvent::Allreduce { comm: *comm, bytes: sh(*bytes) }
-        }
-        CommEvent::Allgather { comm, bytes } => {
-            CommEvent::Allgather { comm: *comm, bytes: sh(*bytes) }
-        }
-        CommEvent::Alltoall { comm, bytes_per_peer } => {
-            CommEvent::Alltoall { comm: *comm, bytes_per_peer: sh(*bytes_per_peer) }
-        }
-        CommEvent::Alltoallv { comm, send_counts, recv_counts } => CommEvent::Alltoallv {
-            comm: *comm,
-            send_counts: send_counts.iter().map(|&c| (c as f64 / k).round() as u64).collect(),
-            recv_counts: recv_counts.iter().map(|&c| (c as f64 / k).round() as u64).collect(),
-        },
-        CommEvent::Gather { comm, root, bytes } => {
-            CommEvent::Gather { comm: *comm, root: *root, bytes: sh(*bytes) }
-        }
-        CommEvent::Scatter { comm, root, bytes } => {
-            CommEvent::Scatter { comm: *comm, root: *root, bytes: sh(*bytes) }
-        }
-        CommEvent::Gatherv { comm, root, counts } => CommEvent::Gatherv {
-            comm: *comm,
-            root: *root,
-            counts: counts.iter().map(|&c| (c as f64 / k).round() as u64).collect(),
-        },
-        CommEvent::Scatterv { comm, root, counts } => CommEvent::Scatterv {
-            comm: *comm,
-            root: *root,
-            counts: counts.iter().map(|&c| (c as f64 / k).round() as u64).collect(),
-        },
-        CommEvent::Scan { comm, bytes } => CommEvent::Scan { comm: *comm, bytes: sh(*bytes) },
-        CommEvent::ReduceScatterBlock { comm, bytes_per_rank } => {
-            CommEvent::ReduceScatterBlock { comm: *comm, bytes_per_rank: sh(*bytes_per_rank) }
-        }
-        // Zero-volume and management events are untouched.
-        other => other.clone(),
+    for bytes in e.sizes_mut() {
+        *bytes = s.shrink_bytes(*bytes, k);
     }
+    for count in e.counts_mut().flatten() {
+        *count = (*count as f64 / k).round() as u64;
+    }
+    e
 }
 
 #[cfg(test)]

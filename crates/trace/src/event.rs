@@ -95,6 +95,82 @@ impl CommEvent {
             CommEvent::CommFree { .. } => "MPI_Comm_free",
         }
     }
+
+    /// Relative peer ranks, in field order: `rel`, or `dest_rel` then
+    /// `src_rel`. Collective roots are communicator ranks, not peers.
+    pub fn peers_mut(&mut self) -> impl Iterator<Item = &mut u32> {
+        self.fields_mut().peers.into_iter().flatten()
+    }
+
+    /// Scalar byte sizes, in field order: `bytes`, `bytes_per_peer` or
+    /// `bytes_per_rank`, or `send_bytes` then `recv_bytes`.
+    pub fn sizes_mut(&mut self) -> impl Iterator<Item = &mut u64> {
+        self.fields_mut().sizes.into_iter().flatten()
+    }
+
+    /// Per-rank count vectors: `send_counts` then `recv_counts`, or
+    /// `counts`.
+    pub fn counts_mut(&mut self) -> impl Iterator<Item = &mut Vec<u64>> {
+        self.fields_mut().counts.into_iter().flatten()
+    }
+
+    /// Every byte volume: the scalar sizes, then each count vector's
+    /// entries (no event has both).
+    pub fn volumes_mut(&mut self) -> impl Iterator<Item = &mut u64> {
+        let fields = self.fields_mut();
+        fields.sizes.into_iter().flatten().chain(fields.counts.into_iter().flatten().flatten())
+    }
+
+    /// The one place that knows which fields of each variant are peers,
+    /// sizes and count vectors; the walks above read it.
+    fn fields_mut(&mut self) -> FieldsMut<'_> {
+        let mut f = FieldsMut::default();
+        match self {
+            CommEvent::Send { rel, bytes, .. }
+            | CommEvent::Recv { rel, bytes, .. }
+            | CommEvent::Isend { rel, bytes, .. }
+            | CommEvent::Irecv { rel, bytes, .. } => {
+                f.peers[0] = Some(rel);
+                f.sizes[0] = Some(bytes);
+            }
+            CommEvent::Sendrecv { dest_rel, send_bytes, src_rel, recv_bytes, .. } => {
+                f.peers = [Some(dest_rel), Some(src_rel)];
+                f.sizes = [Some(send_bytes), Some(recv_bytes)];
+            }
+            CommEvent::Bcast { bytes, .. }
+            | CommEvent::Reduce { bytes, .. }
+            | CommEvent::Allreduce { bytes, .. }
+            | CommEvent::Allgather { bytes, .. }
+            | CommEvent::Alltoall { bytes_per_peer: bytes, .. }
+            | CommEvent::Gather { bytes, .. }
+            | CommEvent::Scatter { bytes, .. }
+            | CommEvent::Scan { bytes, .. }
+            | CommEvent::ReduceScatterBlock { bytes_per_rank: bytes, .. } => {
+                f.sizes[0] = Some(bytes)
+            }
+            CommEvent::Alltoallv { send_counts, recv_counts, .. } => {
+                f.counts = [Some(send_counts), Some(recv_counts)]
+            }
+            CommEvent::Gatherv { counts, .. } | CommEvent::Scatterv { counts, .. } => {
+                f.counts[0] = Some(counts)
+            }
+            CommEvent::Wait { .. }
+            | CommEvent::Waitall { .. }
+            | CommEvent::Barrier { .. }
+            | CommEvent::CommSplit { .. }
+            | CommEvent::CommDup { .. }
+            | CommEvent::CommFree { .. } => {}
+        }
+        f
+    }
+}
+
+/// An event's rewritable fields, borrowed by kind from one match.
+#[derive(Default)]
+struct FieldsMut<'a> {
+    peers: [Option<&'a mut u32>; 2],
+    sizes: [Option<&'a mut u64>; 2],
+    counts: [Option<&'a mut Vec<u64>>; 2],
 }
 
 /// Aggregated measurements of one clustered computation event (one call of
@@ -236,6 +312,80 @@ mod tests {
         assert_eq!(s.mean().ins, 15.0);
         // The representative stays at the first reading.
         assert_eq!(s.repr.ins, 10.0);
+    }
+
+    /// One event of each variant, every numeric field a distinct value,
+    /// paired with what each walk must visit: peers, sizes, count vectors.
+    #[allow(clippy::type_complexity)]
+    fn every_variant() -> Vec<(CommEvent, Vec<u32>, Vec<u64>, Vec<Vec<u64>>)> {
+        use CommEvent::*;
+        vec![
+            (Send { rel: 1, tag: 2, bytes: 3, comm: 4 }, vec![1], vec![3], vec![]),
+            (Recv { rel: 1, tag: 2, bytes: 3, comm: 4 }, vec![1], vec![3], vec![]),
+            (Isend { rel: 1, tag: 2, bytes: 3, comm: 4, req: 5 }, vec![1], vec![3], vec![]),
+            (Irecv { rel: 1, tag: 2, bytes: 3, comm: 4, req: 5 }, vec![1], vec![3], vec![]),
+            (Wait { req: 1 }, vec![], vec![], vec![]),
+            (Waitall { reqs: vec![1, 2] }, vec![], vec![], vec![]),
+            (
+                Sendrecv {
+                    dest_rel: 1,
+                    send_tag: 2,
+                    send_bytes: 3,
+                    src_rel: 4,
+                    recv_tag: 5,
+                    recv_bytes: 6,
+                    comm: 7,
+                },
+                vec![1, 4],
+                vec![3, 6],
+                vec![],
+            ),
+            (Barrier { comm: 1 }, vec![], vec![], vec![]),
+            (Bcast { comm: 1, root: 2, bytes: 3 }, vec![], vec![3], vec![]),
+            (Reduce { comm: 1, root: 2, bytes: 3 }, vec![], vec![3], vec![]),
+            (Allreduce { comm: 1, bytes: 2 }, vec![], vec![2], vec![]),
+            (Allgather { comm: 1, bytes: 2 }, vec![], vec![2], vec![]),
+            (Alltoall { comm: 1, bytes_per_peer: 2 }, vec![], vec![2], vec![]),
+            (
+                Alltoallv { comm: 1, send_counts: vec![2, 3], recv_counts: vec![4, 5] },
+                vec![],
+                vec![],
+                vec![vec![2, 3], vec![4, 5]],
+            ),
+            (Gather { comm: 1, root: 2, bytes: 3 }, vec![], vec![3], vec![]),
+            (Scatter { comm: 1, root: 2, bytes: 3 }, vec![], vec![3], vec![]),
+            (Gatherv { comm: 1, root: 2, counts: vec![3, 4] }, vec![], vec![], vec![vec![3, 4]]),
+            (Scatterv { comm: 1, root: 2, counts: vec![3, 4] }, vec![], vec![], vec![vec![3, 4]]),
+            (Scan { comm: 1, bytes: 2 }, vec![], vec![2], vec![]),
+            (ReduceScatterBlock { comm: 1, bytes_per_rank: 2 }, vec![], vec![2], vec![]),
+            (CommSplit { parent: 1, color: 2, key: 3, result: Some(4) }, vec![], vec![], vec![]),
+            (CommDup { parent: 1, result: 2 }, vec![], vec![], vec![]),
+            (CommFree { comm: 1 }, vec![], vec![], vec![]),
+        ]
+    }
+
+    #[test]
+    fn walks_visit_exactly_the_peer_size_and_count_fields() {
+        let cases = every_variant();
+        let names: std::collections::HashSet<_> = cases.iter().map(|c| c.0.func_name()).collect();
+        assert_eq!(names.len(), 23, "one case per variant");
+        for (mut e, peers, sizes, counts) in cases {
+            let name = e.func_name();
+            assert_eq!(e.peers_mut().map(|p| *p).collect::<Vec<_>>(), peers, "{name} peers");
+            assert_eq!(e.sizes_mut().map(|b| *b).collect::<Vec<_>>(), sizes, "{name} sizes");
+            assert_eq!(e.counts_mut().map(|c| c.clone()).collect::<Vec<_>>(), counts, "{name}");
+            let volumes: Vec<u64> = sizes.iter().chain(counts.iter().flatten()).copied().collect();
+            assert_eq!(e.volumes_mut().map(|v| *v).collect::<Vec<_>>(), volumes, "{name} volumes");
+            // The walks borrow the fields themselves: a rewrite through
+            // them lands in the event.
+            let before = e.clone();
+            e.peers_mut().for_each(|p| *p += 100);
+            e.volumes_mut().for_each(|v| *v += 100);
+            assert_eq!(e == before, peers.is_empty() && volumes.is_empty(), "{name}");
+            e.peers_mut().for_each(|p| *p -= 100);
+            e.volumes_mut().for_each(|v| *v -= 100);
+            assert_eq!(e, before, "{name}");
+        }
     }
 
     #[test]
