@@ -373,7 +373,7 @@ impl Rank {
 
     async fn plumb_recv(&mut self, comm: &Communicator, src_local: usize, key: u64) -> RecvStatus {
         let src_global = comm.global_of(src_local);
-        let recv = self.post_recv_raw(src_global, comm.id, Channel::Sys { key });
+        let recv = self.post_recv_raw(src_global, comm.id, Channel::Sys { key }, usize::MAX);
         self.wait_recv_raw(recv, src_global).await
     }
 
@@ -387,7 +387,7 @@ impl Rank {
         key: u64,
     ) -> RecvStatus {
         let src_global = comm.global_of(src_local);
-        let recv = self.post_recv_raw(src_global, comm.id, Channel::Sys { key });
+        let recv = self.post_recv_raw(src_global, comm.id, Channel::Sys { key }, usize::MAX);
         self.plumb_send(comm, dst_local, send_bytes, key).await;
         self.wait_recv_raw(recv, src_global).await
     }
@@ -594,6 +594,7 @@ impl Rank {
                             src_global,
                             comm.id,
                             Channel::Sys { key: Self::skey(comm.id, seq, s as u32) },
+                            usize::MAX,
                         );
                         (recv, src_global)
                     })
@@ -660,7 +661,7 @@ impl Rank {
             let key = Self::skey(comm.id, seq, round);
             let recv = if r >= d {
                 let src_global = comm.global_of(r - d);
-                Some((self.post_recv_raw(src_global, comm.id, Channel::Sys { key }), src_global))
+                Some((self.post_recv_raw(src_global, comm.id, Channel::Sys { key }, usize::MAX), src_global))
             } else {
                 None
             };
@@ -808,6 +809,7 @@ impl Rank {
                         src_global,
                         comm.id,
                         Channel::Sys { key: Self::skey(comm.id, seq, s as u32) },
+                        usize::MAX,
                     );
                     (recv, src_global)
                 })

@@ -130,6 +130,11 @@ impl Engine {
             // First posted receive that matches, in post order.
             if let Some(pos) = inner.posted.iter().position(|p| p.key.matches(&env)) {
                 let posted = inner.posted.remove(pos);
+                if env.bytes > posted.key.capacity {
+                    // Unlock first, so the panic does not poison the mailbox.
+                    drop(inner);
+                    truncated(&env, &posted.key, dst_global);
+                }
                 inner.done[posted.slot] = Some(self.complete(&env, posted.post_time, dst_global));
                 if inner.waiter.as_ref().is_some_and(|(slot, _)| *slot == posted.slot) {
                     inner.waiter.take().map(|(_, w)| w)
@@ -155,6 +160,9 @@ impl Engine {
             let env = inner.unexpected.remove(pos).expect("position exists");
             inner.at_post += 1;
             drop(inner);
+            if env.bytes > key.capacity {
+                truncated(&env, &key, me);
+            }
             return RecvHandle::Ready(self.complete(&env, post_time, me));
         }
         let slot = match inner.free.pop() {
@@ -225,6 +233,17 @@ impl Engine {
     }
 }
 
+/// A message larger than the receive that matched it would have to be
+/// cut short: MPI reports `MPI_ERR_TRUNCATE`, and the engine panics,
+/// naming both global ranks and both sizes.
+fn truncated(env: &Envelope, key: &MatchKey, dst_global: usize) -> ! {
+    panic!(
+        "truncated receive on communicator {:#x}: rank {} sent {} B to rank {}, whose receive \
+         holds {} B (MPI_ERR_TRUNCATE)",
+        env.comm.0, env.src_global, env.bytes, dst_global, key.capacity
+    )
+}
+
 /// Future for [`Engine::wait`].
 pub struct WaitRecv<'e> {
     engine: &'e Engine,
@@ -289,6 +308,7 @@ mod tests {
             src_global: src,
             comm: CommId::WORLD,
             channel: Channel::App { tag },
+            capacity: usize::MAX,
         }
     }
 

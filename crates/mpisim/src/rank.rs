@@ -286,7 +286,8 @@ impl Rank {
     }
 
     /// Blocking receive (`MPI_Recv`). `bytes` is the receive buffer size;
-    /// the returned status reports the actual message size.
+    /// the returned status reports the actual message size. A larger
+    /// message panics, as `MPI_ERR_TRUNCATE`.
     pub async fn recv(
         &mut self,
         comm: &Communicator,
@@ -298,7 +299,7 @@ impl Rank {
         self.hook_pre_c(&call, comm);
         let t0 = self.clock;
         let src_global = comm.global_of(src);
-        let recv = self.post_recv_raw(src_global, comm.id, Channel::App { tag });
+        let recv = self.post_recv_raw(src_global, comm.id, Channel::App { tag }, bytes);
         let status = self.wait_recv_raw(recv, src_global).await;
         self.account_mpi(t0, 0);
         self.hook_post_c(&call, comm);
@@ -324,11 +325,12 @@ impl Rank {
         req
     }
 
-    /// Non-blocking receive (`MPI_Irecv`).
+    /// Non-blocking receive (`MPI_Irecv`) of at most `bytes` bytes; a
+    /// larger message panics when it matches.
     pub fn irecv(&mut self, comm: &Communicator, src: usize, tag: Tag, bytes: usize) -> Request {
         // Post first so the request id in the call record is real.
         let src_global = comm.global_of(src);
-        let recv = self.post_recv_raw(src_global, comm.id, Channel::App { tag });
+        let recv = self.post_recv_raw(src_global, comm.id, Channel::App { tag }, bytes);
         let req = self.requests.alloc(ReqState::RecvPending { recv, src_global });
         let call = MpiCall::Irecv { comm: comm.id, src, tag, bytes, req: req.0 };
         self.hook_pre_c(&call, comm);
@@ -409,6 +411,7 @@ impl Rank {
 
     /// Combined blocking exchange (`MPI_Sendrecv`), deadlock-free under
     /// rendezvous because the receive is posted before the send blocks.
+    /// A received message larger than `recv_bytes` panics.
     #[allow(clippy::too_many_arguments)]
     pub async fn sendrecv(
         &mut self,
@@ -432,7 +435,8 @@ impl Rank {
         self.hook_pre_c(&call, comm);
         let t0 = self.clock;
         let src_global = comm.global_of(src);
-        let recv = self.post_recv_raw(src_global, comm.id, Channel::App { tag: recv_tag });
+        let recv =
+            self.post_recv_raw(src_global, comm.id, Channel::App { tag: recv_tag }, recv_bytes);
         self.p2p_send_blocking(
             comm.global_of(dest),
             comm.rank(),
@@ -628,14 +632,16 @@ impl Rank {
         s
     }
 
-    /// Post a receive in the matching engine (no clock change).
+    /// Post a receive of at most `capacity` bytes in the matching engine
+    /// (no clock change). Collective plumbing passes `usize::MAX`.
     pub(crate) fn post_recv_raw(
         &mut self,
         src_global: usize,
         comm: CommId,
         channel: Channel,
+        capacity: usize,
     ) -> RecvHandle {
-        let key = MatchKey { src_global, comm, channel };
+        let key = MatchKey { src_global, comm, channel, capacity };
         self.shared.engine.post_recv(self.rank, key, self.clock)
     }
 

@@ -175,6 +175,45 @@ fn mismatched_alltoallv_counts_panic_naming_both_ranks() {
 }
 
 #[test]
+fn truncating_recv_panics_naming_both_ranks_and_sizes() {
+    // Rank 0 sends 1 MiB into rank 1's 8 B receive buffer.
+    let msg = world_panic_message(|mut rank| {
+        Box::pin(async move {
+            let comm = rank.comm_world();
+            if rank.rank() == 0 {
+                rank.send(&comm, 1, 0, 1 << 20).await;
+            } else {
+                rank.recv(&comm, 0, 0, 8).await;
+            }
+            rank
+        })
+    });
+    assert!(msg.contains("truncated receive"), "{msg}");
+    assert!(msg.contains("rank 0 sent 1048576 B to rank 1, whose receive holds 8 B"), "{msg}");
+}
+
+#[test]
+fn truncating_irecv_panics_when_its_message_matches() {
+    // Rank 1 posts an 8 B irecv and only then lets rank 0 send, so the
+    // 1 MiB message finds the receive parked; `wait` would complete it.
+    let msg = world_panic_message(|mut rank| {
+        Box::pin(async move {
+            let comm = rank.comm_world();
+            if rank.rank() == 0 {
+                rank.recv(&comm, 1, 1, 0).await;
+                rank.send(&comm, 1, 0, 1 << 20).await;
+            } else {
+                let r = rank.irecv(&comm, 0, 0, 8);
+                rank.send(&comm, 0, 1, 0).await;
+                rank.wait(r).await;
+            }
+            rank
+        })
+    });
+    assert!(msg.contains("rank 0 sent 1048576 B to rank 1, whose receive holds 8 B"), "{msg}");
+}
+
+#[test]
 fn missing_collective_member_is_a_diagnosed_deadlock() {
     // Rank 2 skips the allreduce: ranks 0 and 1 wait at its quorum forever.
     let err = World::new(machine(), 3)
