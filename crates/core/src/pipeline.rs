@@ -263,8 +263,8 @@ impl Siesta {
         let program = ProxyProgram {
             nranks,
             terminals,
-            rules: merged.rules.clone(),
-            mains: merged.mains.clone(),
+            rules: merged.rules,
+            mains: merged.mains,
             scale: self.config.scale,
             generated_on: gen_machine.label(),
         };

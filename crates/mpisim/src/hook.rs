@@ -61,31 +61,7 @@ pub enum MpiCall {
 impl MpiCall {
     /// MPI function name, as it would appear in a textual trace.
     pub fn func_name(&self) -> &'static str {
-        match self {
-            MpiCall::Send { .. } => "MPI_Send",
-            MpiCall::Recv { .. } => "MPI_Recv",
-            MpiCall::Isend { .. } => "MPI_Isend",
-            MpiCall::Irecv { .. } => "MPI_Irecv",
-            MpiCall::Wait { .. } => "MPI_Wait",
-            MpiCall::Waitall { .. } => "MPI_Waitall",
-            MpiCall::Sendrecv { .. } => "MPI_Sendrecv",
-            MpiCall::Barrier { .. } => "MPI_Barrier",
-            MpiCall::Bcast { .. } => "MPI_Bcast",
-            MpiCall::Reduce { .. } => "MPI_Reduce",
-            MpiCall::Allreduce { .. } => "MPI_Allreduce",
-            MpiCall::Allgather { .. } => "MPI_Allgather",
-            MpiCall::Alltoall { .. } => "MPI_Alltoall",
-            MpiCall::Alltoallv { .. } => "MPI_Alltoallv",
-            MpiCall::Gather { .. } => "MPI_Gather",
-            MpiCall::Scatter { .. } => "MPI_Scatter",
-            MpiCall::Gatherv { .. } => "MPI_Gatherv",
-            MpiCall::Scatterv { .. } => "MPI_Scatterv",
-            MpiCall::Scan { .. } => "MPI_Scan",
-            MpiCall::ReduceScatterBlock { .. } => "MPI_Reduce_scatter_block",
-            MpiCall::CommSplit { .. } => "MPI_Comm_split",
-            MpiCall::CommDup { .. } => "MPI_Comm_dup",
-            MpiCall::CommFree { .. } => "MPI_Comm_free",
-        }
+        Self::class_name(self.class_index())
     }
 
     /// Dense per-variant index in `0..NUM_CALL_CLASSES`, stable across
@@ -245,6 +221,9 @@ mod tests {
         assert_eq!(c.func_name(), "MPI_Send");
         let b = MpiCall::Barrier { comm: CommId::WORLD };
         assert_eq!(b.func_name(), "MPI_Barrier");
+        let r = MpiCall::ReduceScatterBlock { comm: CommId::WORLD, bytes_per_rank: 8 };
+        assert_eq!(r.func_name(), "MPI_Reduce_scatter_block");
+        assert_eq!(MpiCall::CommFree { comm: CommId::WORLD }.func_name(), "MPI_Comm_free");
     }
 
     #[test]
