@@ -347,28 +347,6 @@ impl ScalaApp {
         self.programs.iter().flat_map(|p| p.iter()).map(|i| i.len_items()).sum()
     }
 
-    /// Render one rank's RSD structure (debugging aid).
-    pub fn debug_structure(&self, rank: usize) -> String {
-        fn render(item: &RsdItem, depth: usize, out: &mut String) {
-            let pad = "  ".repeat(depth);
-            match item {
-                RsdItem::Ev(s) => out.push_str(&format!("{pad}{}\n", s.shape.func_name())),
-                RsdItem::Loop { body, count } => {
-                    out.push_str(&format!("{pad}loop x{count} [\n"));
-                    for i in body {
-                        render(i, depth + 1, out);
-                    }
-                    out.push_str(&format!("{pad}]\n"));
-                }
-            }
-        }
-        let mut out = String::new();
-        for item in &self.programs[rank] {
-            render(item, 0, &mut out);
-        }
-        out
-    }
-
     /// Does any pooled volume differ from the original (information loss)?
     pub fn is_lossy(&self) -> bool {
         fn item_lossy(i: &RsdItem) -> bool {

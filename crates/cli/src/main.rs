@@ -110,7 +110,6 @@ GLOBAL OPTIONS (accepted by every command):
                         output is bit-identical either way)
     --log-level <l>     error | warn | info | debug | trace | off
     --profile <file>    write a Chrome trace (chrome://tracing / Perfetto)
-    --trace-out <file>  alias of --profile (at most one of the two)
     --obs-cap <n>       bound the flight recorder to n spans per thread
                         (ring buffer: oldest spans overwritten, dropped
                         count reported; default unbounded, env SIESTA_OBS_CAP)
@@ -144,7 +143,7 @@ fn main() -> ExitCode {
 
 /// Options accepted by every command (observability + parallelism).
 const GLOBAL_OPTS: &[&str] = &[
-    "log-level", "obs-cap", "profile", "quiet", "stats", "threads", "trace-out",
+    "log-level", "obs-cap", "profile", "quiet", "stats", "threads",
 ];
 /// Options that take no value, whichever commands accept them.
 const FLAGS: &[&str] = &["quiet", "stats", "sim-profile", "critical-path"];
@@ -237,12 +236,7 @@ fn run(argv: Vec<String>) -> Result<(), String> {
             ));
         }
     }
-    let profile_path = match (args.get("profile"), args.get("trace-out")) {
-        (Some(_), Some(_)) => {
-            return Err("--profile and --trace-out are aliases; pass at most one".to_string())
-        }
-        (p, t) => p.or(t).map(str::to_string),
-    };
+    let profile_path = args.get("profile").map(str::to_string);
     if let Some(path) = &profile_path {
         check_writable_dest(path)?;
         siesta_obs::set_profiling_enabled(true);

@@ -13,11 +13,6 @@ pub struct Grammar {
 }
 
 impl Grammar {
-    /// A grammar whose main rule is the given body.
-    pub fn from_main(body: Vec<RSym>) -> Grammar {
-        Grammar { rules: vec![body] }
-    }
-
     /// Total number of run-length symbols across all rule bodies — the
     /// paper's grammar-size measure.
     pub fn size(&self) -> usize {

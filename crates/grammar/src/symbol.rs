@@ -12,12 +12,6 @@ pub enum Sym {
     N(u32),
 }
 
-impl Sym {
-    pub fn is_terminal(self) -> bool {
-        matches!(self, Sym::T(_))
-    }
-}
-
 impl fmt::Display for Sym {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -151,11 +151,6 @@ pub fn fx_map_with_capacity<K, V>(capacity: usize) -> FxHashMap<K, V> {
     FxHashMap::with_capacity_and_hasher(capacity, FxBuildHasher::default())
 }
 
-/// An [`FxHashSet`] pre-sized for `capacity` entries.
-pub fn fx_set_with_capacity<T>(capacity: usize) -> FxHashSet<T> {
-    FxHashSet::with_capacity_and_hasher(capacity, FxBuildHasher::default())
-}
-
 /// Keys numbered by their first equal key: what [`first_seen`] returns.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FirstSeen {

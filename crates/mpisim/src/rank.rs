@@ -25,6 +25,9 @@ use crate::quorum::QuorumBoard;
 use crate::request::{ReqState, Request, RequestTable};
 use crate::world::RankStats;
 
+/// Seed of every rank's measurement noise: fixed, so runs repeat.
+const NOISE_SEED: u64 = 0x51e57a;
+
 /// State shared by every rank of one world run.
 pub(crate) struct Shared {
     pub engine: Engine,
@@ -38,7 +41,6 @@ pub(crate) struct Shared {
     /// Quorums of `comm_split`, keyed by (parent communicator, derivation
     /// sequence number): a key space apart from the collectives'.
     pub splits: QuorumBoard<SplitEntry>,
-    pub seed: u64,
     pub nranks: usize,
     /// Per-rank "why am I blocked" hints, written before every blocking
     /// await and cleared after. The scheduler reads them to build a
@@ -222,7 +224,7 @@ impl Rank {
     /// deterministic measurement noise). Not an MPI call; not hooked.
     pub fn compute(&mut self, kernel: &KernelDesc) {
         let seed = siesta_perfmodel::noise::combine(&[
-            self.shared.seed,
+            NOISE_SEED,
             self.rank as u64,
             self.event_seq,
         ]);
@@ -241,7 +243,7 @@ impl Rank {
     /// [`Rank::compute`]; not an MPI call; not hooked.
     pub fn compute_counters(&mut self, exact: &CounterVec) {
         let seed = siesta_perfmodel::noise::combine(&[
-            self.shared.seed ^ 0xC0DE,
+            NOISE_SEED ^ 0xC0DE,
             self.rank as u64,
             self.event_seq,
         ]);

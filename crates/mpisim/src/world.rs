@@ -36,7 +36,6 @@ pub struct World {
     nranks: usize,
     hook: Option<Arc<dyn PmpiHook>>,
     observe: Observe,
-    seed: u64,
 }
 
 impl World {
@@ -50,7 +49,7 @@ impl World {
                 machine.platform.name
             );
         }
-        World { machine, nranks, hook: None, observe: Observe::default(), seed: 0x51e57a }
+        World { machine, nranks, hook: None, observe: Observe::default() }
     }
 
     /// Install a PMPI interposer (the tracing side of Siesta).
@@ -62,12 +61,6 @@ impl World {
     /// Stack the collectors `observe` asks for (see [`World::try_run`]).
     pub fn observe(mut self, observe: Observe) -> World {
         self.observe = observe;
-        self
-    }
-
-    /// Set the measurement-noise seed (defaults to a fixed constant).
-    pub fn with_seed(mut self, seed: u64) -> World {
-        self.seed = seed;
         self
     }
 
@@ -136,7 +129,6 @@ impl World {
             collectives: QuorumBoard::new(),
             member_rounds: AtomicU64::new(0),
             splits: QuorumBoard::new(),
-            seed: self.seed,
             nranks: self.nranks,
             blocked: (0..self.nranks).map(|_| AtomicU64::new(blocked::NONE)).collect(),
         });
@@ -260,11 +252,6 @@ impl RunStats {
     /// Total application payload bytes sent across ranks.
     pub fn total_bytes(&self) -> u64 {
         self.per_rank.iter().map(|r| r.bytes_sent).sum()
-    }
-
-    /// Total virtual time ranks spent blocked inside MPI waiting on peers.
-    pub fn total_wait_ns(&self) -> f64 {
-        self.per_rank.iter().map(|r| r.wait_ns).sum()
     }
 
     /// Whole-run schedule fingerprint: per-rank schedule hashes folded in

@@ -14,7 +14,6 @@
 //! [`crate::span::drain`] — is deterministic.
 
 use std::fmt::Write as _;
-use std::io;
 
 use crate::intern::ArgsId;
 use crate::span::FinishedSpan;
@@ -107,11 +106,6 @@ pub fn chrome_trace_json_canonical(spans: &[FinishedSpan]) -> String {
         })
         .collect();
     chrome_trace_json(&canonical)
-}
-
-/// Write spans to `path` as Chrome trace-event JSON.
-pub fn write_chrome_trace(path: &str, spans: &[FinishedSpan]) -> io::Result<()> {
-    std::fs::write(path, chrome_trace_json(spans))
 }
 
 #[cfg(test)]

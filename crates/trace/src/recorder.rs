@@ -52,15 +52,16 @@ pub fn resolve_stream_buf(explicit: Option<usize>) -> Result<usize, String> {
     }
 }
 
+/// Virtual cost charged per traced call: two counter reads plus the
+/// record write. Produces the Table 3 overhead column.
+const TRACE_OVERHEAD_NS: f64 = 600.0;
+
 /// Tracing configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct TraceConfig {
     /// Clustering threshold for computation events (paper: "a threshold to
     /// cluster similar computation events into one event").
     pub cluster_threshold: f64,
-    /// Virtual cost charged per traced call: two counter reads plus the
-    /// record write. Produces the Table 3 overhead column.
-    pub overhead_ns: f64,
     /// Bounded per-rank buffer between the hook and the online Sequitur,
     /// in event ids. Set by `--stream-buf` via [`resolve_stream_buf`].
     pub stream_buf: usize,
@@ -70,7 +71,6 @@ impl Default for TraceConfig {
     fn default() -> Self {
         TraceConfig {
             cluster_threshold: 0.15,
-            overhead_ns: 600.0,
             stream_buf: DEFAULT_STREAM_BUF,
         }
     }
@@ -593,7 +593,7 @@ impl PmpiHook for Recorder {
     }
 
     fn overhead_ns(&self) -> f64 {
-        self.config.overhead_ns
+        TRACE_OVERHEAD_NS
     }
 }
 
