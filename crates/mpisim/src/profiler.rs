@@ -19,7 +19,7 @@
 //! worker registers its own chunk list on first push and then writes
 //! lock-free, publishing each event with a release store of the chunk's
 //! committed length. The write head stays in that core's L1, so a push
-//! is two plain stores; allocation happens once per [`CHUNK`] events and
+//! is two plain stores; allocation happens once per `CHUNK` events and
 //! sealed chunks never move. Program order per rank is preserved by
 //! [`HookCtx::call_seq`] — the rank's own hooked-call ordinal, counted in
 //! state that is already hot in the polling worker — and
@@ -48,7 +48,7 @@
 //! one under its hook and returns it in
 //! [`crate::RunStats::sim_profile`]; the caller snapshots it after
 //! reading its own timings, so the per-rank merge stays out of the timed
-//! run. Only the parked-chunk pool ([`CHUNK_POOL`]) is process-wide, and
+//! run. Only the parked-chunk pool (`CHUNK_POOL`) is process-wide, and
 //! it is a cache.
 
 use std::cell::{Cell, UnsafeCell};
@@ -389,7 +389,7 @@ impl SimProfiler {
 }
 
 impl Drop for SimProfiler {
-    /// Park this profiler's chunks for reuse (see [`CHUNK_POOL`]). Stale
+    /// Park this profiler's chunks for reuse (see `CHUNK_POOL`). Stale
     /// TLS slots pointing at parked chunks are harmless: their generation
     /// can never match a future profiler's, so they are never followed.
     fn drop(&mut self) {

@@ -7,8 +7,8 @@
 //!
 //! * **Leveled logging** ([`log`]): `error!` .. `trace!` macros gated by a
 //!   single atomic level, configurable via `SIESTA_LOG` or `--log-level`.
-//! * **Flight-recorder spans** ([`span`]): RAII guards created with
-//!   `span!("sequitur", rank = r)`. The record path is lock-free — each
+//! * **Flight-recorder spans** ([`span`](mod@span)): RAII guards created
+//!   with `span!("sequitur", rank = r)`. The record path is lock-free — each
 //!   thread commits into its own sharded slot buffer — and allocation-free
 //!   for a no-arg span; dynamic args are interned to `u64` content-hash
 //!   ids ([`intern`]). A bounded ring mode (`SIESTA_OBS_CAP` /

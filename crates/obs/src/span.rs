@@ -414,7 +414,7 @@ pub fn drain_spans() -> Vec<FinishedSpan> {
     drain().spans
 }
 
-/// RAII guard returned by [`span!`]. Records the span on drop.
+/// RAII guard returned by [`span!`](crate::span!). Records the span on drop.
 #[must_use = "a span guard measures until it is dropped"]
 pub struct SpanGuard {
     /// `None` when profiling was off at creation time.
@@ -434,8 +434,8 @@ impl SpanGuard {
         SpanGuard { live: None }
     }
 
-    /// Start a span now. Prefer the [`span!`] macro, which skips argument
-    /// formatting and interning when profiling is off.
+    /// Start a span now. Prefer the [`span!`](crate::span!) macro, which
+    /// skips argument formatting and interning when profiling is off.
     pub fn start(name: &'static str, args: ArgsId) -> SpanGuard {
         let depth = DEPTH.with(|d| {
             let v = d.get();

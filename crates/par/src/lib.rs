@@ -9,9 +9,9 @@
 //! thread count or OS scheduling.
 //!
 //! Workers are spawned lazily on first demand and then **parked between
-//! regions** (see [`pool`]): a parallel region costs a mutex hand-off and
-//! a condvar wake instead of the ~100µs-per-thread scoped spawns the
-//! first version paid. The caller always participates, so width 1 of
+//! regions** (see the `pool` module): a parallel region costs a mutex
+//! hand-off and a condvar wake instead of the ~100µs-per-thread scoped
+//! spawns the first version paid. The caller always participates, so width 1 of
 //! every region is the caller's own thread.
 //!
 //! # Determinism contract
