@@ -441,11 +441,7 @@ fn cmd_synthesize(args: &Args) -> Result<(), String> {
     }
     let config = SiestaConfig {
         scale,
-        trace: TraceConfig {
-            cluster_threshold: threshold,
-            stream_buf,
-            ..TraceConfig::default()
-        },
+        trace: TraceConfig { cluster_threshold: threshold, stream_buf },
         observe: observers.observe,
         ..SiestaConfig::default()
     };
