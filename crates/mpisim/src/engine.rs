@@ -13,6 +13,10 @@
 //!   completion into that slot, and [`Engine::wait`] or [`Engine::test`]
 //!   takes it and puts the slot on the mailbox's free list.
 //!
+//! Either way, a message larger than the receive's capacity panics where
+//! the two meet, as MPI reports `MPI_ERR_TRUNCATE`; a parked receive keeps
+//! its capacity in its slab slot until then.
+//!
 //! A receive whose message is already queued therefore takes the mailbox
 //! lock once, and no receive hashes anything. A mailbox never holds more
 //! slots than its rank's peak number of parked receives.
@@ -70,13 +74,27 @@ struct Posted {
     post_time: f64,
 }
 
+/// One slot of a mailbox's slab of parked receives: 32 bytes, as an
+/// `Option<Completion>` would be.
+#[derive(Debug, Clone, Copy)]
+enum Parked {
+    /// On the mailbox's free list.
+    Free,
+    /// Waiting for its send. A larger message than `capacity` bytes is an
+    /// error (see [`truncated`]).
+    Waiting { capacity: usize },
+    /// Filled by the matching send, until [`Engine::wait`] or
+    /// [`Engine::test`] takes it.
+    Done(Completion),
+}
+
 #[derive(Default)]
 struct Mailbox {
     unexpected: VecDeque<Envelope>,
     posted: Vec<Posted>,
-    /// Slab of parked receives: a slot holds `None` from park until the
-    /// matching send fills it, and returns to `free` once taken.
-    done: Vec<Option<Completion>>,
+    /// Slab of parked receives: a slot waits from park until the matching
+    /// send fills it, and returns to `free` once taken.
+    done: Vec<Parked>,
     free: Vec<usize>,
     /// The mailbox owner, if currently blocked in [`Engine::wait`]: the
     /// slot it needs and how to resume it. Only the owning rank ever waits
@@ -91,11 +109,10 @@ impl Mailbox {
     /// Take the completion of parked receive `slot` if a send filled it,
     /// recycling the slot.
     fn take(&mut self, slot: usize) -> Option<Completion> {
-        let c = self.done[slot].take();
-        if c.is_some() {
-            self.free.push(slot);
-        }
-        c
+        let Parked::Done(c) = self.done[slot] else { return None };
+        self.done[slot] = Parked::Free;
+        self.free.push(slot);
+        Some(c)
     }
 }
 
@@ -130,12 +147,15 @@ impl Engine {
             // First posted receive that matches, in post order.
             if let Some(pos) = inner.posted.iter().position(|p| p.key.matches(&env)) {
                 let posted = inner.posted.remove(pos);
-                if env.bytes > posted.key.capacity {
-                    // Unlock first, so the panic does not poison the mailbox.
-                    drop(inner);
-                    truncated(&env, &posted.key, dst_global);
+                if let Parked::Waiting { capacity } = inner.done[posted.slot] {
+                    if env.bytes > capacity {
+                        // Unlock first, so the panic does not poison the mailbox.
+                        drop(inner);
+                        truncated(&env, capacity, dst_global);
+                    }
                 }
-                inner.done[posted.slot] = Some(self.complete(&env, posted.post_time, dst_global));
+                let c = self.complete(&env, posted.post_time, dst_global);
+                inner.done[posted.slot] = Parked::Done(c);
                 if inner.waiter.as_ref().is_some_and(|(slot, _)| *slot == posted.slot) {
                     inner.waiter.take().map(|(_, w)| w)
                 } else {
@@ -151,24 +171,35 @@ impl Engine {
         }
     }
 
-    /// Post a receive for rank `me`. If an unexpected message already
-    /// matches, the receive completes here and the handle carries its
-    /// completion; otherwise it parks in a slot of `me`'s mailbox.
-    pub fn post_recv(&self, me: usize, key: MatchKey, post_time: f64) -> RecvHandle {
+    /// Post a receive of at most `capacity` bytes for rank `me`. If an
+    /// unexpected message already matches, the receive completes here and
+    /// the handle carries its completion; otherwise it parks in a slot of
+    /// `me`'s mailbox. Collective plumbing passes `usize::MAX`: it sizes
+    /// its own messages.
+    pub fn post_recv(
+        &self,
+        me: usize,
+        key: MatchKey,
+        capacity: usize,
+        post_time: f64,
+    ) -> RecvHandle {
         let mut inner = self.mailbox(me);
         if let Some(pos) = inner.unexpected.iter().position(|e| key.matches(e)) {
             let env = inner.unexpected.remove(pos).expect("position exists");
             inner.at_post += 1;
             drop(inner);
-            if env.bytes > key.capacity {
-                truncated(&env, &key, me);
+            if env.bytes > capacity {
+                truncated(&env, capacity, me);
             }
             return RecvHandle::Ready(self.complete(&env, post_time, me));
         }
         let slot = match inner.free.pop() {
-            Some(slot) => slot,
+            Some(slot) => {
+                inner.done[slot] = Parked::Waiting { capacity };
+                slot
+            }
             None => {
-                inner.done.push(None);
+                inner.done.push(Parked::Waiting { capacity });
                 inner.done.len() - 1
             }
         };
@@ -236,11 +267,11 @@ impl Engine {
 /// A message larger than the receive that matched it would have to be
 /// cut short: MPI reports `MPI_ERR_TRUNCATE`, and the engine panics,
 /// naming both global ranks and both sizes.
-fn truncated(env: &Envelope, key: &MatchKey, dst_global: usize) -> ! {
+fn truncated(env: &Envelope, capacity: usize, dst_global: usize) -> ! {
     panic!(
         "truncated receive on communicator {:#x}: rank {} sent {} B to rank {}, whose receive \
-         holds {} B (MPI_ERR_TRUNCATE)",
-        env.comm.0, env.src_global, env.bytes, dst_global, key.capacity
+         holds {capacity} B (MPI_ERR_TRUNCATE)",
+        env.comm.0, env.src_global, env.bytes, dst_global
     )
 }
 
@@ -308,7 +339,6 @@ mod tests {
             src_global: src,
             comm: CommId::WORLD,
             channel: Channel::App { tag },
-            capacity: usize::MAX,
         }
     }
 
@@ -361,10 +391,17 @@ mod tests {
     }
 
     #[test]
+    fn parked_slots_stay_32_bytes() {
+        // A parked receive's slot holds its capacity while it waits, in
+        // the room a completion takes anyway: the slab does not grow.
+        assert!(std::mem::size_of::<Parked>() <= 32);
+    }
+
+    #[test]
     fn send_then_recv_matches_unexpected() {
         let e = engine(2);
         e.send(1, eager_env(0, 5, 64, 100.0));
-        let h = e.post_recv(1, key(0, 5), 50.0);
+        let h = e.post_recv(1, key(0, 5), usize::MAX, 50.0);
         let c = wait_now(&e, 1, h);
         assert_eq!(c.bytes, 64);
         assert_eq!(c.data_avail, 100.0);
@@ -375,7 +412,7 @@ mod tests {
     fn queued_message_completes_at_post_without_a_slot() {
         let e = engine(2);
         e.send(1, eager_env(0, 5, 64, 100.0));
-        let RecvHandle::Ready(c) = e.post_recv(1, key(0, 5), 50.0) else {
+        let RecvHandle::Ready(c) = e.post_recv(1, key(0, 5), usize::MAX, 50.0) else {
             panic!("a queued message must complete its receive at post");
         };
         assert_eq!((c.bytes, c.data_avail, c.src_comm_rank, c.tag), (64, 100.0, 0, 5));
@@ -386,7 +423,7 @@ mod tests {
     #[test]
     fn recv_then_send_matches_posted() {
         let e = engine(2);
-        let s = slot(e.post_recv(1, key(0, 5), 50.0));
+        let s = slot(e.post_recv(1, key(0, 5), usize::MAX, 50.0));
         assert!(e.test(1, s).is_none());
         e.send(1, eager_env(0, 5, 64, 100.0));
         let c = e.test(1, s).expect("completed");
@@ -399,8 +436,8 @@ mod tests {
         let e = engine(2);
         e.send(1, eager_env(0, 5, 1, 10.0));
         e.send(1, eager_env(0, 5, 2, 20.0));
-        let h1 = e.post_recv(1, key(0, 5), 0.0);
-        let h2 = e.post_recv(1, key(0, 5), 0.0);
+        let h1 = e.post_recv(1, key(0, 5), usize::MAX, 0.0);
+        let h2 = e.post_recv(1, key(0, 5), usize::MAX, 0.0);
         assert_eq!(wait_now(&e, 1, h1).bytes, 1);
         assert_eq!(wait_now(&e, 1, h2).bytes, 2);
     }
@@ -411,11 +448,11 @@ mod tests {
         e.send(1, eager_env(0, 7, 1, 10.0));
         e.send(1, eager_env(0, 5, 2, 20.0));
         // Receive for tag 5 must take the second message.
-        let h = e.post_recv(1, key(0, 5), 0.0);
+        let h = e.post_recv(1, key(0, 5), usize::MAX, 0.0);
         assert_eq!(wait_now(&e, 1, h).bytes, 2);
         // Tag-7 message is still queued.
         assert_eq!(e.unexpected_len(1), 1);
-        let h7 = e.post_recv(1, key(0, 7), 0.0);
+        let h7 = e.post_recv(1, key(0, 7), usize::MAX, 0.0);
         assert_eq!(wait_now(&e, 1, h7).bytes, 1);
     }
 
@@ -424,7 +461,7 @@ mod tests {
         let e = engine(2);
         e.send(1, eager_env(0, 7, 1, 10.0));
         e.send(1, eager_env(0, 5, 2, 20.0));
-        let h = e.post_recv(1, key(0, ANY_TAG), 0.0);
+        let h = e.post_recv(1, key(0, ANY_TAG), usize::MAX, 0.0);
         let c = wait_now(&e, 1, h);
         assert_eq!(c.bytes, 1);
         assert_eq!(c.tag, 7);
@@ -433,8 +470,8 @@ mod tests {
     #[test]
     fn posted_receives_match_in_post_order() {
         let e = engine(2);
-        let h1 = e.post_recv(1, key(0, 5), 10.0);
-        let h2 = e.post_recv(1, key(0, 5), 20.0);
+        let h1 = e.post_recv(1, key(0, 5), usize::MAX, 10.0);
+        let h2 = e.post_recv(1, key(0, 5), usize::MAX, 20.0);
         e.send(1, eager_env(0, 5, 1, 30.0));
         e.send(1, eager_env(0, 5, 2, 40.0));
         assert_eq!(wait_now(&e, 1, h1).bytes, 1);
@@ -451,10 +488,10 @@ mod tests {
             let n = 1 + cycle % 4;
             peak = peak.max(n);
             let slots: Vec<usize> =
-                (0..n).map(|k| slot(e.post_recv(1, key(0, k as i32), 0.0))).collect();
+                (0..n).map(|k| slot(e.post_recv(1, key(0, k as i32), usize::MAX, 0.0))).collect();
             if cycle % 3 == 0 {
                 e.send(1, eager_env(0, 99, 8, 1.0));
-                assert!(matches!(e.post_recv(1, key(0, 99), 0.0), RecvHandle::Ready(_)));
+                assert!(matches!(e.post_recv(1, key(0, 99), usize::MAX, 0.0), RecvHandle::Ready(_)));
             }
             for k in (0..n).rev() {
                 e.send(1, eager_env(0, k as i32, k, 1.0));
@@ -478,7 +515,7 @@ mod tests {
         e.send(50, rendezvous_env(0, 1, bytes, 100.0, ack.clone())); // cross-node
         // Receive posted *later* than the RTS arrival: transfer waits for it.
         let post_time = 5_000.0;
-        let h = e.post_recv(50, key(0, 1), post_time);
+        let h = e.post_recv(50, key(0, 1), usize::MAX, post_time);
         let c = wait_now(&e, 50, h);
         let sender_done = ack.try_get().expect("ack delivered");
         let net = e.machine().net;
@@ -497,7 +534,7 @@ mod tests {
         assert!(poll_with(&mut ack_wait, &sender).is_pending(), "sender blocks on its ack");
         e.send(1, rendezvous_env(0, 1, 1 << 20, 100.0, ack.clone()));
         assert_eq!(sender.fired(), 0, "no ack before the receive is posted");
-        let h = e.post_recv(1, key(0, 1), 300.0);
+        let h = e.post_recv(1, key(0, 1), usize::MAX, 300.0);
         assert!(matches!(h, RecvHandle::Ready(_)));
         assert_eq!(sender.fired(), 1, "the post acks the sender");
         let (sender_done, _) = Link::new(e.machine(), 0, 1).rendezvous(100.0, 300.0, 1 << 20);
@@ -516,7 +553,7 @@ mod tests {
         // waker, deliver the send, and check the waker fired and the next
         // poll completes — all on one thread, in deterministic virtual time.
         let e = engine(2);
-        let s = slot(e.post_recv(1, key(0, 3), 0.0));
+        let s = slot(e.post_recv(1, key(0, 3), usize::MAX, 0.0));
         let flag = Arc::new(CountWaker::default());
         let mut wait = e.wait(1, s);
         assert!(poll_with(&mut wait, &flag).is_pending());
@@ -533,7 +570,7 @@ mod tests {
     #[test]
     fn repolled_wait_is_woken_by_its_latest_waker() {
         let e = engine(2);
-        let s = slot(e.post_recv(1, key(0, 3), 0.0));
+        let s = slot(e.post_recv(1, key(0, 3), usize::MAX, 0.0));
         let (first, second) = (Arc::new(CountWaker::default()), Arc::new(CountWaker::default()));
         let mut wait = e.wait(1, s);
         // Same waker twice: the registration is kept.
@@ -543,7 +580,7 @@ mod tests {
         assert_eq!(first.fired(), 1);
         assert!(poll_with(&mut wait, &first).is_ready());
         // A changed waker replaces the registered one.
-        let s = slot(e.post_recv(1, key(0, 4), 0.0));
+        let s = slot(e.post_recv(1, key(0, 4), usize::MAX, 0.0));
         let mut wait = e.wait(1, s);
         assert!(poll_with(&mut wait, &first).is_pending());
         assert!(poll_with(&mut wait, &second).is_pending());
@@ -555,7 +592,7 @@ mod tests {
     #[test]
     fn non_matching_send_does_not_wake_waiter() {
         let e = engine(2);
-        let s = slot(e.post_recv(1, key(0, 3), 0.0));
+        let s = slot(e.post_recv(1, key(0, 3), usize::MAX, 0.0));
         let flag = Arc::new(CountWaker::default());
         let mut wait = e.wait(1, s);
         assert!(poll_with(&mut wait, &flag).is_pending());
@@ -568,8 +605,8 @@ mod tests {
     #[test]
     fn filling_another_parked_slot_does_not_wake_waiter() {
         let e = engine(2);
-        let early = slot(e.post_recv(1, key(0, 3), 0.0));
-        let late = slot(e.post_recv(1, key(0, 4), 0.0));
+        let early = slot(e.post_recv(1, key(0, 3), usize::MAX, 0.0));
+        let late = slot(e.post_recv(1, key(0, 4), usize::MAX, 0.0));
         let flag = Arc::new(CountWaker::default());
         let mut wait = e.wait(1, late);
         assert!(poll_with(&mut wait, &flag).is_pending());

@@ -643,8 +643,8 @@ impl Rank {
         channel: Channel,
         capacity: usize,
     ) -> RecvHandle {
-        let key = MatchKey { src_global, comm, channel, capacity };
-        self.shared.engine.post_recv(self.rank, key, self.clock)
+        let key = MatchKey { src_global, comm, channel };
+        self.shared.engine.post_recv(self.rank, key, capacity, self.clock)
     }
 
     /// Apply receiver-side completion: advance the clock past data arrival
