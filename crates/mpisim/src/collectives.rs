@@ -661,7 +661,8 @@ impl Rank {
             let key = Self::skey(comm.id, seq, round);
             let recv = if r >= d {
                 let src_global = comm.global_of(r - d);
-                Some((self.post_recv_raw(src_global, comm.id, Channel::Sys { key }, usize::MAX), src_global))
+                let recv = self.post_recv_raw(src_global, comm.id, Channel::Sys { key }, usize::MAX);
+                Some((recv, src_global))
             } else {
                 None
             };

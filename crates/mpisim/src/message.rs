@@ -39,7 +39,7 @@ pub enum WireProtocol {
 /// One-shot cell carrying the sender-side completion time of a rendezvous
 /// transfer from the matching engine back to the blocked sender. The
 /// engine [`AckCell::set`]s it when the receiver matches; the sender's
-/// state machine awaits it via [`AckWait`].
+/// state machine awaits it via `AckWait`.
 #[derive(Debug, Default)]
 pub struct AckCell {
     inner: Mutex<AckInner>,
