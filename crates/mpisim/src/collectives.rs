@@ -661,8 +661,8 @@ impl Rank {
             let key = Self::skey(comm.id, seq, round);
             let recv = if r >= d {
                 let src_global = comm.global_of(r - d);
-                let recv = self.post_recv_raw(src_global, comm.id, Channel::Sys { key }, usize::MAX);
-                Some((recv, src_global))
+                let channel = Channel::Sys { key };
+                Some((self.post_recv_raw(src_global, comm.id, channel, usize::MAX), src_global))
             } else {
                 None
             };

@@ -194,15 +194,13 @@ impl Engine {
             return RecvHandle::Ready(self.complete(&env, post_time, me));
         }
         let slot = match inner.free.pop() {
-            Some(slot) => {
-                inner.done[slot] = Parked::Waiting { capacity };
-                slot
-            }
+            Some(slot) => slot,
             None => {
-                inner.done.push(Parked::Waiting { capacity });
+                inner.done.push(Parked::Free);
                 inner.done.len() - 1
             }
         };
+        inner.done[slot] = Parked::Waiting { capacity };
         inner.posted.push(Posted { slot, key, post_time });
         inner.parked += 1;
         RecvHandle::Pending(slot)
@@ -491,7 +489,8 @@ mod tests {
                 (0..n).map(|k| slot(e.post_recv(1, key(0, k as i32), usize::MAX, 0.0))).collect();
             if cycle % 3 == 0 {
                 e.send(1, eager_env(0, 99, 8, 1.0));
-                assert!(matches!(e.post_recv(1, key(0, 99), usize::MAX, 0.0), RecvHandle::Ready(_)));
+                let h = e.post_recv(1, key(0, 99), usize::MAX, 0.0);
+                assert!(matches!(h, RecvHandle::Ready(_)));
             }
             for k in (0..n).rev() {
                 e.send(1, eager_env(0, k as i32, k, 1.0));
