@@ -130,6 +130,8 @@ pub fn retarget(program: &ProxyProgram, new_nranks: usize) -> Result<ProxyProgra
                 | CommEvent::Reduce { root, .. }
                 | CommEvent::Gather { root, .. }
                 | CommEvent::Scatter { root, .. }
+                | CommEvent::Gatherv { root, .. }
+                | CommEvent::Scatterv { root, .. }
                     if *root as usize >= new_nranks =>
                 {
                     return Err(RetargetError::BadSize(new_nranks));
@@ -290,6 +292,40 @@ mod tests {
             retarget(&p, 16),
             Err(RetargetError::NonUniformCounts("MPI_Alltoallv"))
         );
+    }
+
+    #[test]
+    fn roots_outside_the_new_world_are_rejected() {
+        // One terminal, executed by every rank: a rooted collective whose
+        // root does not exist after shrinking 16 → 8.
+        let rooted = |event: CommEvent| {
+            let everyone = RankSet::all(16);
+            ProxyProgram {
+                nranks: 16,
+                terminals: vec![TerminalOp::Comm(event)],
+                rules: vec![],
+                mains: vec![MergedMain {
+                    ranks: everyone.clone(),
+                    body: vec![MainSym { sym: Sym::T(0), exp: 1, ranks: everyone }],
+                }],
+                scale: 1.0,
+                generated_on: "A/openmpi".into(),
+            }
+        };
+        let events = [
+            CommEvent::Bcast { comm: 0, root: 12, bytes: 64 },
+            CommEvent::Reduce { comm: 0, root: 12, bytes: 64 },
+            CommEvent::Gather { comm: 0, root: 12, bytes: 64 },
+            CommEvent::Scatter { comm: 0, root: 12, bytes: 64 },
+            CommEvent::Gatherv { comm: 0, root: 12, counts: vec![64; 16] },
+            CommEvent::Scatterv { comm: 0, root: 12, counts: vec![64; 16] },
+        ];
+        for event in events {
+            let p = rooted(event.clone());
+            assert_eq!(retarget(&p, 8), Err(RetargetError::BadSize(8)), "{event:?}");
+            // The root exists in a world of 13, so the proxy retargets.
+            assert!(retarget(&p, 13).is_ok(), "{event:?}");
+        }
     }
 
     #[test]

@@ -158,7 +158,7 @@ impl Siesta {
         // the inter-process merge. Collection is index-ordered and
         // memoization assigns in first-seen order, so the merged grammar is
         // identical at any thread count.
-        let grammars: Vec<Grammar> = {
+        let grammars: Vec<Arc<Grammar>> = {
             let _span = span!("sequitur-fanout", ranks = global.nranks);
             build_rank_grammars(&global.seqs, true)
         };
@@ -210,7 +210,7 @@ impl Siesta {
         table: &[EventRecord],
         raw_bytes: usize,
         merge_rounds: u32,
-        grammars: &[Grammar],
+        grammars: &[Arc<Grammar>],
         gen_machine: &Machine,
     ) -> Synthesis {
         let merged = {

@@ -15,14 +15,16 @@
 //!   dedup index is a map, but the build list is the order each sequence
 //!   first appears in, so neither hashing nor thread scheduling can
 //!   reorder it.
-//! * Duplicates receive a **clone** of the first-seen build. `Sequitur`
-//!   is a pure function of its input sequence, so the clone is
-//!   bit-identical to rebuilding — memoization on vs. off cannot change
-//!   a single output bit (this module's tests compare against the plain
-//!   per-rank build).
+//! * Duplicates **share** the first-seen build by reference (`Arc`).
+//!   `Sequitur` is a pure function of its input sequence, so the shared
+//!   grammar is bit-identical to rebuilding — memoization on vs. off
+//!   cannot change a single output bit (this module's tests compare
+//!   against the plain per-rank build).
 //!
 //! Hit rates are observable as `grammar.memo.hits` (ranks served by a
-//! clone) against `grammar.memo.unique` (grammars actually built).
+//! shared build) against `grammar.memo.unique` (grammars actually built).
+
+use std::sync::Arc;
 
 use siesta_hash::{first_seen, FirstSeen};
 
@@ -37,10 +39,10 @@ pub const MIN_SYMBOLS_TO_FAN_OUT: usize = 8192;
 
 /// Build one grammar per rank sequence. With `memoize`, duplicate
 /// sequences are content-deduped first and each unique sequence is built
-/// once (fanning out across the worker pool), then aliased back to every
-/// rank that shares it; without, every rank builds independently. Both
+/// once (fanning out across the worker pool), then shared by every rank
+/// that recorded it; without, every rank builds independently. Both
 /// paths return bit-identical grammars in rank order.
-pub fn build_rank_grammars(seqs: &[Vec<u32>], memoize: bool) -> Vec<Grammar> {
+pub fn build_rank_grammars(seqs: &[Vec<u32>], memoize: bool) -> Vec<Arc<Grammar>> {
     if !memoize {
         let symbols: usize = seqs.iter().map(Vec::len).sum();
         return siesta_par::parallel_map_min_work(
@@ -49,7 +51,7 @@ pub fn build_rank_grammars(seqs: &[Vec<u32>], memoize: bool) -> Vec<Grammar> {
             MIN_SYMBOLS_TO_FAN_OUT,
             |rank, seq| {
                 let _span = siesta_obs::span!("sequitur", rank = rank, symbols = seq.len());
-                Sequitur::build(seq)
+                Arc::new(Sequitur::build(seq))
             },
         );
     }
@@ -63,14 +65,14 @@ pub fn build_rank_grammars(seqs: &[Vec<u32>], memoize: bool) -> Vec<Grammar> {
         siesta_par::parallel_map_min_work(&first, symbols, MIN_SYMBOLS_TO_FAN_OUT, |u, &r| {
             let seq = &seqs[r];
             let _span = siesta_obs::span!("sequitur", unique = u, symbols = seq.len());
-            Sequitur::build(seq)
+            Arc::new(Sequitur::build(seq))
         });
     if built.len() == seqs.len() {
         // No duplicates: first-seen order is input order, so the built
-        // vector already is the answer — skip the per-rank clones.
+        // vector already is the answer.
         return built;
     }
-    class.into_iter().map(|u| built[u].clone()).collect()
+    class.into_iter().map(|u| Arc::clone(&built[u])).collect()
 }
 
 #[cfg(test)]
@@ -91,8 +93,8 @@ mod tests {
         let plain = build_rank_grammars(&seqs, false);
         assert_eq!(memo, plain);
         assert_eq!(memo.len(), 16);
-        // Duplicate ranks share identical grammars.
-        assert_eq!(memo[0], memo[3]);
+        // Duplicate ranks share one grammar.
+        assert!(Arc::ptr_eq(&memo[0], &memo[3]));
         assert_ne!(memo[0], memo[1]);
     }
 

@@ -16,7 +16,9 @@
 //!    subsequence; every merged symbol carries a [`RankSet`] saying which
 //!    ranks execute it (Figure 3 of the paper).
 
-use siesta_hash::{first_seen, fx_map, fx_map_with_capacity, FirstSeen, FxHashMap};
+use std::borrow::Borrow;
+
+use siesta_hash::{first_seen, fx_map, FirstSeen, FxHashMap};
 
 use crate::cluster::cluster_by_edit_distance;
 use crate::grammar::Grammar;
@@ -119,68 +121,39 @@ impl Default for MergeConfig {
 }
 
 /// Merge per-rank grammars (terminals already globally numbered) into one
-/// job-wide grammar.
-pub fn merge_grammars(grammars: &[Grammar], config: &MergeConfig) -> MergedGrammar {
+/// job-wide grammar. `grammars[rank]` is rank `rank`'s grammar, owned or
+/// shared (`Arc<Grammar>`).
+///
+/// SPMD ranks repeat each other, so the work follows the distinct
+/// grammars, not the ranks: `siesta_hash::first_seen` dedupes the input,
+/// each distinct grammar is mapped once in first-seen order, and every
+/// rank joins its grammar's main variant. A later rank's equal grammar
+/// would only find its rules already in the table, so the rule table, the
+/// variants and their order are those of a per-rank merge.
+pub fn merge_grammars(grammars: &[impl Borrow<Grammar>], config: &MergeConfig) -> MergedGrammar {
     let nranks = grammars.len();
+    let FirstSeen { class: grammar_of, first: distinct } =
+        first_seen(grammars.iter().map(Borrow::borrow));
+
+    // ---- Non-terminal merge, depth order, then each main rule in the
+    // global symbol space.
     let mut global_rules: Vec<Vec<RSym>> = Vec::new();
     let mut rule_index: FxHashMap<Vec<RSym>, u32> = fx_map();
-
-    // ---- Non-terminal merge, depth order.
-    // For each rank: local rule id → global rule id.
-    let mut maps: Vec<FxHashMap<u32, u32>> = Vec::with_capacity(nranks);
-    for g in grammars {
-        let depths = g.depths();
-        // Local rules except main (rule 0), ascending depth; ties by id for
-        // determinism.
-        let mut order: Vec<u32> = (1..g.rules.len() as u32).collect();
-        order.sort_by_key(|&r| (depths[r as usize], r));
-        let mut map: FxHashMap<u32, u32> = fx_map_with_capacity(g.rules.len());
-        for r in order {
-            let body: Vec<RSym> = g.rules[r as usize]
-                .iter()
-                .map(|rs| RSym {
-                    sym: match rs.sym {
-                        Sym::T(t) => Sym::T(t),
-                        Sym::N(n) => Sym::N(map[&n]), // children are shallower
-                    },
-                    exp: rs.exp,
-                })
-                .collect();
-            let gid = *rule_index.entry(body.clone()).or_insert_with(|| {
-                global_rules.push(body);
-                (global_rules.len() - 1) as u32
-            });
-            map.insert(r, gid);
-        }
-        maps.push(map);
-    }
-
-    // ---- Main rules to global symbol space.
-    let mut mains_global: Vec<Vec<RSym>> = grammars
+    let mut mains_global: Vec<Vec<RSym>> = distinct
         .iter()
-        .zip(&maps)
-        .map(|(g, map)| {
-            g.rules[0]
-                .iter()
-                .map(|rs| RSym {
-                    sym: match rs.sym {
-                        Sym::T(t) => Sym::T(t),
-                        Sym::N(n) => Sym::N(map[&n]),
-                    },
-                    exp: rs.exp,
-                })
-                .collect()
-        })
+        .map(|&rank| map_rules(grammars[rank].borrow(), &mut global_rules, &mut rule_index))
         .collect();
 
     // ---- Deduplicate identical mains: each variant moves out of its
-    // first rank's main, and every rank joins its variant's rank set.
-    let FirstSeen { class, first } = first_seen(&mains_global);
+    // first grammar's main. Distinct grammars are in first-seen rank
+    // order, so variants are too.
+    let FirstSeen { class: variant_of, first } = first_seen(&mains_global);
     let variants: Vec<Vec<RSym>> =
-        first.iter().map(|&rank| std::mem::take(&mut mains_global[rank])).collect();
+        first.iter().map(|&g| std::mem::take(&mut mains_global[g])).collect();
+    // One ascending pass over the ranks builds every variant's rank set.
     let mut variant_ranks = vec![RankSet::empty(); variants.len()];
-    for (rank, &v) in class.iter().enumerate() {
-        variant_ranks[v] = variant_ranks[v].union(&RankSet::single(rank as u32));
+    for (rank, &g) in grammar_of.iter().enumerate() {
+        variant_ranks[variant_of[g]].push_sorted(rank as u32);
     }
 
     // ---- Cluster variants by edit distance, merge within clusters by LCS.
@@ -215,6 +188,43 @@ pub fn merge_grammars(grammars: &[Grammar], config: &MergeConfig) -> MergedGramm
     );
 
     MergedGrammar { rules: global_rules, mains, nranks }
+}
+
+/// Add `g`'s rules to the global table, shallowest first, so that a
+/// rule's children already have global ids when its body is hashed, and
+/// return `g`'s main rule over global symbols. Identical bodies share one
+/// global rule.
+fn map_rules(
+    g: &Grammar,
+    global_rules: &mut Vec<Vec<RSym>>,
+    rule_index: &mut FxHashMap<Vec<RSym>, u32>,
+) -> Vec<RSym> {
+    let depths = g.depths();
+    // Local rules except main (rule 0), ascending depth; ties by id for
+    // determinism.
+    let mut order: Vec<u32> = (1..g.rules.len() as u32).collect();
+    order.sort_by_key(|&r| (depths[r as usize], r));
+    // Local rule id → global rule id.
+    let mut map: Vec<Option<u32>> = vec![None; g.rules.len()];
+    let to_global = |map: &[Option<u32>], body: &[RSym]| -> Vec<RSym> {
+        body.iter()
+            .map(|rs| match rs.sym {
+                Sym::T(_) => *rs,
+                Sym::N(n) => {
+                    let gid = map[n as usize].expect("children are shallower, so mapped first");
+                    RSym { sym: Sym::N(gid), exp: rs.exp }
+                }
+            })
+            .collect()
+    };
+    for r in order {
+        let body = to_global(&map, &g.rules[r as usize]);
+        map[r as usize] = Some(*rule_index.entry(body).or_insert_with_key(|body| {
+            global_rules.push(body.clone());
+            (global_rules.len() - 1) as u32
+        }));
+    }
+    to_global(&map, &g.rules[0])
 }
 
 /// Reduce one cluster of variants to its merged main through a balanced
@@ -316,6 +326,119 @@ mod tests {
     fn merge(seqs: &[Vec<u32>]) -> MergedGrammar {
         let grammars: Vec<Grammar> = seqs.iter().map(|s| Sequitur::build(s)).collect();
         merge_grammars(&grammars, &MergeConfig::default())
+    }
+
+    /// The per-rank merge that `merge_grammars` replaced, kept as its
+    /// reference: every rank's grammar is mapped, and every rank joins its
+    /// variant's rank set by a union.
+    fn per_rank_reference(grammars: &[Grammar], config: &MergeConfig) -> MergedGrammar {
+        let nranks = grammars.len();
+        let mut global_rules: Vec<Vec<RSym>> = Vec::new();
+        let mut rule_index: FxHashMap<Vec<RSym>, u32> = fx_map();
+        let mut maps: Vec<FxHashMap<u32, u32>> = Vec::with_capacity(nranks);
+        for g in grammars {
+            let depths = g.depths();
+            let mut order: Vec<u32> = (1..g.rules.len() as u32).collect();
+            order.sort_by_key(|&r| (depths[r as usize], r));
+            let mut map: FxHashMap<u32, u32> = fx_map();
+            for r in order {
+                let body: Vec<RSym> = g.rules[r as usize]
+                    .iter()
+                    .map(|rs| RSym {
+                        sym: match rs.sym {
+                            Sym::T(t) => Sym::T(t),
+                            Sym::N(n) => Sym::N(map[&n]),
+                        },
+                        exp: rs.exp,
+                    })
+                    .collect();
+                let gid = *rule_index.entry(body.clone()).or_insert_with(|| {
+                    global_rules.push(body);
+                    (global_rules.len() - 1) as u32
+                });
+                map.insert(r, gid);
+            }
+            maps.push(map);
+        }
+        let mut mains_global: Vec<Vec<RSym>> = grammars
+            .iter()
+            .zip(&maps)
+            .map(|(g, map)| {
+                g.rules[0]
+                    .iter()
+                    .map(|rs| RSym {
+                        sym: match rs.sym {
+                            Sym::T(t) => Sym::T(t),
+                            Sym::N(n) => Sym::N(map[&n]),
+                        },
+                        exp: rs.exp,
+                    })
+                    .collect()
+            })
+            .collect();
+        let FirstSeen { class, first } = first_seen(&mains_global);
+        let variants: Vec<Vec<RSym>> =
+            first.iter().map(|&rank| std::mem::take(&mut mains_global[rank])).collect();
+        let mut variant_ranks = vec![RankSet::empty(); variants.len()];
+        for (rank, &v) in class.iter().enumerate() {
+            variant_ranks[v] = variant_ranks[v].union(&RankSet::single(rank as u32));
+        }
+        let clusters = cluster_by_edit_distance(&variants, config.cluster_threshold);
+        let mut mains: Vec<MergedMain> =
+            clusters.iter().map(|c| merge_cluster(&variants, &variant_ranks, c)).collect();
+        mains.sort_by_key(|m| m.ranks.iter().next().unwrap_or(u32::MAX));
+        MergedGrammar { rules: global_rules, mains, nranks }
+    }
+
+    #[test]
+    fn deduped_merge_equals_the_per_rank_merge() {
+        // Three SPMD-like streams and one that clusters apart, spread so
+        // that every rank set is fragmented: every 7th rank differs, every
+        // 11th differs again, and one rank is alone.
+        let body = |tail: &[u32]| -> Vec<u32> {
+            let mut s: Vec<u32> = std::iter::repeat_n([1u32, 2, 3, 2, 4], 12).flatten().collect();
+            s.extend_from_slice(tail);
+            s
+        };
+        let kinds = [
+            Sequitur::build(&body(&[9])),
+            Sequitur::build(&body(&[8, 9])),
+            Sequitur::build(&body(&[7])),
+            Sequitur::build(&(40..70).collect::<Vec<u32>>()),
+        ];
+        let kind_of = |rank: usize| match rank {
+            17 => 3,
+            r if r % 11 == 0 => 2,
+            r if r % 7 == 3 => 1,
+            _ => 0,
+        };
+        for nranks in [1usize, 2, 12, 100] {
+            let owned: Vec<Grammar> = (0..nranks).map(|r| kinds[kind_of(r)].clone()).collect();
+            let expected = per_rank_reference(&owned, &MergeConfig::default());
+            assert_eq!(merge_grammars(&owned, &MergeConfig::default()), expected, "P={nranks}");
+            // Ranks that share their grammar by reference merge the same.
+            let shared: Vec<std::sync::Arc<Grammar>> =
+                kinds.iter().cloned().map(std::sync::Arc::new).collect();
+            let by_ref: Vec<_> = (0..nranks).map(|r| shared[kind_of(r)].clone()).collect();
+            assert_eq!(merge_grammars(&by_ref, &MergeConfig::default()), expected, "P={nranks}");
+        }
+    }
+
+    #[test]
+    fn distinct_grammars_with_equal_mains_share_one_variant() {
+        // Two numberings of the same rules: unequal grammars whose mains
+        // are equal over global symbols.
+        let t = |id| RSym::new(Sym::T(id), 1);
+        let n = |id| RSym::new(Sym::N(id), 2);
+        let a = Grammar { rules: vec![vec![n(1), n(2)], vec![t(1), t(2)], vec![t(3), t(4)]] };
+        let b = Grammar { rules: vec![vec![n(2), n(1)], vec![t(3), t(4)], vec![t(1), t(2)]] };
+        let c = Grammar { rules: vec![vec![t(5), t(6)]] };
+        let grammars = vec![a.clone(), c.clone(), b.clone(), a, c, b];
+        let merged = merge_grammars(&grammars, &MergeConfig::default());
+        assert_eq!(merged, per_rank_reference(&grammars, &MergeConfig::default()));
+        assert_eq!(merged.rules.len(), 2);
+        let main = merged.main_for_rank(0).expect("rank 0 is covered");
+        assert_eq!(main.ranks, RankSet::from_iter([0, 2, 3, 5]));
     }
 
     #[test]

@@ -89,7 +89,10 @@ impl RankSet {
         valid.then_some(RankSet { ranges })
     }
 
-    fn push_sorted(&mut self, rank: u32) {
+    /// Add `rank`, which must be at least the set's largest rank (an equal
+    /// rank is already in). Appending ascending ranks builds a set in one
+    /// pass, with no sort and no copy.
+    pub(crate) fn push_sorted(&mut self, rank: u32) {
         if let Some(last) = self.ranges.last_mut() {
             if rank <= last.1 {
                 return;

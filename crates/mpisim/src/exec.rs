@@ -159,32 +159,35 @@ impl Wake for RankWaker {
     }
 }
 
-struct Slot<'env, T> {
-    fut: Option<RankFut<'env, T>>,
-    out: Option<T>,
+/// One rank's future while it runs, then what `finish` made of its
+/// output. A running rank reserves no room for an output it has not made.
+enum Slot<'env, T, U> {
+    Running(RankFut<'env, T>),
+    Done(U),
 }
 
-/// Drive all rank futures to completion on the event scheduler.
+/// Drive all rank futures to completion on the event scheduler, applying
+/// `finish` to each output as its rank completes (on the thread that
+/// polled it), so the output is dropped there and then.
 ///
 /// Returns `Err(blocked_ranks)` if the simulation deadlocks: no rank is
 /// runnable but some have not finished. Between batches no rank is
 /// executing, so an empty wake queue with unfinished ranks is a true
 /// quiescent deadlock, never a race. An `observed` run (see
 /// `World::try_run`) also records the scheduler introspection metrics.
-pub(crate) fn run_event<'env, T: Send>(
+pub(crate) fn run_event<'env, T: Send, U: Send>(
     futs: Vec<RankFut<'env, T>>,
     observed: bool,
-) -> Result<Vec<T>, Vec<usize>> {
+    finish: impl Fn(T) -> U + Sync,
+) -> Result<Vec<U>, Vec<usize>> {
     let n = futs.len();
     let metrics = observed.then(SchedMetrics::resolve);
     let exec = Arc::new(ExecShared::new(n, metrics.is_some()));
     let wakers: Vec<Waker> = (0..n)
         .map(|rank| Waker::from(Arc::new(RankWaker { exec: exec.clone(), rank })))
         .collect();
-    let slots: Vec<Mutex<Slot<'env, T>>> = futs
-        .into_iter()
-        .map(|f| Mutex::new(Slot { fut: Some(f), out: None }))
-        .collect();
+    let slots: Vec<Mutex<Slot<'env, T, U>>> =
+        futs.into_iter().map(|f| Mutex::new(Slot::Running(f))).collect();
 
     let mut unfinished = n;
     while unfinished > 0 {
@@ -200,7 +203,7 @@ pub(crate) fn run_event<'env, T: Send>(
             let blocked: Vec<usize> = slots
                 .iter()
                 .enumerate()
-                .filter(|(_, s)| s.lock().unwrap().fut.is_some())
+                .filter(|(_, s)| matches!(*s.lock().expect("slot poisoned"), Slot::Running(_)))
                 .map(|(r, _)| r)
                 .collect();
             return Err(blocked);
@@ -216,12 +219,13 @@ pub(crate) fn run_event<'env, T: Send>(
             let rank = batch[i];
             let mut slot = slots[rank].lock().unwrap();
             exec.status[rank].store(RUNNING, Ordering::Release);
-            let fut = slot.fut.as_mut().expect("queued rank has a live future");
+            let Slot::Running(fut) = &mut *slot else {
+                panic!("queued rank {rank} has already finished")
+            };
             let mut cx = Context::from_waker(&wakers[rank]);
             match fut.as_mut().poll(&mut cx) {
                 Poll::Ready(out) => {
-                    slot.fut = None;
-                    slot.out = Some(out);
+                    *slot = Slot::Done(finish(out));
                     exec.status[rank].store(DONE, Ordering::Release);
                     true
                 }
@@ -259,7 +263,10 @@ pub(crate) fn run_event<'env, T: Send>(
 
     Ok(slots
         .into_iter()
-        .map(|s| s.into_inner().unwrap().out.expect("finished rank has output"))
+        .map(|s| match s.into_inner().expect("slot poisoned") {
+            Slot::Done(out) => out,
+            Slot::Running(_) => unreachable!("every rank finished"),
+        })
         .collect())
 }
 
@@ -297,7 +304,7 @@ mod tests {
     fn event_executor_runs_independent_futures() {
         let futs: Vec<RankFut<'_, usize>> =
             (0..64usize).map(|i| Box::pin(async move { i * 2 }) as RankFut<'_, usize>).collect();
-        let out = run_event(futs, false).expect("no deadlock");
+        let out = run_event(futs, false, |x| x).expect("no deadlock");
         assert_eq!(out, (0..64).map(|i| i * 2).collect::<Vec<_>>());
     }
 
@@ -312,7 +319,7 @@ mod tests {
                 }) as RankFut<'_, u32>
             })
             .collect();
-        assert_eq!(run_event(futs, false).unwrap(), vec![0, 1, 2, 3]);
+        assert_eq!(run_event(futs, false, |x| x).unwrap(), vec![0, 1, 2, 3]);
     }
 
     #[test]
@@ -330,7 +337,7 @@ mod tests {
                 Never.await;
             }),
         ];
-        assert_eq!(run_event(futs, false).unwrap_err(), vec![1]);
+        assert_eq!(run_event(futs, false, |x| x).unwrap_err(), vec![1]);
     }
 
     #[test]
@@ -352,6 +359,6 @@ mod tests {
                 crate::message::AckWait(&cell).await
             }),
         ];
-        assert_eq!(run_event(futs, false).unwrap(), vec![0.0, 7.5]);
+        assert_eq!(run_event(futs, false, |x| x).unwrap(), vec![0.0, 7.5]);
     }
 }

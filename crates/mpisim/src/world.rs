@@ -134,7 +134,7 @@ impl World {
         });
         let futs: Vec<RankFut<'env>> =
             (0..self.nranks).map(|r| body(Rank::new(shared.clone(), r))).collect();
-        let run = crate::exec::run_event(futs, observed);
+        let run = crate::exec::run_event(futs, observed, Rank::into_stats);
         // Which receives found their message queued depends on how ranks
         // interleave above one worker thread: observability data, gated
         // like the scheduler's own metrics. The quorum evaluator's work does
@@ -147,11 +147,8 @@ impl World {
             siesta_obs::counter("obs.sim.quorum.member_rounds").add(member_rounds);
         }
         match run {
-            Ok(ranks) => {
-                // The executor returns results in slot order == rank order.
-                let per_rank = ranks.into_iter().map(Rank::into_stats).collect();
-                Ok(RunStats { per_rank, comm_matrix, sim_profile })
-            }
+            // The executor returns results in slot order == rank order.
+            Ok(per_rank) => Ok(RunStats { per_rank, comm_matrix, sim_profile }),
             Err(stuck) => Err(Deadlock {
                 nranks: self.nranks,
                 ranks: stuck

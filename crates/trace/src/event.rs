@@ -15,6 +15,7 @@
 //! log-scale signature so noisy readings of the same kernel share one
 //! terminal id across ranks.
 
+use siesta_mpisim::MpiCall;
 use siesta_perfmodel::CounterVec;
 
 /// Relative rank encoding.
@@ -68,31 +69,38 @@ pub enum CommEvent {
 }
 
 impl CommEvent {
+    /// MPI function name, read from [`MpiCall::class_name`]'s table.
     pub fn func_name(&self) -> &'static str {
+        MpiCall::class_name(self.class_index())
+    }
+
+    /// Dense per-variant index: the [`MpiCall::class_index`] of the call
+    /// this event normalizes.
+    pub fn class_index(&self) -> usize {
         match self {
-            CommEvent::Send { .. } => "MPI_Send",
-            CommEvent::Recv { .. } => "MPI_Recv",
-            CommEvent::Isend { .. } => "MPI_Isend",
-            CommEvent::Irecv { .. } => "MPI_Irecv",
-            CommEvent::Wait { .. } => "MPI_Wait",
-            CommEvent::Waitall { .. } => "MPI_Waitall",
-            CommEvent::Sendrecv { .. } => "MPI_Sendrecv",
-            CommEvent::Barrier { .. } => "MPI_Barrier",
-            CommEvent::Bcast { .. } => "MPI_Bcast",
-            CommEvent::Reduce { .. } => "MPI_Reduce",
-            CommEvent::Allreduce { .. } => "MPI_Allreduce",
-            CommEvent::Allgather { .. } => "MPI_Allgather",
-            CommEvent::Alltoall { .. } => "MPI_Alltoall",
-            CommEvent::Alltoallv { .. } => "MPI_Alltoallv",
-            CommEvent::Gather { .. } => "MPI_Gather",
-            CommEvent::Scatter { .. } => "MPI_Scatter",
-            CommEvent::Gatherv { .. } => "MPI_Gatherv",
-            CommEvent::Scatterv { .. } => "MPI_Scatterv",
-            CommEvent::Scan { .. } => "MPI_Scan",
-            CommEvent::ReduceScatterBlock { .. } => "MPI_Reduce_scatter_block",
-            CommEvent::CommSplit { .. } => "MPI_Comm_split",
-            CommEvent::CommDup { .. } => "MPI_Comm_dup",
-            CommEvent::CommFree { .. } => "MPI_Comm_free",
+            CommEvent::Send { .. } => 0,
+            CommEvent::Recv { .. } => 1,
+            CommEvent::Isend { .. } => 2,
+            CommEvent::Irecv { .. } => 3,
+            CommEvent::Wait { .. } => 4,
+            CommEvent::Waitall { .. } => 5,
+            CommEvent::Sendrecv { .. } => 6,
+            CommEvent::Barrier { .. } => 7,
+            CommEvent::Bcast { .. } => 8,
+            CommEvent::Reduce { .. } => 9,
+            CommEvent::Allreduce { .. } => 10,
+            CommEvent::Allgather { .. } => 11,
+            CommEvent::Alltoall { .. } => 12,
+            CommEvent::Alltoallv { .. } => 13,
+            CommEvent::Gather { .. } => 14,
+            CommEvent::Scatter { .. } => 15,
+            CommEvent::Gatherv { .. } => 16,
+            CommEvent::Scatterv { .. } => 17,
+            CommEvent::Scan { .. } => 18,
+            CommEvent::ReduceScatterBlock { .. } => 19,
+            CommEvent::CommSplit { .. } => 20,
+            CommEvent::CommDup { .. } => 21,
+            CommEvent::CommFree { .. } => 22,
         }
     }
 

@@ -13,6 +13,8 @@
 //! events merge when their representatives agree within the clustering
 //! threshold, pooling their counter statistics.
 
+use std::sync::Arc;
+
 use siesta_grammar::memo::MIN_SYMBOLS_TO_FAN_OUT;
 use siesta_grammar::{Grammar, Sequitur};
 use siesta_hash::{first_seen, fx_map_with_capacity, FirstSeen, FxHashMap};
@@ -69,16 +71,10 @@ struct Partial {
     comm_index: FxHashMap<u32, u32>,
     /// (table index, representative) per compute cluster.
     compute_clusters: Vec<(u32, CounterVec)>,
-    /// (rank, composed local→this-table remap) pairs covered by this
-    /// partial table. Remaps compose through absorb levels instead of
-    /// rewriting whole sequences at every level: function composition
-    /// gives the same final mapping as the old per-level sequence
-    /// rewrites, at table-size instead of sequence-length cost per round.
-    remaps: Vec<(usize, Vec<u32>)>,
 }
 
 impl Partial {
-    fn leaf(rank: usize, table: Vec<LocalEvent>) -> Partial {
+    fn leaf(table: Vec<LocalEvent>) -> Partial {
         let mut comm_index = fx_map_with_capacity(table.len());
         let mut compute_clusters = Vec::new();
         for (i, e) in table.iter().enumerate() {
@@ -91,15 +87,17 @@ impl Partial {
                 }
             }
         }
-        let identity = (0..table.len() as u32).collect();
-        Partial { table, comm_index, compute_clusters, remaps: vec![(rank, identity)] }
+        Partial { table, comm_index, compute_clusters }
     }
 
-    /// Fold `other` into `self`, composing its remaps.
-    fn absorb(&mut self, other: Partial) {
-        let mut remap = vec![0u32; other.table.len()];
-        for (i, e) in other.table.into_iter().enumerate() {
-            let gid = match e {
+    /// Fold `other` into `self` and return where its entries landed:
+    /// `landing[i]` is the index in `self.table` of `other.table[i]`.
+    /// `self`'s own entries keep their indices.
+    fn absorb(&mut self, other: Partial) -> Vec<u32> {
+        other
+            .table
+            .into_iter()
+            .map(|e| match e {
                 LocalEvent::Comm(id) => *self.comm_index.entry(id).or_insert_with(|| {
                     self.table.push(LocalEvent::Comm(id));
                     self.table.len() as u32 - 1
@@ -125,15 +123,8 @@ impl Partial {
                         }
                     }
                 }
-            };
-            remap[i] = gid;
-        }
-        for (rank, mut r) in other.remaps {
-            for id in &mut r {
-                *id = remap[*id as usize];
-            }
-            self.remaps.push((rank, r));
-        }
+            })
+            .collect()
     }
 }
 
@@ -145,17 +136,22 @@ impl Partial {
 /// ids into `events`, the job's distinct events ([`StreamedTrace::events`]).
 /// Each event that reaches the global table becomes an [`EventRecord`]
 /// once, at the root.
+///
+/// Round `k` (from 0) pairs partials `2j` and `2j + 1`, and the left one
+/// absorbs the right, keeping its own indices. So rank `rank` lives in
+/// partial `rank >> k`, and its ids move only in the rounds where that
+/// partial is a right child (odd). Each round keeps where its right
+/// children landed, and each rank's remap is composed once, after the
+/// last round, through those landings.
 pub fn merge_rank_tables(events: &[CommEvent], tables: Vec<Vec<LocalEvent>>) -> MergedTables {
     let nranks = tables.len();
-    let mut level: Vec<Partial> = tables
-        .into_iter()
-        .enumerate()
-        .map(|(rank, table)| Partial::leaf(rank, table))
-        .collect();
-    let mut rounds = 0u32;
+    let leaf_lens: Vec<usize> = tables.iter().map(Vec::len).collect();
+    let mut level: Vec<Partial> = tables.into_iter().map(Partial::leaf).collect();
+    // landings[k][j]: where pair j's right child landed in round k.
+    let mut landings: Vec<Vec<Option<Vec<u32>>>> = Vec::new();
     while level.len() > 1 {
-        rounds += 1;
-        let _span = siesta_obs::span!("table-merge.round", round = rounds, tables = level.len());
+        let round = landings.len() + 1;
+        let _span = siesta_obs::span!("table-merge.round", round = round, tables = level.len());
         // Each round's pair-merges are independent: fan them out over the
         // worker pool. `parallel_map_owned` returns results in pair order,
         // so the reduction tree — and therefore every global id — is the
@@ -170,23 +166,38 @@ pub fn merge_rank_tables(events: &[CommEvent], tables: Vec<Vec<LocalEvent>>) -> 
             .iter()
             .map(|(a, b)| a.table.len() + b.as_ref().map_or(0, |b| b.table.len()))
             .sum();
-        level = siesta_par::parallel_map_owned_min_work(
+        let merged = siesta_par::parallel_map_owned_min_work(
             pairs,
             work,
             MIN_EVENTS_TO_FAN_OUT,
             |_, (mut a, b)| {
-                if let Some(b) = b {
-                    a.absorb(b);
-                }
-                a
+                let landing = b.map(|b| a.absorb(b));
+                (a, landing)
             },
         );
+        let (next, landed) = merged.into_iter().unzip();
+        level = next;
+        landings.push(landed);
     }
     let root = level.pop().expect("at least one rank");
-    let mut remaps = vec![Vec::new(); nranks];
-    for (rank, r) in root.remaps {
-        remaps[rank] = r;
-    }
+    let remaps = siesta_par::parallel_map_min_work(
+        &leaf_lens,
+        leaf_lens.iter().sum(),
+        MIN_EVENTS_TO_FAN_OUT,
+        |rank, &len| {
+            let mut remap: Vec<u32> = (0..len as u32).collect();
+            for (k, round) in landings.iter().enumerate() {
+                if (rank >> k) & 1 == 1 {
+                    let landing = round[rank >> (k + 1)].as_ref().expect("a right child landed");
+                    for id in &mut remap {
+                        *id = landing[*id as usize];
+                    }
+                }
+            }
+            remap
+        },
+    );
+    let rounds = landings.len() as u32;
     let table: Vec<EventRecord> = root
         .table
         .into_iter()
@@ -218,7 +229,7 @@ pub fn merge_tables(st: StreamedTrace) -> GlobalTrace {
     let (tables, grammars): (Vec<_>, Vec<_>) =
         st.ranks.into_iter().map(|r| (r.table, r.grammar)).unzip();
     let merged = merge_rank_tables(&st.events, tables);
-    let pairs: Vec<(Grammar, Vec<u32>)> = grammars.into_iter().zip(merged.remaps).collect();
+    let pairs: Vec<(Arc<Grammar>, Vec<u32>)> = grammars.into_iter().zip(merged.remaps).collect();
     let seqs = siesta_par::parallel_map_owned_min_work(
         pairs,
         events,
@@ -251,8 +262,8 @@ pub struct StreamedGlobal {
     pub table: Vec<EventRecord>,
     /// One grammar per rank, over global terminal ids. Equivalent (bit
     /// identical after expansion) to `Sequitur::build` of the rank's row in
-    /// [`GlobalTrace::seqs`].
-    pub grammars: Vec<Grammar>,
+    /// [`GlobalTrace::seqs`]. Ranks with one lifted grammar share it.
+    pub grammars: Vec<Arc<Grammar>>,
     pub raw_bytes: usize,
     pub merge_rounds: u32,
 }
@@ -307,14 +318,15 @@ fn remap_injective(remap: &[u32], nglobal: usize) -> bool {
 /// `grammar.stream.rebuilds`) expand, remap, and rebuild.
 ///
 /// Ranks whose local grammar and composed remap both equal an earlier
-/// rank's (`siesta_hash::first_seen` on the pair) share its lifted grammar
-/// instead of relabeling again (`grammar.memo.stream_hits`). Sequitur is a
-/// pure function of its input, so the local grammar pins the rank's exact
-/// local stream, and the pair is the whole identity of the lifted grammar.
+/// rank's (`siesta_hash::first_seen` on the pair) share its lifted grammar,
+/// by reference, instead of relabeling again (`grammar.memo.stream_hits`).
+/// Sequitur is a pure function of its input, so the local grammar pins the
+/// rank's exact local stream, and the pair is the whole identity of the
+/// lifted grammar.
 pub fn merge_streamed(st: StreamedTrace) -> StreamedGlobal {
     let nranks = st.nranks;
     let raw_bytes = st.raw_bytes();
-    let (tables, mut locals): (Vec<_>, Vec<_>) =
+    let (tables, locals): (Vec<_>, Vec<_>) =
         st.ranks.into_iter().map(|r| (r.table, r.grammar)).unzip();
     let mut merged = merge_rank_tables(&st.events, tables);
     let nglobal = merged.table.len();
@@ -327,10 +339,10 @@ pub fn merge_streamed(st: StreamedTrace) -> StreamedGlobal {
     // land in owner order, so the result is thread-count independent.
     let _span = siesta_obs::span!("sequitur-lift", ranks = nranks, unique = owners.len());
     let mut rebuilds = 0u64;
-    let items: Vec<(Grammar, Vec<u32>, bool)> = owners
+    let items: Vec<(&Grammar, Vec<u32>, bool)> = owners
         .iter()
         .map(|&rank| {
-            let g = std::mem::replace(&mut locals[rank], Grammar { rules: vec![] });
+            let g = &*locals[rank];
             let remap = std::mem::take(&mut merged.remaps[rank]);
             let injective = remap_injective(&remap, nglobal);
             if !injective {
@@ -341,12 +353,12 @@ pub fn merge_streamed(st: StreamedTrace) -> StreamedGlobal {
         .collect();
     siesta_obs::counter("grammar.stream.rebuilds").add(rebuilds);
     let work: usize = items.iter().map(|(g, _, _)| g.size()).sum();
-    let lifted: Vec<Grammar> = siesta_par::parallel_map_owned_min_work(
+    let lifted: Vec<Arc<Grammar>> = siesta_par::parallel_map_owned_min_work(
         items,
         work,
         MIN_SYMBOLS_TO_FAN_OUT,
         |_, (g, remap, injective)| {
-            if injective {
+            Arc::new(if injective {
                 g.relabel_terminals(&remap)
             } else {
                 // Equality pattern changed under the merge: fall back to
@@ -357,14 +369,14 @@ pub fn merge_streamed(st: StreamedTrace) -> StreamedGlobal {
                     *id = remap[*id as usize];
                 }
                 Sequitur::build(&seq)
-            }
+            })
         },
     );
 
     StreamedGlobal {
         nranks,
         table: merged.table,
-        grammars: class.into_iter().map(|u| lifted[u].clone()).collect(),
+        grammars: class.into_iter().map(|u| Arc::clone(&lifted[u])).collect(),
         raw_bytes,
         merge_rounds: merged.merge_rounds,
     }
@@ -387,6 +399,120 @@ mod tests {
 
     fn trace(ranks: Vec<(Vec<EventRecord>, Vec<u32>)>) -> StreamedTrace {
         StreamedTrace::from_tables(ranks, 100)
+    }
+
+    /// (rank, remap into the partial's table) for each rank a partial
+    /// covers.
+    type RankRemaps = Vec<(usize, Vec<u32>)>;
+
+    /// The per-round composition `merge_rank_tables` replaced, kept as its
+    /// reference: every partial carries its ranks' remaps, and each round
+    /// rewrites the absorbed partial's remaps through its landing.
+    fn per_round_reference(events: &[CommEvent], tables: Vec<Vec<LocalEvent>>) -> MergedTables {
+        let nranks = tables.len();
+        let mut level: Vec<(Partial, RankRemaps)> = tables
+            .into_iter()
+            .enumerate()
+            .map(|(rank, table)| {
+                let identity = (0..table.len() as u32).collect();
+                (Partial::leaf(table), vec![(rank, identity)])
+            })
+            .collect();
+        let mut rounds = 0;
+        while level.len() > 1 {
+            rounds += 1;
+            let mut next = Vec::with_capacity(level.len().div_ceil(2));
+            let mut it = level.into_iter();
+            while let Some((mut a, mut a_remaps)) = it.next() {
+                if let Some((b, b_remaps)) = it.next() {
+                    let landing = a.absorb(b);
+                    for (rank, mut r) in b_remaps {
+                        for id in &mut r {
+                            *id = landing[*id as usize];
+                        }
+                        a_remaps.push((rank, r));
+                    }
+                }
+                next.push((a, a_remaps));
+            }
+            level = next;
+        }
+        let (root, root_remaps) = level.pop().expect("at least one rank");
+        let mut remaps = vec![Vec::new(); nranks];
+        for (rank, r) in root_remaps {
+            remaps[rank] = r;
+        }
+        let table = root
+            .table
+            .into_iter()
+            .map(|e| match e {
+                LocalEvent::Comm(id) => EventRecord::Comm(events[id as usize].clone()),
+                LocalEvent::Compute(s) => EventRecord::Compute(s),
+            })
+            .collect();
+        MergedTables { nranks, table, remaps, merge_rounds: rounds }
+    }
+
+    /// Seeded tables: up to five of twelve communication events and up to
+    /// three compute clusters per rank, shuffled. Representatives spread
+    /// over [1, 1.5]× one kernel, so many pairs sit near the 0.15 merge
+    /// threshold and which cluster a reading joins depends on the tree.
+    fn random_tables(nranks: usize, seed: u64) -> Vec<Vec<LocalEvent>> {
+        use siesta_perfmodel::noise::{splitmix64, unit};
+        let mut draw = 0u64;
+        let mut next = || {
+            draw += 1;
+            splitmix64(seed.wrapping_mul(0x9e37_79b9) ^ draw)
+        };
+        (0..nranks)
+            .map(|_| {
+                let mut table: Vec<LocalEvent> = Vec::new();
+                let ncomm = next() % 6;
+                while (table.len() as u64) < ncomm {
+                    let id = (next() % 12) as u32;
+                    if !table.contains(&LocalEvent::Comm(id)) {
+                        table.push(LocalEvent::Comm(id));
+                    }
+                }
+                for _ in 0..next() % 4 {
+                    let scale = 1.0 + 0.5 * unit(next());
+                    let repr = CounterVec::new(1e6, 2e5, 3e4, 4e5, 5e3, 6e2) * scale;
+                    table.push(LocalEvent::Compute(ComputeStats::new(repr)));
+                }
+                for i in (1..table.len()).rev() {
+                    table.swap(i, (next() % (i as u64 + 1)) as usize);
+                }
+                table
+            })
+            .collect()
+    }
+
+    #[test]
+    fn remaps_composed_at_the_root_equal_the_per_round_composition() {
+        let events: Vec<CommEvent> =
+            (0..12).map(|rel| CommEvent::Send { rel, tag: 0, bytes: 64, comm: 0 }).collect();
+        for nranks in [1usize, 2, 3, 5, 8, 13, 1000] {
+            for seed in [1u64, 2, 3] {
+                let tables = random_tables(nranks, seed);
+                let expected = per_round_reference(&events, tables.clone());
+                let clustered =
+                    expected.table.iter().filter(|e| !e.is_comm()).count();
+                for width in [1usize, 8] {
+                    let got = siesta_par::with_threads(width, || {
+                        merge_rank_tables(&events, tables.clone())
+                    });
+                    let what = format!("P={nranks} seed={seed} width={width}");
+                    assert_eq!(got.nranks, nranks, "{what}");
+                    assert_eq!(got.merge_rounds, expected.merge_rounds, "{what}");
+                    assert_eq!(got.table, expected.table, "{what}");
+                    assert_eq!(got.remaps, expected.remaps, "{what}");
+                }
+                if nranks == 1000 {
+                    // The threshold did split the kernel's readings.
+                    assert!(clustered > 1, "P={nranks} seed={seed}: {clustered} clusters");
+                }
+            }
+        }
     }
 
     #[test]
@@ -498,7 +624,7 @@ mod tests {
             assert_eq!(sg.expand_rank(rank), g.seqs[rank], "rank {rank}");
             // Not just the same sequence: the same grammar Sequitur would
             // build from the expanded global sequence.
-            assert_eq!(sg.grammars[rank], Sequitur::build(&g.seqs[rank]), "rank {rank}");
+            assert_eq!(*sg.grammars[rank], Sequitur::build(&g.seqs[rank]), "rank {rank}");
         }
         assert_eq!(sg.to_global_trace().seqs, g.seqs);
         // One local stream, two lifted grammars; equal ranks share one.

@@ -433,7 +433,8 @@ impl Normalizer {
 /// online during the run, or at finish for a stream that fit the buffer)
 /// and the stream's length. Sequitur is a pure function of its input, so
 /// equal grammars are exactly equal streams: the lift's memo keys on the
-/// grammar itself.
+/// grammar itself. Ranks whose streams fit the buffer and are equal share
+/// one grammar.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamedRank {
     /// The rank's local table in local-id order: communication events by
@@ -441,7 +442,7 @@ pub struct StreamedRank {
     pub table: Vec<LocalEvent>,
     /// Grammar over **rank-local** table ids (the pipeline relabels it
     /// into global ids after the table merge).
-    pub grammar: Grammar,
+    pub grammar: Arc<Grammar>,
     /// Number of events in the stream.
     pub seq_len: usize,
     pub raw_bytes: usize,
@@ -497,10 +498,10 @@ impl Recorder {
     /// into its builder and finalizes the grammar on the spot; ranks that
     /// never flushed hand over their buffered streams, which are then built
     /// together by [`build_rank_grammars`] — Sequitur once per distinct
-    /// sequence, in first-seen order, fanned out over the pool. Sequitur is
-    /// a pure function of its input and the dedupe compares whole
-    /// sequences, so the grammars equal what a per-rank online build would
-    /// produce.
+    /// sequence, in first-seen order, fanned out over the pool, and one
+    /// shared grammar per sequence. Sequitur is a pure function of its
+    /// input and the dedupe compares whole sequences, so the grammars equal
+    /// what a per-rank online build would produce.
     ///
     /// The same pass numbers the interned events by their first
     /// introduction (rank order, then local-id order), rewrites each
@@ -523,6 +524,8 @@ impl Recorder {
         let mut unflushed: Vec<usize> = Vec::new();
         let mut unflushed_seqs: Vec<Vec<u32>> = Vec::new();
         let mut ranks: Vec<StreamedRank> = Vec::with_capacity(self.per_rank.len());
+        // Held by unflushed ranks until the batch build below.
+        let placeholder = Arc::new(Grammar { rules: Vec::new() });
         for (rank, m) in self.per_rank.iter().enumerate() {
             // An idle `RankTrace` allocates nothing, so the reset is free.
             let idle = RankTrace::new(self.config.stream_buf);
@@ -542,12 +545,11 @@ impl Recorder {
             peak = peak.max(s.peak_buffered);
             let grammar = if s.builder.is_some() {
                 s.flush();
-                s.builder.take().expect("flushed sink holds a builder").into_grammar()
+                Arc::new(s.builder.take().expect("flushed sink holds a builder").into_grammar())
             } else {
                 unflushed.push(rank);
                 unflushed_seqs.push(s.take_unflushed());
-                // Placeholder until the batch build below.
-                Grammar { rules: Vec::new() }
+                Arc::clone(&placeholder)
             };
             flushes += s.flushes;
             ranks.push(StreamedRank { table, grammar, seq_len: s.len, raw_bytes });
@@ -629,7 +631,7 @@ impl StreamedTrace {
                     .collect();
                 StreamedRank {
                     table,
-                    grammar: Sequitur::build(&seq),
+                    grammar: Arc::new(Sequitur::build(&seq)),
                     seq_len: seq.len(),
                     raw_bytes,
                 }
@@ -803,7 +805,7 @@ mod tests {
                     assert_eq!(seq(s), w_seq, "{program:?} buf={buf}");
                     // And the grammar is the one Sequitur would build from
                     // the whole sequence (not merely expansion-equal).
-                    assert_eq!(s.grammar, Sequitur::build(&w_seq));
+                    assert_eq!(*s.grammar, Sequitur::build(&w_seq));
                 }
             }
         }
@@ -874,6 +876,36 @@ mod tests {
         assert_eq!(events, 9);
     }
 
+    #[test]
+    fn ranks_of_one_unflushed_stream_share_one_grammar() {
+        // A 4×4 periodic halo: every rank records one local-id stream,
+        // short enough to stay buffered, and the grid's columns give it
+        // three sets of events.
+        let rec = Arc::new(Recorder::new_streaming(16, TraceConfig::default()));
+        siesta_mpisim::World::new(machine(), 16)
+            .with_hook(rec.clone())
+            .run(siesta_workloads::halo::halo2d_body(3, 4096));
+        let st = rec.finish_streamed();
+        let shared = |a: &Arc<Grammar>, b: &Arc<Grammar>| Arc::ptr_eq(a, b);
+        // Finish builds each stream once and hands every rank that
+        // recorded it the same grammar.
+        for a in &st.ranks {
+            for b in &st.ranks {
+                assert_eq!(shared(&a.grammar, &b.grammar), a.grammar == b.grammar);
+            }
+        }
+        let streams = siesta_hash::first_seen(st.ranks.iter().map(|r| &r.grammar)).first.len();
+        assert_eq!(streams, 1);
+        // The lift relabels each (stream, remap) once and shares it too.
+        let sg = crate::merge_streamed(st);
+        for a in &sg.grammars {
+            for b in &sg.grammars {
+                assert_eq!(shared(a, b), a == b);
+            }
+        }
+        assert_eq!(siesta_hash::first_seen(&sg.grammars).first.len(), 3);
+    }
+
     fn ctx(comm_size: usize) -> HookCtx {
         HookCtx {
             rank: 0,
@@ -911,6 +943,54 @@ mod tests {
     }
 
     #[test]
+    fn events_take_their_class_and_name_from_the_call() {
+        let world = CommId::WORLD;
+        let a = CommId(10);
+        let calls = [
+            MpiCall::Send { comm: world, dest: 1, tag: 0, bytes: 8 },
+            MpiCall::Recv { comm: world, src: 1, tag: 0, bytes: 8 },
+            MpiCall::Isend { comm: world, dest: 1, tag: 0, bytes: 8, req: 5 },
+            MpiCall::Irecv { comm: world, src: 1, tag: 0, bytes: 8, req: 6 },
+            MpiCall::Wait { req: 5 },
+            MpiCall::Waitall { reqs: vec![6] },
+            MpiCall::Sendrecv {
+                comm: world,
+                dest: 1,
+                send_tag: 0,
+                send_bytes: 8,
+                src: 3,
+                recv_tag: 0,
+                recv_bytes: 8,
+            },
+            MpiCall::Barrier { comm: world },
+            MpiCall::Bcast { comm: world, root: 0, bytes: 8 },
+            MpiCall::Reduce { comm: world, root: 0, bytes: 8 },
+            MpiCall::Allreduce { comm: world, bytes: 8 },
+            MpiCall::Allgather { comm: world, bytes: 8 },
+            MpiCall::Alltoall { comm: world, bytes_per_peer: 8 },
+            MpiCall::Alltoallv { comm: world, send_counts: vec![8; 4], recv_counts: vec![8; 4] },
+            MpiCall::Gather { comm: world, root: 0, bytes: 8 },
+            MpiCall::Scatter { comm: world, root: 0, bytes: 8 },
+            MpiCall::Gatherv { comm: world, root: 0, counts: vec![8; 4] },
+            MpiCall::Scatterv { comm: world, root: 0, counts: vec![8; 4] },
+            MpiCall::Scan { comm: world, bytes: 8 },
+            MpiCall::ReduceScatterBlock { comm: world, bytes_per_rank: 8 },
+            MpiCall::CommSplit { parent: world, color: 0, key: 0, result: Some(a) },
+            MpiCall::CommDup { parent: world, result: Some(CommId(11)) },
+            MpiCall::CommFree { comm: a },
+        ];
+        let mut n = Normalizer::new();
+        let mut seen = [false; siesta_mpisim::hook::NUM_CALL_CLASSES];
+        for call in &calls {
+            let event = n.normalize(&ctx(4), call);
+            assert_eq!(event.class_index(), call.class_index(), "{call:?}");
+            assert_eq!(event.func_name(), call.func_name(), "{call:?}");
+            seen[call.class_index()] = true;
+        }
+        assert!(seen.iter().all(|&s| s), "one call per class");
+    }
+
+    #[test]
     #[should_panic(expected = "MPI_Comm_free(MPI_COMM_WORLD) is erroneous")]
     fn freeing_world_is_refused() {
         Normalizer::new().normalize(&ctx(4), &MpiCall::CommFree { comm: CommId::WORLD });
@@ -933,7 +1013,7 @@ mod tests {
         for (rank, (s, w)) in st.ranks.iter().zip(&whole.ranks).enumerate() {
             let w_seq = seq(w);
             assert_eq!(s.table, w.table, "rank {rank}");
-            assert_eq!(s.grammar, Sequitur::build(&w_seq), "rank {rank} buf={buf}");
+            assert_eq!(*s.grammar, Sequitur::build(&w_seq), "rank {rank} buf={buf}");
             assert_eq!(s.seq_len, w_seq.len(), "rank {rank}");
         }
     }

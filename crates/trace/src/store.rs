@@ -33,6 +33,7 @@
 
 use std::hash::Hasher;
 use std::path::Path;
+use std::sync::Arc;
 
 use siesta_grammar::Grammar;
 use siesta_hash::{first_seen, FirstSeen, FxHasher};
@@ -174,7 +175,7 @@ pub fn store_from_bytes(bytes: &[u8]) -> Result<StreamedGlobal, StoreError> {
             return Err(WireError::Invalid("grammar without a main rule").into());
         }
         check_grammar(&rules, [], table.len())?;
-        distinct.push(Grammar { rules });
+        distinct.push(Arc::new(Grammar { rules }));
     }
     let index_bytes = nranks.checked_mul(4).ok_or(WireError::Truncated)?;
     let grammars = r
@@ -219,7 +220,7 @@ mod tests {
                 EventRecord::Comm(CommEvent::Send { rel: 1, tag: 3, bytes: 4096, comm: 1 }),
                 EventRecord::Comm(CommEvent::Waitall { reqs: vec![0, 1, 2] }),
             ],
-            grammars: seqs.iter().map(|s| Sequitur::build(s)).collect(),
+            grammars: seqs.iter().map(|s| Arc::new(Sequitur::build(s))).collect(),
             raw_bytes: 12345,
             merge_rounds: 2,
         }
@@ -271,12 +272,13 @@ mod tests {
             edit(&mut sg);
             store_from_bytes(&store_to_bytes(&sg))
         };
-        let self_loop =
-            |sg: &mut StreamedGlobal| sg.grammars[1].rules[0][0] = RSym::once(Sym::N(0));
+        let self_loop = |sg: &mut StreamedGlobal| {
+            Arc::make_mut(&mut sg.grammars[1]).rules[0][0] = RSym::once(Sym::N(0))
+        };
         assert_eq!(reseal(&self_loop), Err(StoreError::Wire(WireError::CyclicRule(0))));
         let dangling = |sg: &mut StreamedGlobal| sg.table.truncate(2);
         assert!(matches!(reseal(&dangling), Err(StoreError::Wire(WireError::DanglingSymbol(_)))));
-        let no_main = |sg: &mut StreamedGlobal| sg.grammars[1].rules.clear();
+        let no_main = |sg: &mut StreamedGlobal| Arc::make_mut(&mut sg.grammars[1]).rules.clear();
         let err = StoreError::Wire(WireError::Invalid("grammar without a main rule"));
         assert_eq!(reseal(&no_main), Err(err));
         // An index past the distinct grammars.
@@ -297,7 +299,7 @@ mod tests {
         let sg = StreamedGlobal {
             nranks: 1,
             table: vec![],
-            grammars: vec![Sequitur::build(&[])],
+            grammars: vec![Arc::new(Sequitur::build(&[]))],
             raw_bytes: 0,
             merge_rounds: 0,
         };

@@ -12,8 +12,9 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
-use siesta_grammar::Sequitur;
+use siesta_grammar::{merge_grammars, Grammar, MergeConfig, Sequitur};
 use siesta_trace::{Recorder, TraceConfig};
 
 /// Counts allocations made by the current thread while armed.
@@ -145,4 +146,39 @@ fn streaming_recorder_allocates_one_block_at_any_rank_count() {
         drop(rec);
         assert!(n <= 1, "new_streaming({nranks}) allocated {n} times, over 1 in all");
     }
+}
+
+#[test]
+fn grammar_merge_allocates_per_distinct_grammar_not_per_rank() {
+    // An SPMD job of three streams, shared by reference as the lift hands
+    // them over: the first rank, the last rank and the interior. The merge
+    // maps each distinct grammar once and builds each rank set in one
+    // pass, so its allocations do not grow with the rank count.
+    let body = |tail: u32| -> Grammar {
+        let mut seq: Vec<u32> = std::iter::repeat_n([1u32, 2, 3, 2, 4], 20).flatten().collect();
+        seq.push(tail);
+        Sequitur::build(&seq)
+    };
+    let kinds = [body(5), body(6), body(7)].map(Arc::new);
+    let job = |nranks: usize| -> Vec<Arc<Grammar>> {
+        (0..nranks)
+            .map(|rank| match rank {
+                0 => Arc::clone(&kinds[0]),
+                r if r + 1 == nranks => Arc::clone(&kinds[2]),
+                _ => Arc::clone(&kinds[1]),
+            })
+            .collect()
+    };
+    let config = MergeConfig::default();
+    // Registers the merge's gauges, which allocates once per process.
+    merge_grammars(&job(8), &config);
+    let (small, n_small) = allocs_during(|| merge_grammars(&job(64), &config));
+    let (large, n_large) = allocs_during(|| merge_grammars(&job(4096), &config));
+    // `job` itself allocates once, for its vector.
+    assert_eq!(
+        n_large, n_small,
+        "4,096 ranks allocated {n_large} times, 64 ranks {n_small}"
+    );
+    assert_eq!(large.rules, small.rules);
+    assert_eq!(large.mains.len(), small.mains.len());
 }

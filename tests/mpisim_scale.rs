@@ -14,6 +14,9 @@
 //!
 //! * 65 536 ranks, byte-identical across pool widths 1/2/8, under 60 s
 //!   wall and 2 GB peak RSS (the ISSUE 8 acceptance numbers);
+//! * a 65 536-rank halo synthesis whose proxy's wire bytes are identical
+//!   at pool widths 1 and 8: the 16-round table merge, the per-rank remap
+//!   composition, the grammar lift and the grammar merge at scale;
 //! * 2²⁰ = 1 048 576 ranks to completion — one small heap future per
 //!   rank, not one OS thread;
 //! * 2²⁰ ranks through the *streaming trace path*: online Sequitur ingest
@@ -134,6 +137,28 @@ fn halo_65536_ranks_byte_identical_and_bounded() {
             eprintln!("peak-RSS gate skipped: high-water mark already {before} B at entry");
         }
     }
+}
+
+#[test]
+fn synthesize_65536_ranks_byte_identical_across_widths() {
+    if !scale_tests_enabled() {
+        eprintln!("skipped: set SIESTA_SCALE_TESTS=1 (release build) to run the 64k-rank synthesis");
+        return;
+    }
+    // The back half composes every rank's remap after the merge tree and
+    // fans that out over ranks; width may move wall time, never a byte.
+    let t0 = Instant::now();
+    let wire = |width: usize| {
+        siesta_par::with_threads(width, || {
+            let siesta = Siesta::new(SiestaConfig::default());
+            let (synthesis, _) = siesta.synthesize_run(machine(), 65_536, halo2d_body(3, 4096));
+            assert_eq!(synthesis.stats.merge_rounds, 16);
+            siesta_codegen::to_bytes(&synthesis.program)
+        })
+    };
+    let narrow = wire(1);
+    assert!(wire(8) == narrow, "65 536-rank proxy differs between widths 1 and 8");
+    assert_within(Duration::from_secs(300), t0.elapsed(), "65 536-rank synthesis × 2 widths");
 }
 
 #[test]
