@@ -18,7 +18,7 @@
 
 use std::borrow::Borrow;
 
-use siesta_hash::{first_seen, fx_map, FirstSeen, FxHashMap};
+use siesta_hash::{first_seen, first_seen_shared, fx_map, FirstSeen, FxHashMap};
 
 use crate::cluster::cluster_by_edit_distance;
 use crate::grammar::Grammar;
@@ -125,15 +125,16 @@ impl Default for MergeConfig {
 /// shared (`Arc<Grammar>`).
 ///
 /// SPMD ranks repeat each other, so the work follows the distinct
-/// grammars, not the ranks: `siesta_hash::first_seen` dedupes the input,
-/// each distinct grammar is mapped once in first-seen order, and every
-/// rank joins its grammar's main variant. A later rank's equal grammar
+/// grammars, not the ranks: `siesta_hash::first_seen_shared` dedupes the
+/// input, hashing a grammar that ranks share by reference once, each
+/// distinct grammar is mapped once in first-seen order, and every rank
+/// joins its grammar's main variant. A later rank's equal grammar
 /// would only find its rules already in the table, so the rule table, the
 /// variants and their order are those of a per-rank merge.
 pub fn merge_grammars(grammars: &[impl Borrow<Grammar>], config: &MergeConfig) -> MergedGrammar {
     let nranks = grammars.len();
     let FirstSeen { class: grammar_of, first: distinct } =
-        first_seen(grammars.iter().map(Borrow::borrow));
+        first_seen_shared(grammars.iter().map(Borrow::borrow));
 
     // ---- Non-terminal merge, depth order, then each main rule in the
     // global symbol space.

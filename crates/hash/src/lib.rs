@@ -183,6 +183,32 @@ pub fn first_seen<K: Hash + Eq>(keys: impl IntoIterator<Item = K>) -> FirstSeen 
     FirstSeen { class, first }
 }
 
+/// [`first_seen`] over references, for keys that many positions share by
+/// reference (the `Arc<Grammar>` ranks of one stream hold): a key at an
+/// address already seen takes that address's class without hashing its
+/// value, so each distinct referent is hashed once. Returns exactly what
+/// `first_seen(keys)` returns.
+pub fn first_seen_shared<'a, K: Hash + Eq + 'a>(
+    keys: impl IntoIterator<Item = &'a K>,
+) -> FirstSeen {
+    let mut by_address: FxHashMap<*const K, usize> = fx_map();
+    let mut by_value: FxHashMap<&'a K, usize> = fx_map();
+    let mut first = Vec::new();
+    let class = keys
+        .into_iter()
+        .enumerate()
+        .map(|(i, key)| {
+            *by_address.entry(key as *const K).or_insert_with(|| {
+                *by_value.entry(key).or_insert_with(|| {
+                    first.push(i);
+                    first.len() - 1
+                })
+            })
+        })
+        .collect();
+    FirstSeen { class, first }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -283,5 +309,17 @@ mod tests {
     #[test]
     fn first_seen_of_nothing_is_empty() {
         assert_eq!(first_seen(std::iter::empty::<u64>()), FirstSeen::default());
+        assert_eq!(first_seen_shared(std::iter::empty::<&u64>()), FirstSeen::default());
+    }
+
+    #[test]
+    fn shared_keys_number_like_their_values() {
+        // Equal values at two addresses, each shared by several positions,
+        // and a value with one address: numbered by value, as first_seen
+        // numbers them.
+        let (a1, a2, b) = (String::from("a"), String::from("a"), String::from("b"));
+        let keys = [&b, &a1, &b, &a2, &a1, &a2, &b];
+        assert_eq!(first_seen_shared(keys), first_seen(keys));
+        assert_eq!(first_seen_shared(keys).class, vec![0, 1, 0, 1, 1, 1, 0]);
     }
 }

@@ -11,7 +11,6 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use siesta_hash::FxHashMap;
 use siesta_perfmodel::net::Protocol;
 use siesta_perfmodel::{CounterVec, KernelDesc, Machine};
 
@@ -123,6 +122,15 @@ impl WaitSums {
 /// the result is still a pure function of virtual timestamps.
 pub(crate) type SplitEntry = (i64, i64, f64);
 
+/// A rank's sequence counters on one communicator: how many communicators
+/// it derived from it (split/dup ids) and how many collectives it ran on
+/// it (plumbing keys).
+struct CommSeqs {
+    comm: CommId,
+    derive: u32,
+    coll: u32,
+}
+
 /// One MPI process within a running [`crate::World`].
 ///
 /// All methods mirror their MPI namesakes; ranks and tags follow MPI
@@ -135,10 +143,9 @@ pub struct Rank {
     pub(crate) clock: f64,
     pub(crate) counters: CounterVec,
     pub(crate) requests: RequestTable,
-    /// Per-communicator derivation counters (split/dup ids).
-    pub(crate) derive_seq: FxHashMap<u64, u32>,
-    /// Per-communicator collective sequence numbers (plumbing keys).
-    pub(crate) coll_seq: FxHashMap<u64, u32>,
+    /// Per-communicator sequence counters, one entry per communicator
+    /// the rank derived from or ran a collective on.
+    seqs: Vec<CommSeqs>,
     pub(crate) compute_ns: f64,
     pub(crate) mpi_ns: f64,
     /// Blocked-wait time (see [`Rank::note_wait`]).
@@ -164,8 +171,7 @@ impl Rank {
             clock: 0.0,
             counters: CounterVec::ZERO,
             requests: RequestTable::new(),
-            derive_seq: FxHashMap::default(),
-            coll_seq: FxHashMap::default(),
+            seqs: Vec::new(),
             compute_ns: 0.0,
             mpi_ns: 0.0,
             wait: WaitSums::default(),
@@ -380,7 +386,7 @@ impl Rank {
             Some(&ReqState::RecvPending { recv, .. }) => {
                 let completion = match recv {
                     RecvHandle::Ready(c) => Some(c),
-                    RecvHandle::Pending(slot) => self.shared.engine.test(self.rank, slot),
+                    RecvHandle::Pending(ticket) => self.shared.engine.test(self.rank, ticket),
                 };
                 completion.map(|c| self.finish_recv(&c))
             }
@@ -620,18 +626,31 @@ impl Rank {
         ]);
     }
 
+    /// `comm`'s sequence counters, starting both at 0 on first use.
+    fn comm_seqs(&mut self, comm: CommId) -> &mut CommSeqs {
+        match self.seqs.iter().position(|s| s.comm == comm) {
+            Some(pos) => &mut self.seqs[pos],
+            None => {
+                // Most ranks only ever use MPI_COMM_WORLD: room for one.
+                if self.seqs.is_empty() {
+                    self.seqs.reserve_exact(1);
+                }
+                self.seqs.push(CommSeqs { comm, derive: 0, coll: 0 });
+                self.seqs.last_mut().expect("just pushed")
+            }
+        }
+    }
+
     fn next_derive_seq(&mut self, comm: CommId) -> u32 {
-        let seq = self.derive_seq.entry(comm.0).or_insert(0);
-        let s = *seq;
-        *seq += 1;
-        s
+        let seqs = self.comm_seqs(comm);
+        seqs.derive += 1;
+        seqs.derive - 1
     }
 
     pub(crate) fn next_coll_seq(&mut self, comm: CommId) -> u32 {
-        let seq = self.coll_seq.entry(comm.0).or_insert(0);
-        let s = *seq;
-        *seq += 1;
-        s
+        let seqs = self.comm_seqs(comm);
+        seqs.coll += 1;
+        seqs.coll - 1
     }
 
     /// Post a receive of at most `capacity` bytes in the matching engine
@@ -671,9 +690,9 @@ impl Rank {
     ) -> RecvStatus {
         let c = match recv {
             RecvHandle::Ready(c) => c,
-            RecvHandle::Pending(slot) => {
+            RecvHandle::Pending(ticket) => {
                 self.set_blocked(blocked::recv(src_global));
-                let c = self.shared.engine.wait(self.rank, slot).await;
+                let c = self.shared.engine.wait(self.rank, ticket).await;
                 self.clear_blocked();
                 c
             }

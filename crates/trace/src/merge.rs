@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use siesta_grammar::memo::MIN_SYMBOLS_TO_FAN_OUT;
 use siesta_grammar::{Grammar, Sequitur};
-use siesta_hash::{first_seen, fx_map_with_capacity, FirstSeen, FxHashMap};
+use siesta_hash::{first_seen, first_seen_shared, fx_map_with_capacity, FirstSeen, FxHashMap};
 use siesta_perfmodel::CounterVec;
 
 use crate::event::{counters_close, CommEvent, EventRecord, LocalEvent};
@@ -67,58 +67,73 @@ struct Partial {
     /// This partial's table: communication events by job event id,
     /// compute clusters inline.
     table: Vec<LocalEvent>,
-    /// Job event id → index in `table`.
-    comm_index: FxHashMap<u32, u32>,
+    /// Built at the partial's first absorb: a partial that is only ever
+    /// absorbed (every first-round right child) is never looked up.
+    index: Option<TableIndex>,
+}
+
+/// Where a partial's entries sit in its table.
+struct TableIndex {
+    /// Job event id → index in the table.
+    comm: FxHashMap<u32, u32>,
     /// (table index, representative) per compute cluster.
     compute_clusters: Vec<(u32, CounterVec)>,
 }
 
-impl Partial {
-    fn leaf(table: Vec<LocalEvent>) -> Partial {
-        let mut comm_index = fx_map_with_capacity(table.len());
+impl TableIndex {
+    fn of(table: &[LocalEvent]) -> TableIndex {
+        let mut comm = fx_map_with_capacity(table.len());
         let mut compute_clusters = Vec::new();
         for (i, e) in table.iter().enumerate() {
             match e {
                 LocalEvent::Comm(id) => {
-                    comm_index.insert(*id, i as u32);
+                    comm.insert(*id, i as u32);
                 }
                 LocalEvent::Compute(s) => {
                     compute_clusters.push((i as u32, s.repr));
                 }
             }
         }
-        Partial { table, comm_index, compute_clusters }
+        TableIndex { comm, compute_clusters }
+    }
+}
+
+impl Partial {
+    fn leaf(table: Vec<LocalEvent>) -> Partial {
+        Partial { table, index: None }
     }
 
     /// Fold `other` into `self` and return where its entries landed:
     /// `landing[i]` is the index in `self.table` of `other.table[i]`.
     /// `self`'s own entries keep their indices.
     fn absorb(&mut self, other: Partial) -> Vec<u32> {
+        let table = &mut self.table;
+        let index = self.index.get_or_insert_with(|| TableIndex::of(table));
         other
             .table
             .into_iter()
             .map(|e| match e {
-                LocalEvent::Comm(id) => *self.comm_index.entry(id).or_insert_with(|| {
-                    self.table.push(LocalEvent::Comm(id));
-                    self.table.len() as u32 - 1
+                LocalEvent::Comm(id) => *index.comm.entry(id).or_insert_with(|| {
+                    table.push(LocalEvent::Comm(id));
+                    table.len() as u32 - 1
                 }),
                 LocalEvent::Compute(s) => {
-                    let hit = self
+                    let hit = index
                         .compute_clusters
                         .iter()
                         .find(|(_, repr)| counters_close(repr, &s.repr, MERGE_THRESHOLD))
                         .map(|&(g, _)| g);
                     match hit {
                         Some(g) => {
-                            if let LocalEvent::Compute(mine) = &mut self.table[g as usize] {
+                            if let LocalEvent::Compute(mine) = &mut table[g as usize] {
                                 mine.absorb_stats(&s);
                             }
                             g
                         }
                         None => {
-                            let g = self.table.len() as u32;
-                            self.compute_clusters.push((g, s.repr));
-                            self.table.push(LocalEvent::Compute(s));
+                            let g = table.len() as u32;
+                            index.compute_clusters.push((g, s.repr));
+                            table.push(LocalEvent::Compute(s));
                             g
                         }
                     }
@@ -318,8 +333,10 @@ fn remap_injective(remap: &[u32], nglobal: usize) -> bool {
 /// `grammar.stream.rebuilds`) expand, remap, and rebuild.
 ///
 /// Ranks whose local grammar and composed remap both equal an earlier
-/// rank's (`siesta_hash::first_seen` on the pair) share its lifted grammar,
-/// by reference, instead of relabeling again (`grammar.memo.stream_hits`).
+/// rank's (`siesta_hash::first_seen` on the pair, the grammar numbered by
+/// `first_seen_shared`, so ranks sharing one grammar hash it once) share
+/// its lifted grammar, by reference, instead of relabeling again
+/// (`grammar.memo.stream_hits`).
 /// Sequitur is a pure function of its input, so the local grammar pins the
 /// rank's exact local stream, and the pair is the whole identity of the
 /// lifted grammar.
@@ -332,7 +349,8 @@ pub fn merge_streamed(st: StreamedTrace) -> StreamedGlobal {
     let nglobal = merged.table.len();
 
     // Owners: the first rank of each distinct (local grammar, remap).
-    let FirstSeen { class, first: owners } = first_seen(locals.iter().zip(&merged.remaps));
+    let local_of = first_seen_shared(locals.iter().map(Arc::as_ref)).class;
+    let FirstSeen { class, first: owners } = first_seen(local_of.iter().zip(&merged.remaps));
     siesta_obs::counter("grammar.memo.stream_hits").add((nranks - owners.len()) as u64);
 
     // Lift each unique rank's grammar to global ids, in parallel. Outputs

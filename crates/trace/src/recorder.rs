@@ -67,6 +67,13 @@ pub struct TraceConfig {
     pub stream_buf: usize,
 }
 
+impl TraceConfig {
+    /// Ids a rank's stream buffer holds before it drains.
+    fn stream_limit(&self) -> usize {
+        self.stream_buf.max(1)
+    }
+}
+
 impl Default for TraceConfig {
     fn default() -> Self {
         TraceConfig {
@@ -77,42 +84,31 @@ impl Default for TraceConfig {
 }
 
 /// Where a rank's id sequence goes: a bounded buffer feeding an online
-/// Sequitur. The sink never holds more than `limit` ids outside the
-/// grammar — a stream longer than the buffer exists only as its compressed
-/// grammar, the residual buffer and a length. It keeps no content hash:
-/// the grammar itself is the stream's identity downstream.
+/// Sequitur. The sink never holds more than the recorder's `stream_buf`
+/// ids outside the grammar — a stream longer than the buffer exists only
+/// as its compressed grammar, the residual buffer and a length. It keeps
+/// no content hash: the grammar itself is the stream's identity
+/// downstream.
+#[derive(Default)]
 struct StreamSink {
+    /// Grows on demand up to the limit: preallocating the cap would cost
+    /// `4·limit` bytes on every rank of a 10⁴–10⁶-rank world before a
+    /// single event arrives.
     buf: Vec<u32>,
-    limit: usize,
     /// Online builder, created at the first flush. A stream that never
     /// fills the buffer is built at `finish_streamed` instead, once per
     /// distinct sequence, so the ranks of an SPMD job mostly never hold
     /// one. Boxed so an idle sink carries a pointer, not a builder.
     builder: Option<Box<Sequitur>>,
+    /// Ids drained into the builder so far.
     len: usize,
-    flushes: u64,
-    peak_buffered: usize,
 }
 
 impl StreamSink {
-    fn new(limit: usize) -> StreamSink {
-        StreamSink {
-            // Grows on demand up to `limit`: preallocating the cap would
-            // cost `4·limit` bytes on every rank of a 10⁴–10⁶-rank world
-            // before a single event arrives.
-            buf: Vec::new(),
-            limit,
-            builder: None,
-            len: 0,
-            flushes: 0,
-            peak_buffered: 0,
-        }
-    }
-
-    fn push(&mut self, id: u32) {
+    /// Append `id`, draining the buffer once it holds `limit` ids.
+    fn push(&mut self, id: u32, limit: usize) {
         self.buf.push(id);
-        self.peak_buffered = self.peak_buffered.max(self.buf.len());
-        if self.buf.len() >= self.limit {
+        if self.buf.len() >= limit {
             self.flush();
         }
     }
@@ -127,8 +123,20 @@ impl StreamSink {
             builder.push(id);
         }
         self.len += self.buf.len();
-        self.flushes += 1;
         self.buf.clear();
+    }
+
+    /// How often the buffer drained and its peak fill, worked out from
+    /// the limit: a run drains only full buffers, and `finish_streamed`
+    /// drains the residual of a sink that holds a builder. Call before
+    /// that last drain.
+    fn flushes_and_peak(&self, limit: usize) -> (u64, usize) {
+        if self.builder.is_some() {
+            let residual = usize::from(!self.buf.is_empty());
+            ((self.len / limit + residual) as u64, limit)
+        } else {
+            (0, self.buf.len())
+        }
     }
 
     /// Take the whole stream of a sink that never flushed, counting it
@@ -159,6 +167,9 @@ fn intern(interner: &Interner, event: CommEvent) -> (Arc<CommEvent>, u32) {
     (shared, id)
 }
 
+/// One rank's recording state. An idle rank's state allocates nothing
+/// until the rank posts.
+#[derive(Default)]
 struct RankTrace {
     sink: StreamSink,
     /// The communication events this rank has seen, each pointing at the
@@ -175,24 +186,12 @@ struct RankTrace {
 }
 
 impl RankTrace {
-    /// An idle rank's state: it allocates nothing until the rank posts.
-    fn new(stream_buf: usize) -> RankTrace {
-        RankTrace {
-            sink: StreamSink::new(stream_buf.max(1)),
-            comm_index: FxHashMap::default(),
-            computes: Vec::new(),
-            last_counters: CounterVec::default(),
-            normalizer: Normalizer::new(),
-            raw_bytes: 0,
-        }
-    }
-
     /// Local ids count up from 0 over both kinds of entry.
     fn next_id(&self) -> u32 {
         (self.comm_index.len() + self.computes.len()) as u32
     }
 
-    fn close_compute_interval(&mut self, counters: CounterVec, threshold: f64) {
+    fn close_compute_interval(&mut self, counters: CounterVec, config: &TraceConfig) {
         let delta = counters - self.last_counters;
         self.last_counters = counters;
         if delta.total() <= 0.0 {
@@ -201,7 +200,7 @@ impl RankTrace {
         let found = self
             .computes
             .iter_mut()
-            .find(|(_, stats)| counters_close(&stats.repr, &delta, threshold));
+            .find(|(_, stats)| counters_close(&stats.repr, &delta, config.cluster_threshold));
         let id = match found {
             Some((id, stats)) => {
                 stats.absorb(delta);
@@ -217,11 +216,11 @@ impl RankTrace {
                 id
             }
         };
-        self.sink.push(id);
+        self.sink.push(id, config.stream_limit());
         self.raw_bytes += serialize::compute_record_bytes();
     }
 
-    fn record_comm(&mut self, event: CommEvent, interner: &Interner) {
+    fn record_comm(&mut self, event: CommEvent, interner: &Interner, config: &TraceConfig) {
         self.raw_bytes += serialize::comm_record_bytes(&event);
         let id = match self.comm_index.get(&event) {
             Some(&(id, _)) => id,
@@ -232,7 +231,7 @@ impl RankTrace {
                 id
             }
         };
-        self.sink.push(id);
+        self.sink.push(id, config.stream_limit());
     }
 }
 
@@ -258,15 +257,12 @@ fn local_table(
 /// runtime's request and communicator handles to free-pool numbers and
 /// rewrites call records into normalized [`CommEvent`]s. Public so baseline
 /// tracers (e.g. the ScalaBench-like recorder) normalize identically.
+#[derive(Default)]
 pub struct Normalizer {
-    reqs: HandleMap<usize>,
-    comms: HandleMap<u64>,
-}
-
-impl Default for Normalizer {
-    fn default() -> Self {
-        Self::new()
-    }
+    /// Created at the rank's first request.
+    reqs: Option<Box<HandleMap<usize>>>,
+    /// Created at the rank's first derived communicator.
+    comms: Option<Box<HandleMap<u64>>>,
 }
 
 /// `MPI_COMM_WORLD`'s pool number on every rank.
@@ -276,10 +272,7 @@ impl Normalizer {
     /// Allocates nothing: `MPI_COMM_WORLD` holds pool number 0 without a
     /// map entry, and is answered without a lookup.
     pub fn new() -> Normalizer {
-        let mut comms = HandleMap::new();
-        let world = comms.reserve();
-        debug_assert_eq!(world, WORLD_POOL_ID);
-        Normalizer { reqs: HandleMap::new(), comms }
+        Normalizer::default()
     }
 
     fn comm_id(&self, comm: CommId) -> u32 {
@@ -287,8 +280,28 @@ impl Normalizer {
             return WORLD_POOL_ID;
         }
         self.comms
-            .get(comm.0)
+            .as_ref()
+            .and_then(|comms| comms.get(comm.0))
             .expect("communicator used before creation — split/dup not traced?")
+    }
+
+    /// Number a communicator the rank just derived.
+    fn bind_comm(&mut self, comm: CommId) -> u32 {
+        let comms = self.comms.get_or_insert_with(|| {
+            let mut comms = Box::new(HandleMap::new());
+            let world = comms.reserve();
+            debug_assert_eq!(world, WORLD_POOL_ID);
+            comms
+        });
+        comms.bind(comm.0)
+    }
+
+    fn bind_req(&mut self, req: usize) -> u32 {
+        self.reqs.get_or_insert_with(|| Box::new(HandleMap::new())).bind(req)
+    }
+
+    fn unbind_req(&mut self, req: usize) -> Option<u32> {
+        self.reqs.as_mut()?.unbind(req)
     }
 
     pub fn normalize(&mut self, ctx: &HookCtx, call: &MpiCall) -> CommEvent {
@@ -312,23 +325,23 @@ impl Normalizer {
                 tag: *tag,
                 bytes: *bytes as u64,
                 comm: self.comm_id(*comm),
-                req: self.reqs.bind(*req),
+                req: self.bind_req(*req),
             },
             MpiCall::Irecv { comm, src, tag, bytes, req } => CommEvent::Irecv {
                 rel: rel_rank(me, *src, size),
                 tag: *tag,
                 bytes: *bytes as u64,
                 comm: self.comm_id(*comm),
-                req: self.reqs.bind(*req),
+                req: self.bind_req(*req),
             },
             MpiCall::Wait { req } => {
-                let id = self.reqs.unbind(*req).expect("wait on untraced request");
+                let id = self.unbind_req(*req).expect("wait on untraced request");
                 CommEvent::Wait { req: id }
             }
             MpiCall::Waitall { reqs } => {
                 let ids = reqs
                     .iter()
-                    .map(|r| self.reqs.unbind(*r).expect("waitall on untraced request"))
+                    .map(|r| self.unbind_req(*r).expect("waitall on untraced request"))
                     .collect();
                 CommEvent::Waitall { reqs: ids }
             }
@@ -403,7 +416,7 @@ impl Normalizer {
             }
             MpiCall::CommSplit { parent, color, key, result } => {
                 let parent_id = self.comm_id(*parent);
-                let result_id = result.map(|c| self.comms.bind(c.0));
+                let result_id = result.map(|c| self.bind_comm(c));
                 CommEvent::CommSplit {
                     parent: parent_id,
                     color: *color,
@@ -414,14 +427,18 @@ impl Normalizer {
             MpiCall::CommDup { parent, result } => {
                 let parent_id = self.comm_id(*parent);
                 let c = result.expect("dup result available at post");
-                CommEvent::CommDup { parent: parent_id, result: self.comms.bind(c.0) }
+                CommEvent::CommDup { parent: parent_id, result: self.bind_comm(c) }
             }
             MpiCall::CommFree { comm } => {
                 assert!(
                     *comm != CommId::WORLD,
                     "MPI_Comm_free(MPI_COMM_WORLD) is erroneous MPI and cannot be traced"
                 );
-                let id = self.comms.unbind(comm.0).expect("free of untraced communicator");
+                let id = self
+                    .comms
+                    .as_mut()
+                    .and_then(|comms| comms.unbind(comm.0))
+                    .expect("free of untraced communicator");
                 CommEvent::CommFree { comm: id }
             }
         }
@@ -487,7 +504,7 @@ impl Recorder {
     /// once per distinct stream.
     pub fn new_streaming(nranks: usize, config: TraceConfig) -> Recorder {
         Recorder {
-            per_rank: (0..nranks).map(|_| Mutex::new(RankTrace::new(config.stream_buf))).collect(),
+            per_rank: (0..nranks).map(|_| Mutex::default()).collect(),
             interner: Interner::default(),
             config,
         }
@@ -528,9 +545,8 @@ impl Recorder {
         let placeholder = Arc::new(Grammar { rules: Vec::new() });
         for (rank, m) in self.per_rank.iter().enumerate() {
             // An idle `RankTrace` allocates nothing, so the reset is free.
-            let idle = RankTrace::new(self.config.stream_buf);
             let RankTrace { sink: mut s, comm_index, computes, raw_bytes, .. } =
-                mem::replace(&mut *m.lock().expect("rank state poisoned"), idle);
+                mem::take(&mut *m.lock().expect("rank state poisoned"));
             let mut table = local_table(comm_index, computes);
             for entry in &mut table {
                 if let LocalEvent::Comm(id) = entry {
@@ -542,7 +558,9 @@ impl Recorder {
                     });
                 }
             }
-            peak = peak.max(s.peak_buffered);
+            let (rank_flushes, rank_peak) = s.flushes_and_peak(self.config.stream_limit());
+            flushes += rank_flushes;
+            peak = peak.max(rank_peak);
             let grammar = if s.builder.is_some() {
                 s.flush();
                 Arc::new(s.builder.take().expect("flushed sink holds a builder").into_grammar())
@@ -551,7 +569,6 @@ impl Recorder {
                 unflushed_seqs.push(s.take_unflushed());
                 Arc::clone(&placeholder)
             };
-            flushes += s.flushes;
             ranks.push(StreamedRank { table, grammar, seq_len: s.len, raw_bytes });
         }
         // Every rank dropped its references above, so no event is copied.
@@ -589,9 +606,9 @@ impl PmpiHook for Recorder {
 
     fn post(&self, ctx: &HookCtx, call: &MpiCall) {
         let mut tr = self.per_rank[ctx.rank].lock().expect("rank state poisoned");
-        tr.close_compute_interval(ctx.counters, self.config.cluster_threshold);
+        tr.close_compute_interval(ctx.counters, &self.config);
         let event = tr.normalizer.normalize(ctx, call);
-        tr.record_comm(event, &self.interner);
+        tr.record_comm(event, &self.interner, &self.config);
     }
 
     fn overhead_ns(&self) -> f64 {
