@@ -4,7 +4,10 @@
 //! records in the shape of a 2D halo exchange (two isend / two irecv /
 //! waitall / allreduce per iteration, one clustered compute interval each)
 //! — so the numbers isolate *ingest*: normalization, event interning, and
-//! the sequence sink, with no simulator in the loop. Both modes run the one
+//! the sequence sink, with no simulator in the loop. Each synthetic rank
+//! records as a `World` rank does: it takes its own state with
+//! `PmpiHook::for_rank`, posts to it without a lock, and hands it back with
+//! `RankHook::finish`. Both modes run the one
 //! recorder. Streaming feeds each rank's online Sequitur through a bounded
 //! buffer (256 ids, well under a rank's stream, so every rank builds
 //! online rather than at finish); the materialized baseline sets the
@@ -32,7 +35,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use siesta_mpisim::{CommId, HookCtx, MpiCall, PmpiHook};
+use siesta_mpisim::{CommId, HookCtx, MpiCall, PmpiHook, RankHook};
 use siesta_perfmodel::CounterVec;
 use siesta_trace::{Recorder, TraceConfig, STREAM_BUF_MAX};
 
@@ -62,10 +65,12 @@ impl Config {
     }
 }
 
-/// Feed one rank's whole call stream through the hook, the way the
-/// runtime would: cumulative counters advance once per iteration (one
-/// compute cluster), then the halo calls post in program order.
-fn drive_rank(rec: &Recorder, me: usize, ranks: usize, iters: usize) {
+/// Feed one rank's whole call stream through its share of the hook, the
+/// way the runtime would: cumulative counters advance once per iteration
+/// (one compute cluster), then the halo calls post in program order.
+fn drive_rank(rec: &Arc<Recorder>, me: usize, ranks: usize, iters: usize) {
+    let mut hook: Box<dyn RankHook> =
+        Arc::clone(rec).for_rank(me).expect("the recorder lends each rank its state");
     let right = (me + 1) % ranks;
     let left = (me + ranks - 1) % ranks;
     let step = CounterVec::from_array([5_000.0, 120.0, 30.0, 65_536.0, 400.0, 12.0]);
@@ -83,7 +88,7 @@ fn drive_rank(rec: &Recorder, me: usize, ranks: usize, iters: usize) {
             call_seq,
         };
         call_seq += 1;
-        rec.post(&ctx, call);
+        hook.post(&ctx, call);
     };
     for _ in 0..iters {
         counters += step;
@@ -94,6 +99,7 @@ fn drive_rank(rec: &Recorder, me: usize, ranks: usize, iters: usize) {
         post(counters, &MpiCall::Waitall { reqs: vec![1, 2, 3, 4] });
         post(counters, &MpiCall::Allreduce { comm: CommId::WORLD, bytes: 8 });
     }
+    hook.finish();
 }
 
 /// One full ingest run; returns wall seconds. The recorder (and with it

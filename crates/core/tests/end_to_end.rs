@@ -283,3 +283,40 @@ fn fully_spmd_proxies_retarget_to_new_scales() {
     let (bt, _) = siesta.synthesize_run(m, 9, Program::Bt.body(ProblemSize::Tiny));
     assert!(retarget(&bt.program, 16).is_err(), "BT is not fully SPMD");
 }
+
+#[test]
+fn retargeted_ring_makes_the_calls_of_the_ring_run_at_the_new_scale() {
+    // A rank-uniform ring: each step computes, trades a face with both
+    // neighbors and closes with an allreduce, the same at every rank. Its
+    // proxy, synthesized at 8 ranks and retargeted to 16, must make at
+    // each rank the MPI calls and send the bytes that the ring itself
+    // makes when run at 16 ranks.
+    use siesta_codegen::retarget;
+    use siesta_perfmodel::KernelDesc;
+    fn ring(mut rank: siesta_mpisim::Rank) -> siesta_mpisim::RankFut<'static> {
+        Box::pin(async move {
+            let comm = rank.comm_world();
+            let p = rank.nranks();
+            let right = (rank.rank() + 1) % p;
+            let left = (rank.rank() + p - 1) % p;
+            for _ in 0..12 {
+                rank.compute(&KernelDesc::stencil(20_000.0, 5.0, 1e6));
+                rank.sendrecv(&comm, right, 5, 4096, left, 5, 4096).await;
+                rank.sendrecv(&comm, left, 6, 2048, right, 6, 2048).await;
+                rank.allreduce(&comm, 8).await;
+            }
+            rank
+        })
+    }
+    let m = machine();
+    let (synthesis, _) = Siesta::new(SiestaConfig::default()).synthesize_run(m, 8, ring);
+    let p16 = retarget(&synthesis.program, 16).expect("a rank-uniform ring is scale-free");
+    assert_eq!(p16.nranks, 16);
+    let proxy = replay(&p16, m);
+    let original = siesta_mpisim::World::new(m, 16).run(ring);
+    assert_eq!(proxy.per_rank.len(), 16);
+    for (p, o) in proxy.per_rank.iter().zip(&original.per_rank) {
+        assert_eq!(o.app_calls, 12 * 3);
+        assert_eq!((p.app_calls, p.bytes_sent), (o.app_calls, o.bytes_sent), "rank {}", o.rank);
+    }
+}

@@ -7,6 +7,13 @@
 //! with a complete call record. The hook also declares its per-call cost,
 //! which the runtime charges to the rank's virtual clock — that is how the
 //! Table 3 "overhead" column is reproduced.
+//!
+//! A PMPI library is linked into every MPI process, so each process keeps
+//! its own copy of the tool's state. A hook gets the same shape through
+//! [`PmpiHook::for_rank`]: the world asks it once per rank for a
+//! [`RankHook`] the rank owns for the run and calls without a lock.
+
+use std::sync::Arc;
 
 use siesta_perfmodel::CounterVec;
 
@@ -189,8 +196,12 @@ pub struct HookCtx {
 
 /// A PMPI interposer.
 ///
-/// Implementations are shared across all rank threads; use per-rank interior
-/// mutability (e.g. a `Vec<Mutex<_>>` indexed by rank) for trace state.
+/// One hook serves every rank of a run, on whichever pool thread polls the
+/// rank. A hook that keeps per-rank state should hand each rank its own
+/// copy through [`PmpiHook::for_rank`], as a PMPI library linked into
+/// each process would, rather than index shared state by rank behind a
+/// lock. `pre` and `post` remain the path for hooks that answer `None`
+/// there, and for hooks that wrap another hook and forward its calls.
 pub trait PmpiHook: Send + Sync {
     /// Invoked before the MPI operation starts.
     fn pre(&self, ctx: &HookCtx, call: &MpiCall);
@@ -198,9 +209,33 @@ pub trait PmpiHook: Send + Sync {
     fn post(&self, ctx: &HookCtx, call: &MpiCall);
     /// Virtual nanoseconds of tracer work to charge per hooked call (split
     /// across pre+post). Models the instrumentation overhead of Table 3.
+    /// The world reads it once per run, so it must not change during one.
     fn overhead_ns(&self) -> f64 {
         0.0
     }
+    /// This hook's state for `rank`, owned by that rank for the run. The
+    /// world asks once per rank before the run starts. A rank that gets
+    /// `Some` calls [`RankHook::post`] at each of its calls, instead of
+    /// `pre` and `post` here, and hands the state back through
+    /// [`RankHook::finish`] when it completes. A rank of a run that
+    /// deadlocks drops its state unfinished. The default, `None`, keeps
+    /// every rank on `pre` and `post`.
+    fn for_rank(self: Arc<Self>, rank: usize) -> Option<Box<dyn RankHook>> {
+        let _ = rank;
+        None
+    }
+}
+
+/// One rank's share of a [`PmpiHook`], from [`PmpiHook::for_rank`]. Only
+/// its rank calls it, so it takes `&mut self` and needs no lock. It gets
+/// no `pre` call: a rank hook records at post, when the call's results
+/// are known. The runtime still charges the hook's whole
+/// [`PmpiHook::overhead_ns`], half before and half after the call.
+pub trait RankHook: Send {
+    /// Invoked after the MPI operation completes (clock reflects completion).
+    fn post(&mut self, ctx: &HookCtx, call: &MpiCall);
+    /// Invoked once, when the rank completes: hand the state back.
+    fn finish(self: Box<Self>);
 }
 
 /// A hook that does nothing (the un-instrumented run).

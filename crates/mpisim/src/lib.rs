@@ -42,7 +42,9 @@
 //! ([`MpiCall`]) and a context carrying the rank's virtual clock and
 //! cumulative computation counters. Collective-internal rounds do not hit
 //! the hook, exactly as PMPI sees `MPI_Bcast` once rather than its internal
-//! sends. [`World::observe`] stacks per-run collectors ([`CommMatrix`],
+//! sends. A hook with per-rank state hands each rank its own [`RankHook`]
+//! through [`PmpiHook::for_rank`], which the rank calls without a lock.
+//! [`World::observe`] stacks per-run collectors ([`CommMatrix`],
 //! [`SimProfiler`]) under that hook, and the run returns them in its
 //! [`RunStats`].
 //!
@@ -95,7 +97,7 @@ pub mod world;
 pub use comm::{CommGroup, CommId, Communicator};
 pub use comm_matrix::{CommMatrix, CommMatrixSnapshot};
 pub use critical::{critical_path, CriticalPathReport, PathStep, RankBreakdown};
-pub use hook::{HookCtx, MpiCall, PmpiHook};
+pub use hook::{HookCtx, MpiCall, PmpiHook, RankHook};
 pub use message::{RecvStatus, Tag, ANY_TAG};
 pub use profiler::{SimEvent, SimProfileSnapshot, SimProfiler};
 pub use rank::Rank;

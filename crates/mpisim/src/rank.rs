@@ -17,7 +17,7 @@ use siesta_perfmodel::{CounterVec, KernelDesc, Machine};
 use crate::collectives::{Member, Plan, Schedule};
 use crate::comm::{CommId, Communicator};
 use crate::engine::{Completion, Engine, RecvHandle};
-use crate::hook::{HookCtx, MpiCall, PmpiHook};
+use crate::hook::{HookCtx, MpiCall, PmpiHook, RankHook};
 use crate::link::{recv_done, Link};
 use crate::message::{AckCell, AckWait, Channel, Envelope, MatchKey, RecvStatus, Tag, WireProtocol};
 use crate::quorum::QuorumBoard;
@@ -31,6 +31,9 @@ const NOISE_SEED: u64 = 0x51e57a;
 pub(crate) struct Shared {
     pub engine: Engine,
     pub hook: Option<Arc<dyn PmpiHook>>,
+    /// Half the hook's [`PmpiHook::overhead_ns`], read once per run and
+    /// charged before and after each hooked call.
+    pub hook_half_ns: f64,
     /// Quorums of the all-member collectives, keyed by (communicator,
     /// collective sequence number).
     pub collectives: QuorumBoard<Member>,
@@ -139,7 +142,9 @@ struct CommSeqs {
 /// can collect statistics.
 pub struct Rank {
     pub(crate) shared: Arc<Shared>,
-    pub(crate) rank: usize,
+    /// This rank's own share of the hook ([`PmpiHook::for_rank`]), called
+    /// in place of the shared hook's `pre` and `post`.
+    hook: Option<Box<dyn RankHook>>,
     pub(crate) clock: f64,
     pub(crate) counters: CounterVec,
     pub(crate) requests: RequestTable,
@@ -152,22 +157,25 @@ pub struct Rank {
     pub(crate) wait: WaitSums,
     /// Virtual clock at the current call's pre hook (`HookCtx::call_start_ns`).
     pub(crate) cur_call_t0: f64,
+    /// Global rank, next to `hooked_calls` so the two share one word.
+    rank: u32,
     /// Hooked calls completed so far: feeds [`HookCtx::call_seq`].
     pub(crate) hooked_calls: u32,
     pub(crate) app_calls: u64,
     pub(crate) bytes_sent: u64,
+    /// `compute` and `compute_counters` calls so far; also numbers their
+    /// noise seeds.
     pub(crate) compute_events: u64,
-    pub(crate) event_seq: u64,
     /// Rolling hash over (clock, call count) at every accounted MPI call —
     /// a fingerprint of this rank's event schedule in virtual time.
     pub(crate) sched_hash: u64,
 }
 
 impl Rank {
-    pub(crate) fn new(shared: Arc<Shared>, rank: usize) -> Rank {
+    pub(crate) fn new(shared: Arc<Shared>, rank: usize, hook: Option<Box<dyn RankHook>>) -> Rank {
         Rank {
             shared,
-            rank,
+            hook,
             clock: 0.0,
             counters: CounterVec::ZERO,
             requests: RequestTable::new(),
@@ -176,18 +184,18 @@ impl Rank {
             mpi_ns: 0.0,
             wait: WaitSums::default(),
             cur_call_t0: 0.0,
+            rank: u32::try_from(rank).expect("global rank fits in u32"),
             hooked_calls: 0,
             app_calls: 0,
             bytes_sent: 0,
             compute_events: 0,
-            event_seq: 0,
             sched_hash: 0,
         }
     }
 
     /// Global rank of this process.
     pub fn rank(&self) -> usize {
-        self.rank
+        self.rank as usize
     }
 
     /// Total processes in the world.
@@ -197,7 +205,7 @@ impl Rank {
 
     /// The world communicator.
     pub fn comm_world(&self) -> Communicator {
-        Communicator::world(self.shared.nranks, self.rank)
+        Communicator::world(self.shared.nranks, self.rank())
     }
 
     /// Current virtual time in nanoseconds (`MPI_Wtime` analogue).
@@ -231,16 +239,15 @@ impl Rank {
     pub fn compute(&mut self, kernel: &KernelDesc) {
         let seed = siesta_perfmodel::noise::combine(&[
             NOISE_SEED,
-            self.rank as u64,
-            self.event_seq,
+            u64::from(self.rank),
+            self.compute_events,
         ]);
-        self.event_seq += 1;
+        self.compute_events += 1;
         let c = self.machine().cpu().counters_noisy(kernel, seed);
         let dt = self.machine().cpu().time_ns(&c);
         self.counters += c;
         self.clock += dt;
         self.compute_ns += dt;
-        self.compute_events += 1;
     }
 
     /// Execute computation specified directly as a counter vector (used by
@@ -250,16 +257,15 @@ impl Rank {
     pub fn compute_counters(&mut self, exact: &CounterVec) {
         let seed = siesta_perfmodel::noise::combine(&[
             NOISE_SEED ^ 0xC0DE,
-            self.rank as u64,
-            self.event_seq,
+            u64::from(self.rank),
+            self.compute_events,
         ]);
-        self.event_seq += 1;
+        self.compute_events += 1;
         let c = self.machine().cpu().observe(exact, seed);
         let dt = self.machine().cpu().time_ns(&c);
         self.counters += c;
         self.clock += dt;
         self.compute_ns += dt;
-        self.compute_events += 1;
     }
 
     /// Advance the virtual clock by a fixed interval without touching the
@@ -386,7 +392,7 @@ impl Rank {
             Some(&ReqState::RecvPending { recv, .. }) => {
                 let completion = match recv {
                     RecvHandle::Ready(c) => Some(c),
-                    RecvHandle::Pending(ticket) => self.shared.engine.test(self.rank, ticket),
+                    RecvHandle::Pending(ticket) => self.shared.engine.test(self.rank(), ticket),
                 };
                 completion.map(|c| self.finish_recv(&c))
             }
@@ -504,7 +510,7 @@ impl Rank {
         self.note_wait(t_all + cost - self.clock);
         self.clock = self.clock.max(t_all + cost);
         let pairs: Vec<(i64, i64)> = contributions.iter().map(|c| (c.0, c.1)).collect();
-        let result = comm.split_from(&pairs, seq, self.rank);
+        let result = comm.split_from(&pairs, seq, self.rank());
         if let MpiCall::CommSplit { result: r, .. } = &mut call {
             *r = result.as_ref().map(|c| c.id);
         }
@@ -544,19 +550,19 @@ impl Rank {
     // ------------------------------------------------------------------
 
     pub(crate) fn set_blocked(&self, hint: u64) {
-        self.shared.blocked[self.rank].store(hint, Ordering::Relaxed);
+        self.shared.blocked[self.rank()].store(hint, Ordering::Relaxed);
     }
 
     pub(crate) fn clear_blocked(&self) {
-        self.shared.blocked[self.rank].store(blocked::NONE, Ordering::Relaxed);
+        self.shared.blocked[self.rank()].store(blocked::NONE, Ordering::Relaxed);
     }
 
     pub(crate) fn hook_pre(&mut self, call: &MpiCall) {
-        self.hook_pre_raw(call, self.rank, self.shared.nranks);
+        self.hook_pre_raw(call, self.rank(), self.shared.nranks);
     }
 
     pub(crate) fn hook_post(&mut self, call: &MpiCall) {
-        self.hook_post_raw(call, self.rank, self.shared.nranks);
+        self.hook_post_raw(call, self.rank(), self.shared.nranks);
     }
 
     pub(crate) fn hook_pre_c(&mut self, call: &MpiCall, comm: &Communicator) {
@@ -572,37 +578,37 @@ impl Rank {
         // so one pre-slot per rank suffices for the per-call wait total.
         self.cur_call_t0 = self.clock;
         self.wait.call_ns = 0.0;
-        if let Some(hook) = &self.shared.hook {
-            let ctx = HookCtx {
-                rank: self.rank,
-                clock_ns: self.clock,
-                counters: self.counters,
-                comm_rank,
-                comm_size,
-                call_start_ns: self.clock,
-                wait_ns: 0.0,
-                call_seq: self.hooked_calls,
-            };
-            hook.pre(&ctx, call);
-            self.clock += hook.overhead_ns() * 0.5;
+        let Some(hook) = &self.shared.hook else { return };
+        // A rank hook records at post only.
+        if self.hook.is_none() {
+            hook.pre(&self.hook_ctx(comm_rank, comm_size), call);
         }
+        self.clock += self.shared.hook_half_ns;
     }
 
     fn hook_post_raw(&mut self, call: &MpiCall, comm_rank: usize, comm_size: usize) {
-        if let Some(hook) = &self.shared.hook {
-            let ctx = HookCtx {
-                rank: self.rank,
-                clock_ns: self.clock,
-                counters: self.counters,
-                comm_rank,
-                comm_size,
-                call_start_ns: self.cur_call_t0,
-                wait_ns: self.wait.call_ns,
-                call_seq: self.hooked_calls,
-            };
-            hook.post(&ctx, call);
-            self.clock += hook.overhead_ns() * 0.5;
-            self.hooked_calls = self.hooked_calls.wrapping_add(1);
+        let Some(hook) = &self.shared.hook else { return };
+        let ctx = self.hook_ctx(comm_rank, comm_size);
+        match &mut self.hook {
+            Some(own) => own.post(&ctx, call),
+            None => hook.post(&ctx, call),
+        }
+        self.clock += self.shared.hook_half_ns;
+        self.hooked_calls = self.hooked_calls.wrapping_add(1);
+    }
+
+    /// The current call's context: at `pre`, the clock is still the call's
+    /// start and no wait has accrued, so the same fields serve both hooks.
+    fn hook_ctx(&self, comm_rank: usize, comm_size: usize) -> HookCtx {
+        HookCtx {
+            rank: self.rank(),
+            clock_ns: self.clock,
+            counters: self.counters,
+            comm_rank,
+            comm_size,
+            call_start_ns: self.cur_call_t0,
+            wait_ns: self.wait.call_ns,
+            call_seq: self.hooked_calls,
         }
     }
 
@@ -663,7 +669,7 @@ impl Rank {
         capacity: usize,
     ) -> RecvHandle {
         let key = MatchKey { src_global, comm, channel };
-        self.shared.engine.post_recv(self.rank, key, capacity, self.clock)
+        self.shared.engine.post_recv(self.rank(), key, capacity, self.clock)
     }
 
     /// Apply receiver-side completion: advance the clock past data arrival
@@ -692,7 +698,7 @@ impl Rank {
             RecvHandle::Ready(c) => c,
             RecvHandle::Pending(ticket) => {
                 self.set_blocked(blocked::recv(src_global));
-                let c = self.shared.engine.wait(self.rank, ticket).await;
+                let c = self.shared.engine.wait(self.rank(), ticket).await;
                 self.clear_blocked();
                 c
             }
@@ -735,7 +741,7 @@ impl Rank {
         channel: Channel,
         bytes: usize,
     ) -> (ReqState, f64) {
-        let link = Link::new(self.shared.engine.machine(), self.rank, dst_global);
+        let link = Link::new(self.shared.engine.machine(), self.rank(), dst_global);
         let (protocol, ack) = match link.protocol(bytes) {
             Protocol::Eager => (WireProtocol::Eager { avail: link.eager_arrival(self.clock, bytes) }, None),
             Protocol::Rendezvous => (
@@ -746,7 +752,7 @@ impl Rank {
         self.shared.engine.send(
             dst_global,
             Envelope {
-                src_global: self.rank,
+                src_global: self.rank(),
                 src_comm_rank,
                 comm,
                 channel,
@@ -784,12 +790,17 @@ impl Rank {
     }
 
     fn dummy_send_status(&self) -> RecvStatus {
-        RecvStatus { source: self.rank, tag: -3, bytes: 0, complete_at: self.clock }
+        RecvStatus { source: self.rank(), tag: -3, bytes: 0, complete_at: self.clock }
     }
 
-    pub(crate) fn into_stats(self) -> RankStats {
+    /// The rank's statistics, once it completed. Hands its rank hook back
+    /// first.
+    pub(crate) fn into_stats(mut self) -> RankStats {
+        if let Some(hook) = self.hook.take() {
+            hook.finish();
+        }
         RankStats {
-            rank: self.rank,
+            rank: self.rank(),
             finish_ns: self.clock,
             counters: self.counters,
             compute_ns: self.compute_ns,
@@ -800,5 +811,20 @@ impl Rank {
             compute_events: self.compute_events,
             sched_hash: self.sched_hash,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn rank_state_fits_in_232_bytes() {
+        // Every rank's future holds its `Rank` for the whole run, so each
+        // byte here costs 8 KiB at 8,192 ranks. The rank hook's 16 bytes
+        // came out of a noise counter that always equalled
+        // `compute_events` and a `usize` rank that fits in a `u32`.
+        let size = std::mem::size_of::<Rank>();
+        assert!(size <= 232, "Rank is {size} B");
     }
 }

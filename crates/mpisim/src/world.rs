@@ -100,7 +100,10 @@ impl World {
     /// [`World::observe`] asked for a collector. It then stacks, in this
     /// order, the caller's hook, an `ObsHook` feeding the `mpi.*` metrics,
     /// and the collectors, and records the `obs.sim.*` metrics. Every
-    /// collector charges zero overhead, so virtual time never moves.
+    /// collector charges zero overhead, so virtual time never moves. The
+    /// stack calls each hook's `pre` and `post`; an unobserved run asks
+    /// the caller's hook for each rank's own state
+    /// ([`PmpiHook::for_rank`]).
     pub fn try_run<'env, F>(&self, body: F) -> Result<RunStats, Deadlock>
     where
         F: Fn(Rank) -> RankFut<'env> + Send + Sync,
@@ -123,17 +126,23 @@ impl World {
         } else {
             self.hook.clone()
         };
+        let hook_half_ns = hook.as_ref().map_or(0.0, |h| h.overhead_ns() * 0.5);
         let shared = Arc::new(Shared {
             engine: Engine::new(self.machine, self.nranks),
             hook,
+            hook_half_ns,
             collectives: QuorumBoard::new(),
             member_rounds: AtomicU64::new(0),
             splits: QuorumBoard::new(),
             nranks: self.nranks,
             blocked: (0..self.nranks).map(|_| AtomicU64::new(blocked::NONE)).collect(),
         });
-        let futs: Vec<RankFut<'env>> =
-            (0..self.nranks).map(|r| body(Rank::new(shared.clone(), r))).collect();
+        let futs: Vec<RankFut<'env>> = (0..self.nranks)
+            .map(|r| {
+                let own = shared.hook.as_ref().and_then(|h| Arc::clone(h).for_rank(r));
+                body(Rank::new(shared.clone(), r, own))
+            })
+            .collect();
         let run = crate::exec::run_event(futs, observed, Rank::into_stats);
         // Which receives found their message queued depends on how ranks
         // interleave above one worker thread: observability data, gated

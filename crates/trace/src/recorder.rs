@@ -14,16 +14,20 @@
 //!    drains into an online Sequitur, and accounts the raw (uncompressed)
 //!    trace bytes the record would occupy on disk.
 //!
-//! Each rank's state sits behind its own mutex, touched only by that rank's
-//! thread — interposition-style isolation. The interner's lock is the one
-//! ranks share, and a rank takes it only at the first sight of an event.
+//! Each rank owns its recording state for the run, as each process owns
+//! its copy of a PMPI library's: [`Recorder::for_rank`] moves the state
+//! into the rank, which records without a lock and moves it back when it
+//! completes. The interner's lock is the one ranks share, and a rank takes
+//! it only at the first sight of an event. Hooks that wrap the recorder
+//! call [`PmpiHook::post`] instead, which runs the same routine under the
+//! rank's slot lock.
 
 use std::mem;
 use std::sync::{Arc, Mutex};
 
 use siesta_grammar::{build_rank_grammars, Grammar, Sequitur};
 use siesta_hash::FxHashMap;
-use siesta_mpisim::{CommId, HookCtx, MpiCall, PmpiHook};
+use siesta_mpisim::{CommId, HookCtx, MpiCall, PmpiHook, RankHook};
 use siesta_perfmodel::CounterVec;
 
 use crate::event::{counters_close, rel_rank, CommEvent, ComputeStats, LocalEvent};
@@ -86,8 +90,8 @@ impl Default for TraceConfig {
 /// Where a rank's id sequence goes: a bounded buffer feeding an online
 /// Sequitur. The sink never holds more than the recorder's `stream_buf`
 /// ids outside the grammar — a stream longer than the buffer exists only
-/// as its compressed grammar, the residual buffer and a length. It keeps
-/// no content hash: the grammar itself is the stream's identity
+/// as its compressed grammar, its length and the residual buffer. It
+/// keeps no content hash: the grammar itself is the stream's identity
 /// downstream.
 #[derive(Default)]
 struct StreamSink {
@@ -99,9 +103,13 @@ struct StreamSink {
     /// fills the buffer is built at `finish_streamed` instead, once per
     /// distinct sequence, so the ranks of an SPMD job mostly never hold
     /// one. Boxed so an idle sink carries a pointer, not a builder.
-    builder: Option<Box<Sequitur>>,
-    /// Ids drained into the builder so far.
-    len: usize,
+    online: Option<Box<Online>>,
+}
+
+/// A sink's online builder and the ids drained into it so far.
+struct Online {
+    builder: Sequitur,
+    drained: usize,
 }
 
 impl StreamSink {
@@ -118,12 +126,19 @@ impl StreamSink {
         if self.buf.is_empty() {
             return;
         }
-        let builder = self.builder.get_or_insert_with(|| Box::new(Sequitur::new()));
+        let online = self
+            .online
+            .get_or_insert_with(|| Box::new(Online { builder: Sequitur::new(), drained: 0 }));
         for &id in &self.buf {
-            builder.push(id);
+            online.builder.push(id);
         }
-        self.len += self.buf.len();
+        online.drained += self.buf.len();
         self.buf.clear();
+    }
+
+    /// Ids pushed so far.
+    fn len(&self) -> usize {
+        self.online.as_ref().map_or(0, |online| online.drained) + self.buf.len()
     }
 
     /// How often the buffer drained and its peak fill, worked out from
@@ -131,20 +146,69 @@ impl StreamSink {
     /// drains the residual of a sink that holds a builder. Call before
     /// that last drain.
     fn flushes_and_peak(&self, limit: usize) -> (u64, usize) {
-        if self.builder.is_some() {
-            let residual = usize::from(!self.buf.is_empty());
-            ((self.len / limit + residual) as u64, limit)
-        } else {
-            (0, self.buf.len())
+        match &self.online {
+            Some(online) => {
+                let residual = usize::from(!self.buf.is_empty());
+                ((online.drained / limit + residual) as u64, limit)
+            }
+            None => (0, self.buf.len()),
+        }
+    }
+}
+
+/// A rank's compute clusters as (local id, statistics), in opening order.
+/// Most ranks open exactly one, which is stored inline.
+#[derive(Default)]
+enum Clusters {
+    #[default]
+    None,
+    One(u32, ComputeStats),
+    Many(Vec<(u32, ComputeStats)>),
+}
+
+impl Clusters {
+    fn len(&self) -> usize {
+        match self {
+            Clusters::None => 0,
+            Clusters::One(..) => 1,
+            Clusters::Many(all) => all.len(),
         }
     }
 
-    /// Take the whole stream of a sink that never flushed, counting it
-    /// into the length.
-    fn take_unflushed(&mut self) -> Vec<u32> {
-        debug_assert!(self.builder.is_none() && self.len == 0);
-        self.len = self.buf.len();
-        mem::take(&mut self.buf)
+    /// The first cluster, in opening order, whose representative is within
+    /// `threshold` of `reading`.
+    fn find_close(
+        &mut self,
+        reading: &CounterVec,
+        threshold: f64,
+    ) -> Option<(u32, &mut ComputeStats)> {
+        let close = |stats: &ComputeStats| counters_close(&stats.repr, reading, threshold);
+        match self {
+            Clusters::None => None,
+            Clusters::One(id, stats) => close(stats).then_some((*id, stats)),
+            Clusters::Many(all) => all.iter_mut().find(|(_, s)| close(s)).map(|(id, s)| (*id, s)),
+        }
+    }
+
+    fn push(&mut self, id: u32, stats: ComputeStats) {
+        *self = match mem::take(self) {
+            Clusters::None => Clusters::One(id, stats),
+            Clusters::One(first_id, first) => Clusters::Many(vec![(first_id, first), (id, stats)]),
+            Clusters::Many(mut all) => {
+                all.push((id, stats));
+                Clusters::Many(all)
+            }
+        };
+    }
+
+    /// The clusters in opening order, without allocating.
+    fn into_entries(self) -> impl Iterator<Item = (u32, ComputeStats)> {
+        let (one, many) = match self {
+            Clusters::None => (None, Vec::new()),
+            Clusters::One(id, stats) => (Some((id, stats)), Vec::new()),
+            Clusters::Many(all) => (None, all),
+        };
+        one.into_iter().chain(many)
     }
 }
 
@@ -167,19 +231,18 @@ fn intern(interner: &Interner, event: CommEvent) -> (Arc<CommEvent>, u32) {
     (shared, id)
 }
 
-/// One rank's recording state. An idle rank's state allocates nothing
-/// until the rank posts.
+/// One rank's recording state. Nothing in it allocates until the rank
+/// posts.
 #[derive(Default)]
 struct RankTrace {
     sink: StreamSink,
     /// The communication events this rank has seen, each pointing at the
-    /// job's one copy, → (local id, interning id). Only this rank's thread
-    /// touches it, so a repeated event takes no lock other ranks share.
+    /// job's one copy, → (local id, interning id). Only this rank touches
+    /// it, so a repeated event takes no lock other ranks share.
     comm_index: FxHashMap<Arc<CommEvent>, (u32, u32)>,
-    /// (local id, statistics) per compute cluster, in opening order; the
-    /// statistics' `repr` is the membership key. Scanned linearly —
+    /// The statistics' `repr` is the membership key. Scanned linearly —
     /// programs have few distinct computation behaviours.
-    computes: Vec<(u32, ComputeStats)>,
+    computes: Clusters,
     last_counters: CounterVec,
     normalizer: Normalizer,
     raw_bytes: usize,
@@ -191,28 +254,27 @@ impl RankTrace {
         (self.comm_index.len() + self.computes.len()) as u32
     }
 
+    /// Record one MPI call at its post: both entry points run this.
+    fn record(&mut self, ctx: &HookCtx, call: &MpiCall, interner: &Interner, config: &TraceConfig) {
+        self.close_compute_interval(ctx.counters, config);
+        let event = self.normalizer.normalize(ctx, call);
+        self.record_comm(event, interner, config);
+    }
+
     fn close_compute_interval(&mut self, counters: CounterVec, config: &TraceConfig) {
         let delta = counters - self.last_counters;
         self.last_counters = counters;
         if delta.total() <= 0.0 {
             return;
         }
-        let found = self
-            .computes
-            .iter_mut()
-            .find(|(_, stats)| counters_close(&stats.repr, &delta, config.cluster_threshold));
-        let id = match found {
+        let id = match self.computes.find_close(&delta, config.cluster_threshold) {
             Some((id, stats)) => {
                 stats.absorb(delta);
-                *id
+                id
             }
             None => {
                 let id = self.next_id();
-                // Most ranks open exactly one cluster: room for one.
-                if self.computes.is_empty() {
-                    self.computes.reserve_exact(1);
-                }
-                self.computes.push((id, ComputeStats::new(delta)));
+                self.computes.push(id, ComputeStats::new(delta));
                 id
             }
         };
@@ -235,19 +297,47 @@ impl RankTrace {
     }
 }
 
+/// What the recorder keeps for one rank, and what the rank holds during a
+/// run: boxed, so the slot is a lock and a pointer, and the rank takes the
+/// box for the run ([`Recorder::for_rank`]) and gives the same box back.
+#[derive(Default)]
+struct RankState {
+    /// The recorder and rank that lent this state, while a rank holds it:
+    /// [`RankHook::finish`] puts it back there. `None` in the recorder's
+    /// slot, which would otherwise hold a reference cycle.
+    home: Option<(Arc<Recorder>, usize)>,
+    trace: RankTrace,
+}
+
+impl RankHook for RankState {
+    fn post(&mut self, ctx: &HookCtx, call: &MpiCall) {
+        let (recorder, _) = self.home.as_ref().expect("a rank's state knows its recorder");
+        self.trace.record(ctx, call, &recorder.interner, &recorder.config);
+    }
+
+    fn finish(mut self: Box<Self>) {
+        let (recorder, rank) = self.home.take().expect("a rank's state knows its recorder");
+        *recorder.per_rank[rank].lock().expect("rank state poisoned") = Some(self);
+    }
+}
+
+/// One rank's slot in the recorder: empty until the rank's first post
+/// through [`PmpiHook::post`], and while the rank holds its state.
+type Slot = Mutex<Option<Box<RankState>>>;
+
 /// A rank's local table in local-id order, its communication entries
 /// still holding interning ids. Consumes the rank's references to the
 /// shared events.
 fn local_table(
     comm_index: FxHashMap<Arc<CommEvent>, (u32, u32)>,
-    computes: Vec<(u32, ComputeStats)>,
+    computes: Clusters,
 ) -> Vec<LocalEvent> {
     // Every slot is overwritten: comm and compute ids partition 0..n.
     let mut table = vec![LocalEvent::Comm(0); comm_index.len() + computes.len()];
     for (_, (local, interned)) in comm_index {
         table[local as usize] = LocalEvent::Comm(interned);
     }
-    for (local, stats) in computes {
+    for (local, stats) in computes.into_entries() {
         table[local as usize] = LocalEvent::Compute(stats);
     }
     table
@@ -489,7 +579,7 @@ impl StreamedTrace {
 /// The PMPI interposer. Share it with the `World` via `Arc`, run the
 /// program, then call [`Recorder::finish_streamed`].
 pub struct Recorder {
-    per_rank: Vec<Mutex<RankTrace>>,
+    per_rank: Vec<Slot>,
     /// Per recorder, never process-global: two syntheses in one process
     /// number their events apart.
     interner: Interner,
@@ -504,7 +594,7 @@ impl Recorder {
     /// once per distinct stream.
     pub fn new_streaming(nranks: usize, config: TraceConfig) -> Recorder {
         Recorder {
-            per_rank: (0..nranks).map(|_| Mutex::default()).collect(),
+            per_rank: (0..nranks).map(|_| Slot::default()).collect(),
             interner: Interner::default(),
             config,
         }
@@ -543,10 +633,12 @@ impl Recorder {
         let mut ranks: Vec<StreamedRank> = Vec::with_capacity(self.per_rank.len());
         // Held by unflushed ranks until the batch build below.
         let placeholder = Arc::new(Grammar { rules: Vec::new() });
-        for (rank, m) in self.per_rank.iter().enumerate() {
-            // An idle `RankTrace` allocates nothing, so the reset is free.
+        for (rank, slot) in self.per_rank.iter().enumerate() {
+            // A rank that never posted, or whose run deadlocked before it
+            // finished, reads as idle.
+            let taken = slot.lock().expect("rank state poisoned").take();
             let RankTrace { sink: mut s, comm_index, computes, raw_bytes, .. } =
-                mem::take(&mut *m.lock().expect("rank state poisoned"));
+                taken.map(|state| state.trace).unwrap_or_default();
             let mut table = local_table(comm_index, computes);
             for entry in &mut table {
                 if let LocalEvent::Comm(id) = entry {
@@ -561,15 +653,17 @@ impl Recorder {
             let (rank_flushes, rank_peak) = s.flushes_and_peak(self.config.stream_limit());
             flushes += rank_flushes;
             peak = peak.max(rank_peak);
-            let grammar = if s.builder.is_some() {
+            let seq_len = s.len();
+            let grammar = if s.online.is_some() {
                 s.flush();
-                Arc::new(s.builder.take().expect("flushed sink holds a builder").into_grammar())
+                let online = s.online.expect("flushed sink holds a builder");
+                Arc::new(online.builder.into_grammar())
             } else {
                 unflushed.push(rank);
-                unflushed_seqs.push(s.take_unflushed());
+                unflushed_seqs.push(s.buf);
                 Arc::clone(&placeholder)
             };
-            ranks.push(StreamedRank { table, grammar, seq_len: s.len, raw_bytes });
+            ranks.push(StreamedRank { table, grammar, seq_len, raw_bytes });
         }
         // Every rank dropped its references above, so no event is copied.
         let events: Vec<CommEvent> = events.into_iter().map(Arc::unwrap_or_clone).collect();
@@ -604,15 +698,25 @@ impl PmpiHook for Recorder {
         // communicators) are known; counters cannot change inside MPI.
     }
 
+    /// The shared path, for hooks that wrap the recorder: the rank's
+    /// state stays in its slot, and each post takes the slot's lock.
     fn post(&self, ctx: &HookCtx, call: &MpiCall) {
-        let mut tr = self.per_rank[ctx.rank].lock().expect("rank state poisoned");
-        tr.close_compute_interval(ctx.counters, &self.config);
-        let event = tr.normalizer.normalize(ctx, call);
-        tr.record_comm(event, &self.interner, &self.config);
+        let mut slot = self.per_rank[ctx.rank].lock().expect("rank state poisoned");
+        let state = slot.get_or_insert_with(Box::default);
+        state.trace.record(ctx, call, &self.interner, &self.config);
     }
 
     fn overhead_ns(&self) -> f64 {
         TRACE_OVERHEAD_NS
+    }
+
+    /// Move the rank's state out of its slot and into the rank, which then
+    /// records without a lock until it finishes.
+    fn for_rank(self: Arc<Self>, rank: usize) -> Option<Box<dyn RankHook>> {
+        let taken = self.per_rank[rank].lock().expect("rank state poisoned").take();
+        let mut state: Box<RankState> = taken.unwrap_or_default();
+        state.home = Some((self, rank));
+        Some(state)
     }
 }
 
@@ -826,6 +930,107 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Forwards `pre`, `post` and `overhead_ns` to the recorder, as hooks
+    /// that wrap it do, so its ranks record through the shared path.
+    struct Forward(Arc<Recorder>);
+
+    impl PmpiHook for Forward {
+        fn pre(&self, ctx: &HookCtx, call: &MpiCall) {
+            self.0.pre(ctx, call);
+        }
+
+        fn post(&self, ctx: &HookCtx, call: &MpiCall) {
+            self.0.post(ctx, call);
+        }
+
+        fn overhead_ns(&self) -> f64 {
+            self.0.overhead_ns()
+        }
+    }
+
+    #[test]
+    fn both_entry_points_record_the_same_trace() {
+        // Installed as the world's hook, the recorder lends each rank its
+        // state; behind a wrapping hook, every post takes the rank's slot
+        // lock. Both run one routine and charge one overhead, so the
+        // traces and the virtual schedules are equal at any pool width.
+        let cases = [
+            (Program::Cg, 16, DEFAULT_STREAM_BUF),
+            (Program::Sweep3d, 16, STREAM_BUF_MIN),
+            (Program::Sweep3d, 16, DEFAULT_STREAM_BUF),
+            (Program::Is, 8, DEFAULT_STREAM_BUF),
+        ];
+        for (program, nprocs, buf) in cases {
+            for width in [1, 8] {
+                let record = |wrap: bool| {
+                    let rec = Arc::new(Recorder::new_streaming(nprocs, config(buf)));
+                    let hook: Arc<dyn PmpiHook> =
+                        if wrap { Arc::new(Forward(rec.clone())) } else { rec.clone() };
+                    let stats = siesta_par::with_threads(width, || {
+                        program.run_hooked(machine(), nprocs, ProblemSize::Tiny, hook)
+                    });
+                    (rec.finish_streamed(), stats.schedule_hash())
+                };
+                let (lent, lent_schedule) = record(false);
+                let (shared, shared_schedule) = record(true);
+                let case = format!("{program:?}/{nprocs} stream_buf {buf} width {width}");
+                assert!(lent.total_events() > 0, "{case}");
+                assert_eq!(lent, shared, "{case}");
+                assert_eq!(lent_schedule, shared_schedule, "{case}");
+            }
+        }
+    }
+
+    #[test]
+    fn ranks_that_never_finish_read_as_idle() {
+        // Ranks 0 and 1 trade a message. Rank 3 sends rank 2 one message,
+        // and rank 2 takes it, then waits for a second one that never
+        // comes. The state rank 2 holds goes down with its future, so its
+        // recorded receive is lost and it reads as a rank that never
+        // posted; the shared path keeps it in the slot.
+        use siesta_mpisim::World;
+        let record = |hook: &dyn Fn(Arc<Recorder>) -> Arc<dyn PmpiHook>| {
+            let rec = Arc::new(Recorder::new_streaming(4, TraceConfig::default()));
+            let run = World::new(machine(), 4).with_hook(hook(rec.clone())).try_run(|mut rank| {
+                Box::pin(async move {
+                    let comm = rank.comm_world();
+                    match rank.rank() {
+                        0 => rank.send(&comm, 1, 0, 64).await,
+                        1 => {
+                            rank.recv(&comm, 0, 0, 64).await;
+                        }
+                        2 => {
+                            rank.recv(&comm, 3, 0, 64).await;
+                            rank.recv(&comm, 3, 1, 64).await;
+                        }
+                        _ => rank.send(&comm, 2, 0, 64).await,
+                    }
+                    rank
+                })
+            });
+            let deadlock = run.expect_err("rank 2 waits forever");
+            assert_eq!(deadlock.ranks.iter().map(|r| r.0).collect::<Vec<_>>(), [2]);
+            rec.finish_streamed()
+        };
+        let lent = record(&|rec| rec);
+        let lens: Vec<usize> = lent.ranks.iter().map(|r| r.seq_len).collect();
+        assert_eq!(lens, [1, 1, 0, 1]);
+        let idle = &lent.ranks[2];
+        assert!(idle.table.is_empty() && idle.raw_bytes == 0 && seq(idle).is_empty());
+        let shared = record(&|rec| Arc::new(Forward(rec)));
+        assert_eq!(shared.ranks[2].seq_len, 1);
+    }
+
+    #[test]
+    fn a_slot_is_a_lock_and_a_pointer() {
+        // The rank's state lives in a box that the slot and, during a run,
+        // the rank point at; its first compute cluster is inline, so the
+        // box costs no more allocations than the cluster list it replaced.
+        assert_eq!(mem::size_of::<Slot>(), 16);
+        let state = mem::size_of::<RankState>();
+        assert!(state <= 264, "RankState is {state} B");
     }
 
     #[test]
