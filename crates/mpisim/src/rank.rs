@@ -821,9 +821,7 @@ mod tests {
     #[test]
     fn rank_state_fits_in_232_bytes() {
         // Every rank's future holds its `Rank` for the whole run, so each
-        // byte here costs 8 KiB at 8,192 ranks. The rank hook's 16 bytes
-        // came out of a noise counter that always equalled
-        // `compute_events` and a `usize` rank that fits in a `u32`.
+        // byte here costs 8 KiB at 8,192 ranks.
         let size = std::mem::size_of::<Rank>();
         assert!(size <= 232, "Rank is {size} B");
     }

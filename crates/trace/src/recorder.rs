@@ -195,6 +195,9 @@ impl Clusters {
             Clusters::None => Clusters::One(id, stats),
             Clusters::One(first_id, first) => Clusters::Many(vec![(first_id, first), (id, stats)]),
             Clusters::Many(mut all) => {
+                // Exact, not doubling: a rank opens few clusters, and the
+                // inline slot its first one had is already spent.
+                all.reserve_exact(1);
                 all.push((id, stats));
                 Clusters::Many(all)
             }
@@ -1026,8 +1029,8 @@ mod tests {
     #[test]
     fn a_slot_is_a_lock_and_a_pointer() {
         // The rank's state lives in a box that the slot and, during a run,
-        // the rank point at; its first compute cluster is inline, so the
-        // box costs no more allocations than the cluster list it replaced.
+        // the rank point at. Its first compute cluster is inline, so a
+        // rank with one cluster makes one allocation for both.
         assert_eq!(mem::size_of::<Slot>(), 16);
         let state = mem::size_of::<RankState>();
         assert!(state <= 264, "RankState is {state} B");

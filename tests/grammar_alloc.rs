@@ -209,10 +209,10 @@ fn traced_halo_world_costs_under_two_kilobytes_per_rank() {
     // per-rank state, each rank's future, mailbox and recorder state. At
     // width 1 every rank runs on this thread, so the counts see all of it.
     // One ordered buffer per mailbox, a short list of sequence counters
-    // and a recorder state whose handle maps wait for their first use
-    // measure 1,951 B and 11.06 allocations per rank; four mailbox
-    // containers, two counter maps and eager handle maps measured 2,627 B
-    // and 14.06.
+    // and a recorder state whose handle maps wait for their first use,
+    // boxed with its first compute cluster inline, measure 1,943 B and
+    // 11.06 allocations per rank; four mailbox containers, two counter
+    // maps and eager handle maps measured 2,627 B and 14.06.
     const RANKS: usize = 4096;
     let machine = Machine::new(platform_b(), MpiFlavor::OpenMpi);
     let (trace, allocs, peak) = siesta_par::with_threads(1, || {
