@@ -1,60 +1,47 @@
-//! Tier-1 randomized cross-check of the arena/interning Sequitur against
-//! the naive tuple-keyed reference in `common/reference.rs`. Runs in the
-//! default `cargo test` (no proptest dependency); the feature-gated
-//! proptests add shrinking on top of the same oracle.
+//! Cross-check of the arena/interning Sequitur against the naive
+//! tuple-keyed reference in `common/reference.rs`, on the seeded
+//! `siesta-prop` harness.
 //!
-//! Inputs mirror the shapes `proptests.rs::structured_seq` draws: pure
-//! random over a small alphabet, a repeated phrase with noise, nested
-//! loops, and long runs — each exercised in both RLE and classic mode.
-//! On failure the seed is printed; replay by pinning `SEED0`.
+//! The grammar property suite runs the same oracle on its
+//! `structured_seq` shapes; these inputs are a second family: pure
+//! random over a small alphabet, a phrase whose repetitions are separated
+//! by noise from a disjoint alphabet, and nested loops and long runs over
+//! a few distinct symbols. Each test cycles through the four shapes, so
+//! every run covers all of them. A failure prints its case and seed, and
+//! rerunning the test reproduces it.
 
 #[path = "common/reference.rs"]
 mod reference;
 
 use reference::NaiveSequitur;
 use siesta_grammar::Sequitur;
+use siesta_prop::{check, Gen};
 
-const SEED0: u64 = 0x5345_5155_4954_5552; // "SEQUITUR"
-
-struct Lcg(u64);
-
-impl Lcg {
-    fn next(&mut self, m: u64) -> u64 {
-        self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        (self.0 >> 33) % m.max(1)
-    }
-}
-
-/// One randomized sequence per call, cycling through the four structured
-/// shapes so every run covers all of them.
-fn structured_seq(rng: &mut Lcg, case: u64) -> Vec<u32> {
-    match case % 4 {
+/// One input of the given shape (taken modulo 4).
+fn alphabet_seq(g: &mut Gen, shape: u32) -> Vec<u32> {
+    match shape % 4 {
         // Pure random over a small alphabet.
-        0 => {
-            let len = rng.next(200) as usize;
-            (0..len).map(|_| rng.next(8) as u32).collect()
-        }
+        0 => g.vec(0..200, |g| g.draw(0u32..8)),
         // A repeated phrase with interleaved noise.
         1 => {
-            let phrase: Vec<u32> =
-                (0..2 + rng.next(5) as usize).map(|_| rng.next(6) as u32).collect();
+            let phrase = g.vec(2..7, |g| g.draw(0u32..6));
             let mut seq = Vec::new();
-            for _ in 0..1 + rng.next(12) {
+            for _ in 0..g.draw(1u32..13) {
                 seq.extend(&phrase);
-                for _ in 0..rng.next(3) {
-                    seq.push(6 + rng.next(4) as u32);
+                for _ in 0..g.draw(0u32..3) {
+                    seq.push(g.draw(6u32..10));
                 }
             }
             seq
         }
         // Nested loops: (a b^k c)^m.
         2 => {
-            let (a, b, c) = (rng.next(4) as u32, 4 + rng.next(4) as u32, 8 + rng.next(4) as u32);
-            let k = 1 + rng.next(6);
+            let (a, b, c) = (g.draw(0u32..4), g.draw(4u32..8), g.draw(8u32..12));
+            let k = g.draw(1usize..7);
             let mut seq = Vec::new();
-            for _ in 0..1 + rng.next(10) {
+            for _ in 0..g.draw(1u32..11) {
                 seq.push(a);
-                seq.extend(std::iter::repeat_n(b, k as usize));
+                seq.extend(std::iter::repeat_n(b, k));
                 seq.push(c);
             }
             seq
@@ -62,9 +49,9 @@ fn structured_seq(rng: &mut Lcg, case: u64) -> Vec<u32> {
         // Long runs of few symbols.
         _ => {
             let mut seq = Vec::new();
-            for _ in 0..1 + rng.next(8) {
-                let s = rng.next(3) as u32;
-                seq.extend(std::iter::repeat_n(s, 1 + rng.next(40) as usize));
+            for _ in 0..g.draw(1u32..9) {
+                let s = g.draw(0u32..3);
+                seq.extend(std::iter::repeat_n(s, g.draw(1usize..41)));
             }
             seq
         }
@@ -73,32 +60,28 @@ fn structured_seq(rng: &mut Lcg, case: u64) -> Vec<u32> {
 
 #[test]
 fn interned_sequitur_matches_naive_reference() {
-    let mut rng = Lcg(SEED0);
-    for case in 0..400u64 {
-        let seed = rng.0;
-        let seq = structured_seq(&mut rng, case);
-        let g = Sequitur::build(&seq);
-        let naive = NaiveSequitur::build(&seq, true);
+    let mut shape = 0;
+    check("interned_sequitur_matches_naive_reference", 400, |g| {
+        let seq = alphabet_seq(g, shape);
+        shape += 1;
         assert_eq!(
-            g.rules, naive,
-            "RLE grammar diverges from naive reference (case {case}, seed {seed:#x}, \
-             input {seq:?})"
+            Sequitur::build(&seq).rules,
+            NaiveSequitur::build(&seq, true),
+            "RLE grammar diverges from naive reference, input {seq:?}"
         );
-    }
+    });
 }
 
 #[test]
 fn classic_sequitur_matches_naive_reference() {
-    let mut rng = Lcg(SEED0 ^ 0xC1A5_51C0);
-    for case in 0..400u64 {
-        let seed = rng.0;
-        let seq = structured_seq(&mut rng, case);
-        let g = Sequitur::build_classic(&seq);
-        let naive = NaiveSequitur::build(&seq, false);
+    let mut shape = 0;
+    check("classic_sequitur_matches_naive_reference", 400, |g| {
+        let seq = alphabet_seq(g, shape);
+        shape += 1;
         assert_eq!(
-            g.rules, naive,
-            "classic grammar diverges from naive reference (case {case}, seed {seed:#x}, \
-             input {seq:?})"
+            Sequitur::build_classic(&seq).rules,
+            NaiveSequitur::build(&seq, false),
+            "classic grammar diverges from naive reference, input {seq:?}"
         );
-    }
+    });
 }

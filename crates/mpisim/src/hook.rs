@@ -238,14 +238,6 @@ pub trait RankHook: Send {
     fn finish(self: Box<Self>);
 }
 
-/// A hook that does nothing (the un-instrumented run).
-pub struct NullHook;
-
-impl PmpiHook for NullHook {
-    fn pre(&self, _: &HookCtx, _: &MpiCall) {}
-    fn post(&self, _: &HookCtx, _: &MpiCall) {}
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
