@@ -61,7 +61,6 @@ struct RawEvent {
 struct RankLog {
     events: Vec<RawEvent>,
     normalizer: Option<Normalizer>,
-    last_clock: f64,
     last_mpi_exit: f64,
     unsupported: Option<String>,
 }
@@ -71,12 +70,6 @@ struct ScalaRecorder {
 }
 
 impl PmpiHook for ScalaRecorder {
-    fn pre(&self, ctx: &HookCtx, _call: &MpiCall) {
-        let mut log = self.per_rank[ctx.rank].lock().unwrap();
-        // Gap = time since the previous MPI call returned.
-        log.last_clock = ctx.clock_ns;
-    }
-
     fn post(&self, ctx: &HookCtx, call: &MpiCall) {
         let mut log = self.per_rank[ctx.rank].lock().unwrap();
         if log.normalizer.is_none() {
@@ -92,7 +85,9 @@ impl PmpiHook for ScalaRecorder {
             log.unsupported = Some(format!("communicator management ({})", call.func_name()));
             return;
         }
-        let gap_ns = (log.last_clock - log.last_mpi_exit).max(0.0);
+        // Gap = time from the previous MPI call's return to this call's
+        // entry.
+        let gap_ns = (ctx.call_start_ns - log.last_mpi_exit).max(0.0);
         log.last_mpi_exit = ctx.clock_ns;
         let mut norm = log.normalizer.take().expect("initialized above");
         let event = norm.normalize(ctx, call);

@@ -148,8 +148,8 @@ const GLOBAL_OPTS: &[&str] = &[
 /// Options that take no value, whichever commands accept them.
 const FLAGS: &[&str] = &["quiet", "stats", "sim-profile", "critical-path"];
 
-/// Options that stack per-run collectors under a traced or simulated run
-/// (see [`Observers`]). Only `synthesize`, `trace` and `simulate` take them.
+/// Options that ask for per-run collectors beside a traced or simulated
+/// run's hook (see [`Observers`]). Only `synthesize`, `trace` and `simulate` take them.
 const OBSERVER_OPTS: &[&str] = &["comm-matrix", "sim-profile", "sim-trace-out", "critical-path"];
 
 /// `check_allowed` including the global observability options.
@@ -160,7 +160,7 @@ fn check_cmd_opts(args: &Args, cmd_opts: &[&str]) -> Result<(), String> {
 }
 
 /// What one command's [`OBSERVER_OPTS`] ask for: the collectors its run
-/// stacks, and where their artifacts go.
+/// records into, and where their artifacts go.
 struct Observers {
     observe: Observe,
     comm_matrix_path: Option<String>,

@@ -418,6 +418,41 @@ fn threads_flag_is_validated_and_output_invariant() {
 }
 
 #[test]
+fn observing_a_synthesis_leaves_its_artifacts_unchanged() {
+    // The observer options add collectors beside the recorder; they must
+    // not change what it records.
+    const ARTIFACTS: [&str; 3] = ["siesta", "c", "siestatrace"];
+    let synthesize = |name: &str, observers: &[&str]| {
+        let paths = ARTIFACTS.map(|ext| tmp(&format!("cg8_{name}.{ext}")));
+        let [proxy, c_file, store] = paths.each_ref().map(|p| p.to_str().unwrap());
+        let mut args = vec!["synthesize", "--program", "CG", "--nprocs", "8", "--size", "tiny"];
+        args.extend(["--out", proxy, "--emit-c", c_file, "--trace-store", store]);
+        args.extend_from_slice(observers);
+        let out = siesta(&args);
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        paths.map(|p| {
+            let bytes = std::fs::read(&p).unwrap();
+            std::fs::remove_file(&p).ok();
+            bytes
+        })
+    };
+    let plain = synthesize("plain", &[]);
+    let outputs = ["profile.json", "cm.json", "vt.json"].map(|f| tmp(&format!("cg8_{f}")));
+    let [profile, matrix, vt] = outputs.each_ref().map(|p| p.to_str().unwrap());
+    let observed = synthesize(
+        "observed",
+        &["--profile", profile, "--comm-matrix", matrix, "--sim-profile", "--sim-trace-out", vt],
+    );
+    for path in &outputs {
+        assert!(path.exists(), "{} not written", path.display());
+        std::fs::remove_file(path).ok();
+    }
+    for ((ext, a), b) in ARTIFACTS.iter().zip(&plain).zip(&observed) {
+        assert!(a == b, "observing the run changed its .{ext} output");
+    }
+}
+
+#[test]
 fn stats_alone_records_the_proxy_fit_error() {
     // The fit-error histogram is a pipeline metric, not a profiling one:
     // `--stats` without `--profile` must report one sample per compute

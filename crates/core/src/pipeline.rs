@@ -39,7 +39,7 @@ pub struct SiestaConfig {
     /// reference the lift must match byte for byte, kept to measure what
     /// the lift saves.
     pub stream: bool,
-    /// Collectors stacked under the recorder in the traced run; the
+    /// Collectors the traced run records into beside the recorder; the
     /// traced [`RunStats`] returns them.
     pub observe: Observe,
 }

@@ -566,7 +566,7 @@ impl Rank {
         let algo = self.machine().flavor.gather_algo(comm.size(), bytes);
         let seq = self.next_coll_seq(comm.id);
         match algo {
-            CollectiveAlgo::Linear => self.linear_scatter(comm, root, bytes, seq).await,
+            CollectiveAlgo::Linear => self.linear_scatter(comm, root, |_| bytes, seq).await,
             _ => self.binomial_scatter(comm, root, bytes, seq).await,
         }
         self.account_mpi(t0, if comm.rank() == root { bytes * comm.size().saturating_sub(1) } else { 0 });
@@ -581,32 +581,9 @@ impl Rank {
         let t0 = self.clock;
         self.clock += self.machine().net.collective_overhead_ns;
         let seq = self.next_coll_seq(comm.id);
-        let p = comm.size();
-        if p > 1 {
-            // Linear with pre-posted receives: correct for arbitrary
-            // per-rank sizes (the binomial variant needs size prefixes).
-            if comm.rank() == root {
-                let recvs: Vec<(RecvHandle, usize)> = (0..p)
-                    .filter(|&s| s != root)
-                    .map(|s| {
-                        let src_global = comm.global_of(s);
-                        let recv = self.post_recv_raw(
-                            src_global,
-                            comm.id,
-                            Channel::Sys { key: Self::skey(comm.id, seq, s as u32) },
-                            usize::MAX,
-                        );
-                        (recv, src_global)
-                    })
-                    .collect();
-                for (recv, src) in recvs {
-                    self.wait_recv_raw(recv, src).await;
-                }
-            } else {
-                let key = Self::skey(comm.id, seq, comm.rank() as u32);
-                self.plumb_send(comm, root, counts[comm.rank()], key).await;
-            }
-        }
+        // Linear: correct for arbitrary per-rank sizes (the binomial
+        // variant needs size prefixes).
+        self.linear_gather(comm, root, counts[comm.rank()], seq).await;
         let sent = if comm.rank() == root { 0 } else { counts[comm.rank()] };
         self.account_mpi(t0, sent);
         self.hook_post_c(&call, comm);
@@ -620,21 +597,7 @@ impl Rank {
         let t0 = self.clock;
         self.clock += self.machine().net.collective_overhead_ns;
         let seq = self.next_coll_seq(comm.id);
-        let p = comm.size();
-        if p > 1 {
-            if comm.rank() == root {
-                #[allow(clippy::needless_range_loop)] // s is a rank, not an index
-                for s in 0..p {
-                    if s != root {
-                        let key = Self::skey(comm.id, seq, s as u32);
-                        self.plumb_send(comm, s, counts[s], key).await;
-                    }
-                }
-            } else {
-                let key = Self::skey(comm.id, seq, comm.rank() as u32);
-                self.plumb_recv(comm, root, key).await;
-            }
-        }
+        self.linear_scatter(comm, root, |s| counts[s], seq).await;
         let sent: usize = if comm.rank() == root {
             counts.iter().enumerate().filter(|(i, _)| *i != root).map(|(_, c)| c).sum()
         } else {
@@ -795,6 +758,8 @@ impl Rank {
         }
     }
 
+    /// Every other member sends its `bytes` to `root`, which pre-posts
+    /// all its receives.
     async fn linear_gather(&mut self, comm: &Communicator, root: usize, bytes: usize, seq: u32) {
         let p = comm.size();
         if p <= 1 {
@@ -850,7 +815,14 @@ impl Rank {
         }
     }
 
-    async fn linear_scatter(&mut self, comm: &Communicator, root: usize, bytes: usize, seq: u32) {
+    /// `root` sends `bytes(s)` to each other member `s` in rank order.
+    async fn linear_scatter(
+        &mut self,
+        comm: &Communicator,
+        root: usize,
+        bytes: impl Fn(usize) -> usize,
+        seq: u32,
+    ) {
         let p = comm.size();
         if p <= 1 {
             return;
@@ -858,7 +830,7 @@ impl Rank {
         if comm.rank() == root {
             for s in 0..p {
                 if s != root {
-                    self.plumb_send(comm, s, bytes, Self::skey(comm.id, seq, s as u32)).await;
+                    self.plumb_send(comm, s, bytes(s), Self::skey(comm.id, seq, s as u32)).await;
                 }
             }
         } else {

@@ -1,16 +1,16 @@
 //! Per-rank communication-matrix collection.
 //!
-//! A [`CommMatrix`] is a [`PmpiHook`] that tallies one cell per `(src,
-//! dest)` global-rank pair: point-to-point send **counts** and
-//! **bytes**, plus per-rank collective contribution bytes (collectives
-//! have no single destination, so they get a vector, not matrix cells).
-//! This is the communication-pattern view tools like mpiP's
-//! sender/receiver histograms and the Caliper/Benchpark studies build
-//! their analysis on. It belongs to one run: a [`crate::World`] asked to
-//! observe it (`Observe::comm_matrix`, the CLI's `--comm-matrix PATH`)
-//! stacks a fresh one under its hook and returns it in
-//! [`crate::RunStats::comm_matrix`], and [`CommMatrix::snapshot`] reads
-//! the tallies back.
+//! A [`CommMatrix`] tallies one cell per `(src, dest)` global-rank pair:
+//! point-to-point send **counts** and **bytes**, plus per-rank collective
+//! contribution bytes (collectives have no single destination, so they
+//! get a vector, not matrix cells). This is the communication-pattern
+//! view tools like mpiP's sender/receiver histograms and the
+//! Caliper/Benchpark studies build their analysis on. It belongs to one
+//! run: a [`crate::World`] asked to observe it (`Observe::comm_matrix`,
+//! the CLI's `--comm-matrix PATH`) builds a fresh one, records each call
+//! into it at the call's post, and returns it in
+//! [`crate::RunStats::comm_matrix`]; [`CommMatrix::snapshot`] reads the
+//! tallies back.
 //!
 //! Storage is **sparse**: one hash row per source rank, holding only the
 //! destinations that rank actually sent to. Real MPI communication
@@ -23,10 +23,10 @@
 //! — the scheduler polls a rank on at most one worker at a time — so the
 //! lock is uncontended in steady state.
 //!
-//! Only `MPI_COMM_WORLD` point-to-point traffic lands in the matrix: the
-//! hook sees communicator-**local** destination ranks (exactly what a
-//! PMPI tracer sees), and only for the world communicator is the local
-//! rank also the global one. Sends on split/duplicated communicators are
+//! Only `MPI_COMM_WORLD` point-to-point traffic lands in the matrix: a
+//! call record carries communicator-**local** destination ranks (exactly
+//! what a PMPI tracer sees), and only for the world communicator is the
+//! local rank also the global one. Sends on split/duplicated communicators are
 //! tallied in `nonworld_skipped` instead of being misattributed.
 
 use std::fmt;
@@ -36,11 +36,10 @@ use std::sync::Mutex;
 use siesta_hash::{fx_map, FxHashMap};
 
 use crate::comm::CommId;
-use crate::hook::{HookCtx, MpiCall, PmpiHook};
+use crate::hook::{HookCtx, MpiCall};
 
-/// The collector of one run: sparse per-source rows, written in `pre`
-/// from whichever worker is polling the source rank. Charges zero
-/// virtual overhead.
+/// The collector of one run: sparse per-source rows, written at post
+/// from whichever worker is polling the source rank.
 pub struct CommMatrix {
     nranks: usize,
     /// `rows[src][dest] = (count, bytes)` — only touched destinations.
@@ -95,12 +94,10 @@ impl CommMatrix {
             nonworld_skipped: self.nonworld_skipped.load(Ordering::Relaxed),
         }
     }
-}
 
-impl PmpiHook for CommMatrix {
-    /// Sends only (each message counted once, at its source);
-    /// collectives credit the caller's contribution.
-    fn pre(&self, ctx: &HookCtx, call: &MpiCall) {
+    /// Tally one completed call: sends only (each message counted once,
+    /// at its source); collectives credit the caller's contribution.
+    pub(crate) fn record(&self, ctx: &HookCtx, call: &MpiCall) {
         match call {
             MpiCall::Send { comm, dest, bytes, .. }
             | MpiCall::Isend { comm, dest, bytes, .. }
@@ -129,8 +126,6 @@ impl PmpiHook for CommMatrix {
             }
         }
     }
-
-    fn post(&self, _ctx: &HookCtx, _call: &MpiCall) {}
 }
 
 /// Size only: `RunStats` prints its collectors, never their addresses.
@@ -221,12 +216,12 @@ mod tests {
     #[test]
     fn p2p_and_collectives_tally_separately() {
         let cells = CommMatrix::new(4);
-        cells.pre(&ctx(0), &MpiCall::Send { comm: CommId::WORLD, dest: 1, tag: 0, bytes: 100 });
-        cells.pre(
+        cells.record(&ctx(0), &MpiCall::Send { comm: CommId::WORLD, dest: 1, tag: 0, bytes: 100 });
+        cells.record(
             &ctx(0),
             &MpiCall::Isend { comm: CommId::WORLD, dest: 1, tag: 0, bytes: 28, req: 0 },
         );
-        cells.pre(
+        cells.record(
             &ctx(2),
             &MpiCall::Sendrecv {
                 comm: CommId::WORLD,
@@ -239,12 +234,12 @@ mod tests {
             },
         );
         // Receives never double-count.
-        cells.pre(&ctx(1), &MpiCall::Recv { comm: CommId::WORLD, src: 0, tag: 0, bytes: 100 });
-        cells.pre(&ctx(3), &MpiCall::Allreduce { comm: CommId::WORLD, bytes: 8 });
+        cells.record(&ctx(1), &MpiCall::Recv { comm: CommId::WORLD, src: 0, tag: 0, bytes: 100 });
+        cells.record(&ctx(3), &MpiCall::Allreduce { comm: CommId::WORLD, bytes: 8 });
         // Non-world sends are skipped, not misattributed.
         let sub = CommId(7);
         assert_ne!(sub, CommId::WORLD);
-        cells.pre(&ctx(1), &MpiCall::Send { comm: sub, dest: 0, tag: 0, bytes: 5 });
+        cells.record(&ctx(1), &MpiCall::Send { comm: sub, dest: 0, tag: 0, bytes: 5 });
 
         let snap = cells.snapshot();
         assert_eq!(snap.count(0, 1), 2);
@@ -259,21 +254,16 @@ mod tests {
     }
 
     #[test]
-    fn records_in_pre_only() {
+    fn counts_each_message_once_at_its_source() {
         let matrix = CommMatrix::new(2);
-        let send = MpiCall::Send { comm: CommId::WORLD, dest: 1, tag: 9, bytes: 11 };
-        matrix.pre(&ctx(0), &send);
-        matrix.post(&ctx(0), &send);
-        let recv = MpiCall::Recv { comm: CommId::WORLD, src: 0, tag: 9, bytes: 11 };
-        matrix.pre(&ctx(1), &recv);
-        matrix.post(&ctx(1), &recv);
+        matrix.record(&ctx(0), &MpiCall::Send { comm: CommId::WORLD, dest: 1, tag: 9, bytes: 11 });
+        matrix.record(&ctx(1), &MpiCall::Recv { comm: CommId::WORLD, src: 0, tag: 9, bytes: 11 });
         let snap = matrix.snapshot();
         assert_eq!(snap.nranks, 2);
         assert_eq!(snap.count(0, 1), 1);
         assert_eq!(snap.byte_volume(0, 1), 11);
         assert_eq!(snap.count(1, 0), 0);
         assert_eq!(snap.nonworld_skipped, 0);
-        assert_eq!(matrix.overhead_ns(), 0.0);
         // Reading the tallies leaves them in place.
         assert_eq!(matrix.snapshot(), snap);
         assert_eq!(format!("{matrix:?}"), "CommMatrix { nranks: 2, .. }");
@@ -283,9 +273,9 @@ mod tests {
     fn json_is_sorted_row_major_and_sparse() {
         let cells = CommMatrix::new(3);
         // Insert out of order within a row; snapshot must sort.
-        cells.pre(&ctx(1), &MpiCall::Send { comm: CommId::WORLD, dest: 2, tag: 0, bytes: 7 });
-        cells.pre(&ctx(1), &MpiCall::Send { comm: CommId::WORLD, dest: 0, tag: 0, bytes: 3 });
-        cells.pre(&ctx(0), &MpiCall::Send { comm: CommId::WORLD, dest: 2, tag: 0, bytes: 1 });
+        cells.record(&ctx(1), &MpiCall::Send { comm: CommId::WORLD, dest: 2, tag: 0, bytes: 7 });
+        cells.record(&ctx(1), &MpiCall::Send { comm: CommId::WORLD, dest: 0, tag: 0, bytes: 3 });
+        cells.record(&ctx(0), &MpiCall::Send { comm: CommId::WORLD, dest: 2, tag: 0, bytes: 1 });
         let snap = cells.snapshot();
         assert_eq!(
             snap.cells,

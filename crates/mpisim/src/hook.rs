@@ -203,8 +203,9 @@ pub struct HookCtx {
 /// lock. `pre` and `post` remain the path for hooks that answer `None`
 /// there, and for hooks that wrap another hook and forward its calls.
 pub trait PmpiHook: Send + Sync {
-    /// Invoked before the MPI operation starts.
-    fn pre(&self, ctx: &HookCtx, call: &MpiCall);
+    /// Invoked before the MPI operation starts. The default does nothing:
+    /// most hooks record at `post`, when the call's results are known.
+    fn pre(&self, _ctx: &HookCtx, _call: &MpiCall) {}
     /// Invoked after the MPI operation completes (clock reflects completion).
     fn post(&self, ctx: &HookCtx, call: &MpiCall);
     /// Virtual nanoseconds of tracer work to charge per hooked call (split

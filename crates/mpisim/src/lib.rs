@@ -44,9 +44,10 @@
 //! the hook, exactly as PMPI sees `MPI_Bcast` once rather than its internal
 //! sends. A hook with per-rank state hands each rank its own [`RankHook`]
 //! through [`PmpiHook::for_rank`], which the rank calls without a lock.
-//! [`World::observe`] stacks per-run collectors ([`CommMatrix`],
-//! [`SimProfiler`]) under that hook, and the run returns them in its
-//! [`RunStats`].
+//! [`World::observe`] asks for per-run collectors ([`CommMatrix`],
+//! [`SimProfiler`]). Each rank records into them at every call's post,
+//! after its hook, so observing leaves the hook's path alone, and the
+//! run returns them in its [`RunStats`].
 //!
 //! # Example
 //!

@@ -1,43 +1,37 @@
-//! Observability interposers: an [`ObsHook`] that feeds the `siesta-obs`
-//! metrics registry from the PMPI stream, and a [`FanoutHook`] that lets it
-//! stack underneath the trace recorder (real PMPI tools chain the same way).
-//! Only `World::try_run` builds them: an observed run stacks the caller's
-//! hook, then an `ObsHook`, then the collectors the run asked for.
+//! The collectors of an observed run: an [`ObsHook`] that feeds the
+//! `siesta-obs` metrics registry from the PMPI stream, and the
+//! [`Collectors`] that hold it beside the run's [`CommMatrix`] and
+//! [`SimProfiler`]. Only `World::try_run` builds them. A rank calls them
+//! at each hooked call's post, after the caller's hook, so observing a
+//! run leaves the hook's path alone.
 
-use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 
 use siesta_obs::metrics::{counter, histogram, Counter, Histogram};
 
-use crate::hook::{HookCtx, MpiCall, PmpiHook, NUM_CALL_CLASSES};
+use crate::comm_matrix::CommMatrix;
+use crate::hook::{HookCtx, MpiCall, NUM_CALL_CLASSES};
+use crate::profiler::SimProfiler;
 
-/// Broadcasts every hook event to each inner hook, in order. Per-call
-/// overhead charged to the virtual clock is the sum of the inner overheads.
-pub(crate) struct FanoutHook {
-    hooks: Vec<Arc<dyn PmpiHook>>,
+/// What an observed run records at each hooked call's post. Every
+/// collector charges zero virtual overhead, so virtual time never moves.
+pub(crate) struct Collectors {
+    pub obs: ObsHook,
+    pub comm_matrix: Option<Arc<CommMatrix>>,
+    pub sim_profile: Option<Arc<SimProfiler>>,
 }
 
-impl FanoutHook {
-    pub(crate) fn new(hooks: Vec<Arc<dyn PmpiHook>>) -> FanoutHook {
-        FanoutHook { hooks }
-    }
-}
-
-impl PmpiHook for FanoutHook {
-    fn pre(&self, ctx: &HookCtx, call: &MpiCall) {
-        for h in &self.hooks {
-            h.pre(ctx, call);
+impl Collectors {
+    /// Record one completed call. `outstanding` is the rank's live
+    /// request count after the call.
+    pub(crate) fn post(&self, ctx: &HookCtx, call: &MpiCall, outstanding: usize) {
+        self.obs.post(call, outstanding);
+        if let Some(matrix) = &self.comm_matrix {
+            matrix.record(ctx, call);
         }
-    }
-
-    fn post(&self, ctx: &HookCtx, call: &MpiCall) {
-        for h in &self.hooks {
-            h.post(ctx, call);
+        if let Some(profiler) = &self.sim_profile {
+            profiler.record(ctx, call);
         }
-    }
-
-    fn overhead_ns(&self) -> f64 {
-        self.hooks.iter().map(|h| h.overhead_ns()).sum()
     }
 }
 
@@ -79,8 +73,6 @@ const CALL_COUNTER_NAMES: [&str; NUM_CALL_CLASSES] = [
 /// the simulation without perturbing the clocks the paper's Table 3
 /// overhead column is computed from.
 pub(crate) struct ObsHook {
-    /// Outstanding Isend/Irecv requests per rank.
-    outstanding: Vec<AtomicI64>,
     /// Pre-resolved `mpi.calls.*` counters, indexed by
     /// [`MpiCall::class_index`].
     call_counters: [&'static Counter; NUM_CALL_CLASSES],
@@ -90,65 +82,46 @@ pub(crate) struct ObsHook {
 }
 
 impl ObsHook {
-    pub(crate) fn new(nranks: usize) -> ObsHook {
+    pub(crate) fn new() -> ObsHook {
         ObsHook {
-            outstanding: (0..nranks).map(|_| AtomicI64::new(0)).collect(),
             call_counters: CALL_COUNTER_NAMES.map(counter),
             message_bytes: histogram("mpi.message_bytes"),
             queue_depth: histogram("mpi.queue_depth"),
         }
     }
-}
 
-impl PmpiHook for ObsHook {
-    fn pre(&self, ctx: &HookCtx, call: &MpiCall) {
+    /// Count a completed call and its volume, and sample the queue depth
+    /// the call found: `outstanding`, the rank's request count after the
+    /// call, less the call's own change to it.
+    fn post(&self, call: &MpiCall, outstanding: usize) {
         self.call_counters[call.class_index()].inc();
         let bytes = call.payload_bytes();
         if bytes > 0 {
             self.message_bytes.record(bytes as u64);
         }
-        if let Some(q) = self.outstanding.get(ctx.rank) {
-            self.queue_depth.record(q.load(Ordering::Relaxed).max(0) as u64);
-        }
-    }
-
-    fn post(&self, ctx: &HookCtx, call: &MpiCall) {
-        let Some(q) = self.outstanding.get(ctx.rank) else {
-            return;
+        let depth = match call {
+            MpiCall::Isend { .. } | MpiCall::Irecv { .. } => outstanding - 1,
+            MpiCall::Wait { .. } => outstanding + 1,
+            MpiCall::Waitall { reqs } => outstanding + reqs.len(),
+            _ => outstanding,
         };
-        match call {
-            MpiCall::Isend { .. } | MpiCall::Irecv { .. } => {
-                q.fetch_add(1, Ordering::Relaxed);
-            }
-            MpiCall::Wait { .. } => {
-                q.fetch_sub(1, Ordering::Relaxed);
-            }
-            MpiCall::Waitall { reqs } => {
-                q.fetch_sub(reqs.len() as i64, Ordering::Relaxed);
-            }
-            _ => {}
-        }
+        self.queue_depth.record(depth as u64);
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Mutex;
+
+    use siesta_perfmodel::{platform_a, Machine, MpiFlavor};
+
     use super::*;
     use crate::comm::CommId;
-    use siesta_perfmodel::CounterVec;
+    use crate::world::{Observe, World};
 
-    fn ctx(rank: usize) -> HookCtx {
-        HookCtx {
-            rank,
-            clock_ns: 0.0,
-            counters: CounterVec::ZERO,
-            comm_rank: rank,
-            comm_size: 2,
-            call_start_ns: 0.0,
-            wait_ns: 0.0,
-            call_seq: 0,
-        }
-    }
+    /// The `mpi.*` metrics are process-wide, so the tests that reset and
+    /// read them take turns.
+    static METRICS: Mutex<()> = Mutex::new(());
 
     #[test]
     fn counter_names_track_class_names() {
@@ -159,17 +132,14 @@ mod tests {
 
     #[test]
     fn obs_hook_counts_calls_and_volume() {
+        let _turn = METRICS.lock().expect("no test panics while holding the lock");
         siesta_obs::reset_metrics();
-        let hook = ObsHook::new(2);
-        let send = MpiCall::Send { comm: CommId::WORLD, dest: 1, tag: 7, bytes: 4096 };
-        hook.pre(&ctx(0), &send);
-        hook.post(&ctx(0), &send);
-        let isend = MpiCall::Isend { comm: CommId::WORLD, dest: 1, tag: 7, bytes: 64, req: 0 };
-        hook.pre(&ctx(0), &isend);
-        hook.post(&ctx(0), &isend);
-        let wait = MpiCall::Wait { req: 0 };
-        hook.pre(&ctx(0), &wait);
-        hook.post(&ctx(0), &wait);
+        let hook = ObsHook::new();
+        // One rank's Send, Isend and Wait, each with the request count
+        // the rank's table holds after the call.
+        hook.post(&MpiCall::Send { comm: CommId::WORLD, dest: 1, tag: 7, bytes: 4096 }, 0);
+        hook.post(&MpiCall::Isend { comm: CommId::WORLD, dest: 1, tag: 7, bytes: 64, req: 0 }, 1);
+        hook.post(&MpiCall::Wait { req: 0 }, 0);
 
         assert_eq!(counter("mpi.calls.MPI_Send").get(), 1);
         assert_eq!(counter("mpi.calls.MPI_Isend").get(), 1);
@@ -178,25 +148,38 @@ mod tests {
         assert_eq!(vol.count, 2);
         assert_eq!(vol.max, 4096);
         // Queue depth sampled three times: 0 before Send, 0 before Isend,
-        // 1 before Wait; back to 0 after Wait.
+        // 1 before Wait.
         let depth = histogram("mpi.queue_depth").summary();
         assert_eq!(depth.count, 3);
         assert_eq!(depth.max, 1);
-        assert_eq!(hook.outstanding[0].load(Ordering::Relaxed), 0);
         siesta_obs::reset_metrics();
     }
 
     #[test]
-    fn fanout_sums_overhead_and_forwards() {
-        struct Fixed(f64);
-        impl PmpiHook for Fixed {
-            fn pre(&self, _: &HookCtx, _: &MpiCall) {}
-            fn post(&self, _: &HookCtx, _: &MpiCall) {}
-            fn overhead_ns(&self) -> f64 {
-                self.0
-            }
-        }
-        let fan = FanoutHook::new(vec![Arc::new(Fixed(100.0)), Arc::new(Fixed(20.0))]);
-        assert_eq!(fan.overhead_ns(), 120.0);
+    fn queue_depth_drops_when_test_completes_a_request() {
+        // Rank 0 completes an irecv through `test`, which is not hooked,
+        // and then enters a barrier: the barrier finds no request left.
+        let _turn = METRICS.lock().expect("no test panics while holding the lock");
+        siesta_obs::reset_metrics();
+        World::new(Machine::new(platform_a(), MpiFlavor::OpenMpi), 2)
+            .observe(Observe { comm_matrix: true, sim_profile: false })
+            .run(|mut rank| {
+                Box::pin(async move {
+                    let comm = rank.comm_world();
+                    if rank.rank() == 0 {
+                        let req = rank.irecv(&comm, 1, 0, 64);
+                        while rank.test(req).await.is_none() {}
+                    } else {
+                        rank.send(&comm, 0, 0, 64).await;
+                    }
+                    rank.barrier(&comm).await;
+                    rank
+                })
+            });
+        let depth = histogram("mpi.queue_depth").summary();
+        // Irecv, Send and two barriers; every one found an empty table.
+        assert_eq!(depth.count, 4);
+        assert_eq!(depth.max, 0);
+        siesta_obs::reset_metrics();
     }
 }

@@ -1,9 +1,9 @@
-//! The virtual-time profiler: a [`PmpiHook`] that records every
-//! application-level MPI call as a per-rank timeline interval.
+//! The virtual-time profiler: records every application-level MPI call
+//! as a per-rank timeline interval.
 //!
 //! Each completed call becomes one fixed-size [`SimEvent`] — `(rank,
 //! call class, vtime start, vtime end, peer/comm, bytes, blocked wait)`.
-//! Recording happens only in the `post` hook: the runtime threads the
+//! Recording happens only at the call's post: the runtime threads the
 //! call's start time and exact blocked-wait total through
 //! [`HookCtx::call_start_ns`] / [`HookCtx::wait_ns`].
 //!
@@ -44,9 +44,9 @@
 //! unmatchable instead of guessing).
 //!
 //! A profiler belongs to one run: a [`crate::World`] asked to observe
-//! it (`Observe::sim_profile`, the CLI's `--sim-profile`) stacks a fresh
-//! one under its hook and returns it in
-//! [`crate::RunStats::sim_profile`]; the caller snapshots it after
+//! it (`Observe::sim_profile`, the CLI's `--sim-profile`) builds a fresh
+//! one, records each call into it after the caller's hook, and returns
+//! it in [`crate::RunStats::sim_profile`]; the caller snapshots it after
 //! reading its own timings, so the per-rank merge stays out of the timed
 //! run. Only the parked-chunk pool (`CHUNK_POOL`) is process-wide, and
 //! it is a cache.
@@ -241,8 +241,9 @@ enum Store {
     Ring(Timeline<SimEvent>),
 }
 
-/// The recording hook. A [`crate::World`] observing its run builds one;
-/// [`SimProfiler::new`] builds a free-standing one.
+/// The recorder. A [`crate::World`] observing its run builds one;
+/// [`SimProfiler::new`] builds a free-standing one, which records as a
+/// world's hook.
 pub struct SimProfiler {
     store: Store,
 }
@@ -408,10 +409,17 @@ impl fmt::Debug for SimProfiler {
     }
 }
 
+/// A free-standing profiler installed as a world's hook records through
+/// the routine an observed world calls.
 impl PmpiHook for SimProfiler {
-    fn pre(&self, _ctx: &HookCtx, _call: &MpiCall) {}
-
     fn post(&self, ctx: &HookCtx, call: &MpiCall) {
+        self.record(ctx, call);
+    }
+}
+
+impl SimProfiler {
+    /// Record one completed call as an interval on its rank's timeline.
+    pub(crate) fn record(&self, ctx: &HookCtx, call: &MpiCall) {
         let mut ev = SimEvent {
             class: call.class_index() as u16,
             nreqs: 0,

@@ -20,6 +20,7 @@ use crate::engine::{Completion, Engine, RecvHandle};
 use crate::hook::{HookCtx, MpiCall, PmpiHook, RankHook};
 use crate::link::{recv_done, Link};
 use crate::message::{AckCell, AckWait, Channel, Envelope, MatchKey, RecvStatus, Tag, WireProtocol};
+use crate::obs::Collectors;
 use crate::quorum::QuorumBoard;
 use crate::request::{ReqState, Request, RequestTable};
 use crate::world::RankStats;
@@ -34,6 +35,9 @@ pub(crate) struct Shared {
     /// Half the hook's [`PmpiHook::overhead_ns`], read once per run and
     /// charged before and after each hooked call.
     pub hook_half_ns: f64,
+    /// An observed run's collectors, called at each call's post after
+    /// the hook.
+    pub collectors: Option<Collectors>,
     /// Quorums of the all-member collectives, keyed by (communicator,
     /// collective sequence number).
     pub collectives: QuorumBoard<Member>,
@@ -587,11 +591,18 @@ impl Rank {
     }
 
     fn hook_post_raw(&mut self, call: &MpiCall, comm_rank: usize, comm_size: usize) {
-        let Some(hook) = &self.shared.hook else { return };
+        if self.shared.hook.is_none() && self.shared.collectors.is_none() {
+            return;
+        }
         let ctx = self.hook_ctx(comm_rank, comm_size);
-        match &mut self.hook {
-            Some(own) => own.post(&ctx, call),
-            None => hook.post(&ctx, call),
+        if let Some(hook) = &self.shared.hook {
+            match &mut self.hook {
+                Some(own) => own.post(&ctx, call),
+                None => hook.post(&ctx, call),
+            }
+        }
+        if let Some(collectors) = &self.shared.collectors {
+            collectors.post(&ctx, call, self.requests.outstanding());
         }
         self.clock += self.shared.hook_half_ns;
         self.hooked_calls = self.hooked_calls.wrapping_add(1);

@@ -67,8 +67,9 @@ impl RequestTable {
         self.slots.get(req.0).and_then(|s| s.as_ref())
     }
 
+    /// Live requests: every empty slot is on the free list exactly once.
     pub fn outstanding(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
+        self.slots.len() - self.free.len()
     }
 }
 

@@ -1,4 +1,6 @@
-//! World setup, the run entry points, and run statistics.
+//! World setup, the run entry points, and run statistics. Every run lends
+//! each rank its share of the caller's hook; an observed run also records
+//! each call into the run's own collectors, which it returns.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -9,7 +11,7 @@ use siesta_perfmodel::{CounterVec, Machine};
 use crate::comm_matrix::CommMatrix;
 use crate::engine::Engine;
 use crate::hook::PmpiHook;
-use crate::obs::{FanoutHook, ObsHook};
+use crate::obs::{Collectors, ObsHook};
 use crate::profiler::SimProfiler;
 use crate::quorum::QuorumBoard;
 use crate::rank::{blocked, Rank, Shared};
@@ -20,8 +22,8 @@ use crate::rank::{blocked, Rank, Shared};
 pub type RankFut<'env> =
     std::pin::Pin<Box<dyn std::future::Future<Output = Rank> + Send + 'env>>;
 
-/// The per-run collectors a [`World`] stacks under its hook and returns
-/// in its [`RunStats`]. The default observes nothing.
+/// The per-run collectors a [`World`] records into after its hook and
+/// returns in its [`RunStats`]. The default observes nothing.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Observe {
     /// Tally a [`CommMatrix`].
@@ -58,7 +60,8 @@ impl World {
         self
     }
 
-    /// Stack the collectors `observe` asks for (see [`World::try_run`]).
+    /// Record into the collectors `observe` asks for (see
+    /// [`World::try_run`]).
     pub fn observe(mut self, observe: Observe) -> World {
         self.observe = observe;
         self
@@ -96,14 +99,13 @@ impl World {
     /// Like [`World::run`], but reports deadlock as an error instead of
     /// panicking.
     ///
-    /// A run is *observed* while spans are recorded or when
-    /// [`World::observe`] asked for a collector. It then stacks, in this
-    /// order, the caller's hook, an `ObsHook` feeding the `mpi.*` metrics,
-    /// and the collectors, and records the `obs.sim.*` metrics. Every
-    /// collector charges zero overhead, so virtual time never moves. The
-    /// stack calls each hook's `pre` and `post`; an unobserved run asks
-    /// the caller's hook for each rank's own state
-    /// ([`PmpiHook::for_rank`]).
+    /// Every run asks the caller's hook for each rank's own state
+    /// ([`PmpiHook::for_rank`]). A run is *observed* while spans are
+    /// recorded or when [`World::observe`] asked for a collector. Each
+    /// call's post then feeds, after the hook, the `mpi.*` metrics and
+    /// the collectors asked for, and the run records the `obs.sim.*`
+    /// metrics. No collector charges overhead, so virtual time never
+    /// moves. A deadlocked run returns no collectors.
     pub fn try_run<'env, F>(&self, body: F) -> Result<RunStats, Deadlock>
     where
         F: Fn(Rank) -> RankFut<'env> + Send + Sync,
@@ -117,20 +119,16 @@ impl World {
         let observed = siesta_obs::profiling_enabled() || self.observe != Observe::default();
         let comm_matrix = self.observe.comm_matrix.then(|| Arc::new(CommMatrix::new(self.nranks)));
         let sim_profile = self.observe.sim_profile.then(|| SimProfiler::from_env(self.nranks));
-        let hook = if observed {
-            let mut hooks: Vec<Arc<dyn PmpiHook>> = self.hook.iter().cloned().collect();
-            hooks.push(Arc::new(ObsHook::new(self.nranks)));
-            hooks.extend(comm_matrix.clone().map(|m| m as Arc<dyn PmpiHook>));
-            hooks.extend(sim_profile.clone().map(|p| p as Arc<dyn PmpiHook>));
-            Some(Arc::new(FanoutHook::new(hooks)) as Arc<dyn PmpiHook>)
-        } else {
-            self.hook.clone()
-        };
-        let hook_half_ns = hook.as_ref().map_or(0.0, |h| h.overhead_ns() * 0.5);
+        let collectors = observed.then(|| Collectors {
+            obs: ObsHook::new(),
+            comm_matrix: comm_matrix.clone(),
+            sim_profile: sim_profile.clone(),
+        });
         let shared = Arc::new(Shared {
             engine: Engine::new(self.machine, self.nranks),
-            hook,
-            hook_half_ns,
+            hook: self.hook.clone(),
+            hook_half_ns: self.hook.as_ref().map_or(0.0, |h| h.overhead_ns() * 0.5),
+            collectors,
             collectives: QuorumBoard::new(),
             member_rounds: AtomicU64::new(0),
             splits: QuorumBoard::new(),

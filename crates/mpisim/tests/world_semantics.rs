@@ -3,7 +3,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use siesta_mpisim::{HookCtx, MpiCall, PmpiHook, Rank, RankFut, World};
+use siesta_mpisim::{HookCtx, MpiCall, Observe, PmpiHook, Rank, RankFut, RankHook, World};
 use siesta_perfmodel::{
     platform_a, platform_b, platform_c, KernelDesc, Machine, MpiFlavor,
 };
@@ -376,6 +376,60 @@ fn hook_is_not_called_for_collective_plumbing() {
     });
     // Exactly one call per rank, regardless of internal rounds.
     assert_eq!(hook.pre_calls.load(Ordering::Relaxed), 8);
+}
+
+/// A hook whose ranks each count their own calls, and whose shared path
+/// panics: a call records only through the rank's own share.
+struct OwnCounts {
+    counts: Vec<AtomicU64>,
+}
+
+struct RankCount {
+    home: Arc<OwnCounts>,
+    rank: usize,
+    calls: u64,
+}
+
+impl PmpiHook for OwnCounts {
+    fn post(&self, _ctx: &HookCtx, call: &MpiCall) {
+        panic!("{} took the shared path", call.func_name());
+    }
+
+    fn for_rank(self: Arc<Self>, rank: usize) -> Option<Box<dyn RankHook>> {
+        Some(Box::new(RankCount { home: self, rank, calls: 0 }))
+    }
+}
+
+impl RankHook for RankCount {
+    fn post(&mut self, ctx: &HookCtx, _call: &MpiCall) {
+        assert_eq!(ctx.rank, self.rank);
+        self.calls += 1;
+    }
+
+    fn finish(self: Box<Self>) {
+        self.home.counts[self.rank].store(self.calls, Ordering::Relaxed);
+    }
+}
+
+#[test]
+fn observed_run_records_through_each_ranks_own_hook() {
+    let run = |observe: Observe| {
+        let hook = Arc::new(OwnCounts { counts: (0..8).map(|_| AtomicU64::new(0)).collect() });
+        let stats =
+            World::new(machine(), 8).with_hook(hook.clone()).observe(observe).run(ring_program);
+        let counts: Vec<u64> = hook.counts.iter().map(|c| c.load(Ordering::Relaxed)).collect();
+        (counts, stats)
+    };
+    let (plain, plain_stats) = run(Observe::default());
+    let (observed, stats) = run(Observe { comm_matrix: true, sim_profile: true });
+    // 3 calls per rank (send, recv, barrier).
+    assert_eq!(plain, vec![3; 8]);
+    assert_eq!(observed, plain);
+    assert_eq!(stats.schedule_hash(), plain_stats.schedule_hash());
+    // The collectors saw every call too.
+    assert_eq!(stats.sim_profile.expect("profiled").snapshot().events_total(), 24);
+    let matrix = stats.comm_matrix.expect("tallied").snapshot();
+    assert_eq!((matrix.count(0, 1), matrix.byte_volume(7, 0)), (1, 4096));
 }
 
 #[test]

@@ -696,11 +696,6 @@ impl Recorder {
 }
 
 impl PmpiHook for Recorder {
-    fn pre(&self, _ctx: &HookCtx, _call: &MpiCall) {
-        // All recording happens at post time, when results (created
-        // communicators) are known; counters cannot change inside MPI.
-    }
-
     /// The shared path, for hooks that wrap the recorder: the rank's
     /// state stays in its slot, and each post takes the slot's lock.
     fn post(&self, ctx: &HookCtx, call: &MpiCall) {
