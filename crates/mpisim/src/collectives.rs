@@ -23,13 +23,17 @@
 //!   early (the `bcast` root after its eager sends); a quorum would make
 //!   such calls synchronizing and could deadlock programs that run.
 //!   `alltoallv` would need every member's count vector, p² counts, on
-//!   the board.
+//!   the board. A rooted collective's round loop is a boxed future of its
+//!   own, one allocation per call, so that the call's future stays small.
 //!
 //! Neither path touches the PMPI hook: an interposer sees one
 //! `MPI_Allreduce`, not its internal rounds, exactly like real PMPI.
 
 use std::fmt;
+use std::future::Future;
+use std::pin::Pin;
 use std::sync::atomic::Ordering;
+use std::task::{ready, Context, Poll};
 
 use siesta_perfmodel::net::Protocol;
 use siesta_perfmodel::noise;
@@ -39,8 +43,8 @@ use crate::comm::{CommId, Communicator};
 use crate::engine::RecvHandle;
 use crate::hook::MpiCall;
 use crate::link::{recv_done, reduce_cost_ns, SizedWire};
-use crate::message::{Channel, RecvStatus};
-use crate::rank::{blocked, Rank, WaitSums};
+use crate::message::Channel;
+use crate::rank::{at, blocked, Rank, RecvWait, SendWait, WaitSums};
 
 /// Number of pipeline segments used by ring/chain algorithms for large
 /// payloads.
@@ -325,71 +329,90 @@ impl Rounds<'_> {
     }
 }
 
+/// The round loop of a rooted collective, boxed so that the call's own
+/// future stays small: one allocation per call, freed when it returns.
+type RoundLoop<'a> = Pin<Box<dyn Future<Output = ()> + Send + 'a>>;
+
+/// The future an all-member collective awaits: the member's arrival on
+/// the quorum board. Its first poll deposits the member's clock, wait sums
+/// and plan; it resumes with the state the last member's [`evaluate`]
+/// computed for it.
+pub(crate) struct Arrival<'r> {
+    rank: &'r mut Rank,
+    comm: &'r Communicator,
+    plan: Plan,
+    seq: u32,
+    deposited: bool,
+}
+
+impl Future for Arrival<'_> {
+    type Output = ();
+
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+        let this = self.get_mut();
+        let comm = this.comm;
+        if comm.size() <= 1 {
+            return Poll::Ready(());
+        }
+        let rank = &mut *this.rank;
+        let shared = &*rank.shared;
+        let deposit = (!this.deposited).then(|| {
+            let me = Member { clock: rank.clock, wait: rank.wait, plan: this.plan };
+            (me, |members: &mut [Member]| {
+                let transfers = evaluate(shared.engine.machine(), comm, members);
+                shared.member_rounds.fetch_add(transfers, Ordering::Relaxed);
+            })
+        });
+        this.deposited = true;
+        let key = (comm.id.0, this.seq);
+        let out = ready!(shared.collectives.poll_arrive(
+            cx,
+            key,
+            comm.rank(),
+            comm.size(),
+            deposit,
+            |members, m| members[m],
+        ));
+        rank.clear_blocked();
+        rank.clock = out.clock;
+        rank.wait = out.wait;
+        Poll::Ready(())
+    }
+}
+
+// Blocking calls return `async move` blocks, as in `rank.rs`: an `async
+// fn`'s future would keep a second copy of its arguments.
+#[allow(clippy::manual_async_fn)]
 impl Rank {
     fn skey(comm: CommId, seq: u32, round: u32) -> u64 {
         noise::combine(&[comm.0, seq as u64, round as u64, 0xC011])
     }
 
-    /// Take part in an all-member collective over `comm`: deposit this
-    /// member's clock, wait sums and plan on the quorum board, and resume
-    /// with the state the last member's [`evaluate`] computed for it.
-    pub(crate) async fn all_member(&mut self, comm: &Communicator, plan: Plan) {
+    /// Take part in an all-member collective over `comm` (see
+    /// [`Arrival`]).
+    pub(crate) fn all_member<'r>(&'r mut self, comm: &'r Communicator, plan: Plan) -> Arrival<'r> {
         let seq = self.next_coll_seq(comm.id);
-        if comm.size() <= 1 {
-            return;
+        if comm.size() > 1 {
+            self.set_blocked(blocked::quorum());
         }
-        let me = Member { clock: self.clock, wait: self.wait, plan };
-        self.set_blocked(blocked::quorum());
-        let shared = &*self.shared;
-        let out = shared
-            .collectives
-            .arrive(
-                (comm.id.0, seq),
-                comm.rank(),
-                comm.size(),
-                me,
-                |members| {
-                    let transfers = evaluate(shared.engine.machine(), comm, members);
-                    shared.member_rounds.fetch_add(transfers, Ordering::Relaxed);
-                },
-                |members, m| members[m],
-            )
-            .await;
-        self.clear_blocked();
-        self.clock = out.clock;
-        self.wait = out.wait;
+        Arrival { rank: self, comm, plan, seq, deposited: false }
     }
 
-    async fn plumb_send(&mut self, comm: &Communicator, dst_local: usize, bytes: usize, key: u64) {
-        self.p2p_send_blocking(
-            comm.global_of(dst_local),
-            comm.rank(),
-            comm.id,
-            Channel::Sys { key },
-            bytes,
-        )
-        .await;
-    }
-
-    async fn plumb_recv(&mut self, comm: &Communicator, src_local: usize, key: u64) -> RecvStatus {
-        let src_global = comm.global_of(src_local);
-        let recv = self.post_recv_raw(src_global, comm.id, Channel::Sys { key }, usize::MAX);
-        self.wait_recv_raw(recv, src_global).await
-    }
-
-    /// Deadlock-free exchange: post the receive before the blocking send.
-    async fn plumb_sendrecv(
+    fn plumb_send(
         &mut self,
         comm: &Communicator,
         dst_local: usize,
-        src_local: usize,
-        send_bytes: usize,
+        bytes: usize,
         key: u64,
-    ) -> RecvStatus {
+    ) -> SendWait<'_> {
+        let dst_global = comm.global_of(dst_local);
+        self.send_blocking(dst_global, comm.rank(), comm.id, Channel::Sys { key }, bytes)
+    }
+
+    fn plumb_recv(&mut self, comm: &Communicator, src_local: usize, key: u64) -> RecvWait<'_> {
         let src_global = comm.global_of(src_local);
         let recv = self.post_recv_raw(src_global, comm.id, Channel::Sys { key }, usize::MAX);
-        self.plumb_send(comm, dst_local, send_bytes, key).await;
-        self.wait_recv_raw(recv, src_global).await
+        self.recv_wait(recv, src_global)
     }
 
     // ------------------------------------------------------------------
@@ -397,97 +420,114 @@ impl Rank {
     // ------------------------------------------------------------------
 
     /// `MPI_Barrier`.
-    pub async fn barrier(&mut self, comm: &Communicator) {
-        let call = MpiCall::Barrier { comm: comm.id };
-        self.hook_pre_c(&call, comm);
-        let t0 = self.clock;
-        self.clock += self.machine().net.collective_overhead_ns;
-        self.all_member(comm, Plan { schedule: Schedule::Barrier, bytes: 0 }).await;
-        self.account_mpi(t0, 0);
-        self.hook_post_c(&call, comm);
+    pub fn barrier<'a>(&'a mut self, comm: &'a Communicator) -> impl Future<Output = ()> + 'a {
+        async move {
+            self.begin_call(at(comm), || MpiCall::Barrier { comm: comm.id });
+            self.clock += self.machine().net.collective_overhead_ns;
+            self.all_member(comm, Plan { schedule: Schedule::Barrier, bytes: 0 }).await;
+            self.end_call(0, at(comm), || MpiCall::Barrier { comm: comm.id });
+        }
     }
 
     /// `MPI_Bcast` of `bytes` from communicator-local `root`.
-    pub async fn bcast(&mut self, comm: &Communicator, root: usize, bytes: usize) {
-        let call = MpiCall::Bcast { comm: comm.id, root, bytes };
-        self.hook_pre_c(&call, comm);
-        let t0 = self.clock;
-        self.clock += self.machine().net.collective_overhead_ns;
-        let algo = self.machine().flavor.bcast_algo(comm.size(), bytes);
-        let seq = self.next_coll_seq(comm.id);
-        match algo {
-            CollectiveAlgo::Ring => self.ring_bcast(comm, root, bytes, seq).await,
-            _ => self.binomial_bcast(comm, root, bytes, seq).await,
+    pub fn bcast<'a>(
+        &'a mut self,
+        comm: &'a Communicator,
+        root: usize,
+        bytes: usize,
+    ) -> impl Future<Output = ()> + 'a {
+        async move {
+            self.begin_call(at(comm), || MpiCall::Bcast { comm: comm.id, root, bytes });
+            self.clock += self.machine().net.collective_overhead_ns;
+            let algo = self.machine().flavor.bcast_algo(comm.size(), bytes);
+            let seq = self.next_coll_seq(comm.id);
+            match algo {
+                CollectiveAlgo::Ring => self.ring_bcast(comm, root, bytes, seq).await,
+                _ => self.binomial_bcast(comm, root, bytes, seq).await,
+            }
+            let sent = if comm.rank() == root { bytes } else { 0 };
+            self.end_call(sent, at(comm), || MpiCall::Bcast { comm: comm.id, root, bytes });
         }
-        self.account_mpi(t0, if comm.rank() == root { bytes } else { 0 });
-        self.hook_post_c(&call, comm);
     }
 
     /// `MPI_Reduce` of `bytes` to communicator-local `root`.
-    pub async fn reduce(&mut self, comm: &Communicator, root: usize, bytes: usize) {
-        let call = MpiCall::Reduce { comm: comm.id, root, bytes };
-        self.hook_pre_c(&call, comm);
-        let t0 = self.clock;
-        self.clock += self.machine().net.collective_overhead_ns;
-        let algo = self.machine().flavor.reduce_algo(comm.size(), bytes);
-        let seq = self.next_coll_seq(comm.id);
-        match algo {
-            CollectiveAlgo::Ring => self.chain_reduce(comm, root, bytes, seq).await,
-            _ => self.binomial_reduce(comm, root, bytes, seq).await,
+    pub fn reduce<'a>(
+        &'a mut self,
+        comm: &'a Communicator,
+        root: usize,
+        bytes: usize,
+    ) -> impl Future<Output = ()> + 'a {
+        async move {
+            self.begin_call(at(comm), || MpiCall::Reduce { comm: comm.id, root, bytes });
+            self.clock += self.machine().net.collective_overhead_ns;
+            let algo = self.machine().flavor.reduce_algo(comm.size(), bytes);
+            let seq = self.next_coll_seq(comm.id);
+            match algo {
+                CollectiveAlgo::Ring => self.chain_reduce(comm, root, bytes, seq).await,
+                _ => self.binomial_reduce(comm, root, bytes, seq).await,
+            }
+            self.end_call(bytes, at(comm), || MpiCall::Reduce { comm: comm.id, root, bytes });
         }
-        self.account_mpi(t0, bytes);
-        self.hook_post_c(&call, comm);
     }
 
     /// `MPI_Allreduce` of `bytes`.
-    pub async fn allreduce(&mut self, comm: &Communicator, bytes: usize) {
-        let call = MpiCall::Allreduce { comm: comm.id, bytes };
-        self.hook_pre_c(&call, comm);
-        let t0 = self.clock;
-        self.clock += self.machine().net.collective_overhead_ns;
-        let schedule = match self.machine().flavor.allreduce_algo(comm.size(), bytes) {
-            CollectiveAlgo::Ring => Schedule::AllreduceRing,
-            _ => Schedule::AllreduceRecursiveDoubling,
-        };
-        self.all_member(comm, Plan { schedule, bytes }).await;
-        self.account_mpi(t0, bytes);
-        self.hook_post_c(&call, comm);
+    pub fn allreduce<'a>(
+        &'a mut self,
+        comm: &'a Communicator,
+        bytes: usize,
+    ) -> impl Future<Output = ()> + 'a {
+        async move {
+            self.begin_call(at(comm), || MpiCall::Allreduce { comm: comm.id, bytes });
+            self.clock += self.machine().net.collective_overhead_ns;
+            let schedule = match self.machine().flavor.allreduce_algo(comm.size(), bytes) {
+                CollectiveAlgo::Ring => Schedule::AllreduceRing,
+                _ => Schedule::AllreduceRecursiveDoubling,
+            };
+            self.all_member(comm, Plan { schedule, bytes }).await;
+            self.end_call(bytes, at(comm), || MpiCall::Allreduce { comm: comm.id, bytes });
+        }
     }
 
     /// `MPI_Allgather`: each rank contributes `bytes`.
-    pub async fn allgather(&mut self, comm: &Communicator, bytes: usize) {
-        let call = MpiCall::Allgather { comm: comm.id, bytes };
-        self.hook_pre_c(&call, comm);
-        let t0 = self.clock;
-        self.clock += self.machine().net.collective_overhead_ns;
-        let p = comm.size();
-        let schedule = match self.machine().flavor.allgather_algo(p, bytes) {
-            CollectiveAlgo::RecursiveDoubling if p.is_power_of_two() => {
-                Schedule::AllgatherRecursiveDoubling
-            }
-            _ => Schedule::AllgatherRing,
-        };
-        self.all_member(comm, Plan { schedule, bytes }).await;
-        self.account_mpi(t0, bytes);
-        self.hook_post_c(&call, comm);
+    pub fn allgather<'a>(
+        &'a mut self,
+        comm: &'a Communicator,
+        bytes: usize,
+    ) -> impl Future<Output = ()> + 'a {
+        async move {
+            self.begin_call(at(comm), || MpiCall::Allgather { comm: comm.id, bytes });
+            self.clock += self.machine().net.collective_overhead_ns;
+            let p = comm.size();
+            let schedule = match self.machine().flavor.allgather_algo(p, bytes) {
+                CollectiveAlgo::RecursiveDoubling if p.is_power_of_two() => {
+                    Schedule::AllgatherRecursiveDoubling
+                }
+                _ => Schedule::AllgatherRing,
+            };
+            self.all_member(comm, Plan { schedule, bytes }).await;
+            self.end_call(bytes, at(comm), || MpiCall::Allgather { comm: comm.id, bytes });
+        }
     }
 
     /// `MPI_Alltoall`: each rank sends `bytes_per_peer` to every other rank.
-    pub async fn alltoall(&mut self, comm: &Communicator, bytes_per_peer: usize) {
-        let call = MpiCall::Alltoall { comm: comm.id, bytes_per_peer };
-        self.hook_pre_c(&call, comm);
-        let t0 = self.clock;
-        self.clock += self.machine().net.collective_overhead_ns;
-        let p = comm.size();
-        let schedule = match self.machine().flavor.alltoall_algo(p, bytes_per_peer) {
-            CollectiveAlgo::Bruck => Schedule::AlltoallBruck,
-            _ => Schedule::AlltoallPairwise,
-        };
-        self.all_member(comm, Plan { schedule, bytes: bytes_per_peer }).await;
-        // Local block copy.
-        self.clock += bytes_per_peer as f64 / self.machine().net.shm_bandwidth_bpns;
-        self.account_mpi(t0, bytes_per_peer * p.saturating_sub(1));
-        self.hook_post_c(&call, comm);
+    pub fn alltoall<'a>(
+        &'a mut self,
+        comm: &'a Communicator,
+        bytes_per_peer: usize,
+    ) -> impl Future<Output = ()> + 'a {
+        async move {
+            self.begin_call(at(comm), || MpiCall::Alltoall { comm: comm.id, bytes_per_peer });
+            self.clock += self.machine().net.collective_overhead_ns;
+            let schedule = match self.machine().flavor.alltoall_algo(comm.size(), bytes_per_peer) {
+                CollectiveAlgo::Bruck => Schedule::AlltoallBruck,
+                _ => Schedule::AlltoallPairwise,
+            };
+            self.all_member(comm, Plan { schedule, bytes: bytes_per_peer }).await;
+            // Local block copy.
+            self.clock += bytes_per_peer as f64 / self.machine().net.shm_bandwidth_bpns;
+            let sent = bytes_per_peer * comm.size().saturating_sub(1);
+            self.end_call(sent, at(comm), || MpiCall::Alltoall { comm: comm.id, bytes_per_peer });
+        }
     }
 
     /// `MPI_Alltoallv` with per-peer send and receive byte counts (indexed
@@ -495,387 +535,505 @@ impl Rank {
     ///
     /// Panics if a block's size differs from what its receiver expects:
     /// member i's `send_counts[j]` must equal member j's `recv_counts[i]`.
-    pub async fn alltoallv(
-        &mut self,
-        comm: &Communicator,
-        send_counts: &[usize],
-        recv_counts: &[usize],
-    ) {
-        assert_eq!(send_counts.len(), comm.size());
-        assert_eq!(recv_counts.len(), comm.size());
-        let call = MpiCall::Alltoallv {
-            comm: comm.id,
-            send_counts: send_counts.to_vec(),
-            recv_counts: recv_counts.to_vec(),
-        };
-        self.hook_pre_c(&call, comm);
-        let t0 = self.clock;
-        self.clock += self.machine().net.collective_overhead_ns;
-        let seq = self.next_coll_seq(comm.id);
-        let p = comm.size();
-        let r = comm.rank();
-        let check = |src: usize, sent: usize| {
-            if sent != recv_counts[src] {
-                panic!(
-                    "mismatched MPI_Alltoallv counts on communicator {:#x}: rank {} sent {sent} B \
-                     to rank {}, which expected {} B",
-                    comm.id.0,
-                    comm.global_of(src),
-                    comm.global_of(r),
-                    recv_counts[src]
-                );
+    pub fn alltoallv<'a>(
+        &'a mut self,
+        comm: &'a Communicator,
+        send_counts: &'a [usize],
+        recv_counts: &'a [usize],
+    ) -> impl Future<Output = ()> + 'a {
+        async move {
+            assert_eq!(send_counts.len(), comm.size());
+            assert_eq!(recv_counts.len(), comm.size());
+            self.begin_call(at(comm), || MpiCall::Alltoallv {
+                comm: comm.id,
+                send_counts: send_counts.to_vec(),
+                recv_counts: recv_counts.to_vec(),
+            });
+            self.clock += self.machine().net.collective_overhead_ns;
+            let seq = self.next_coll_seq(comm.id);
+            let (p, r) = (comm.size(), comm.rank());
+            check_block(comm, recv_counts, r, send_counts[r]);
+            for step in 1..p {
+                let (dst, src) = ((r + step) % p, (r + p - step) % p);
+                // A sendrecv round, held as `Rank::sendrecv` holds it.
+                let got = {
+                    let key = Self::skey(comm.id, seq, step as u32);
+                    let channel = Channel::Sys { key };
+                    let src_global = comm.global_of(src);
+                    let recv = self.post_recv_raw(src_global, comm.id, channel, usize::MAX);
+                    self.plumb_send(comm, dst, send_counts[dst], key).await;
+                    self.recv_wait(recv, comm.global_of(src))
+                }
+                .await;
+                check_block(comm, recv_counts, src, got.bytes);
             }
-        };
-        check(r, send_counts[r]);
-        for step in 1..p {
-            let dst = (r + step) % p;
-            let src = (r + p - step) % p;
-            let key = Self::skey(comm.id, seq, step as u32);
-            let got = self.plumb_sendrecv(comm, dst, src, send_counts[dst], key).await;
-            check(src, got.bytes);
+            // Local block copy.
+            self.clock += send_counts[r] as f64 / self.machine().net.shm_bandwidth_bpns;
+            let sent =
+                send_counts.iter().enumerate().filter(|(i, _)| *i != r).map(|(_, b)| b).sum();
+            self.end_call(sent, at(comm), || MpiCall::Alltoallv {
+                comm: comm.id,
+                send_counts: send_counts.to_vec(),
+                recv_counts: recv_counts.to_vec(),
+            });
         }
-        // Local block copy.
-        self.clock += send_counts[r] as f64 / self.machine().net.shm_bandwidth_bpns;
-        let sent: usize = send_counts.iter().enumerate().filter(|(i, _)| *i != r).map(|(_, b)| b).sum();
-        self.account_mpi(t0, sent);
-        self.hook_post_c(&call, comm);
     }
 
     /// `MPI_Gather` of `bytes` per rank to `root`.
-    pub async fn gather(&mut self, comm: &Communicator, root: usize, bytes: usize) {
-        let call = MpiCall::Gather { comm: comm.id, root, bytes };
-        self.hook_pre_c(&call, comm);
-        let t0 = self.clock;
-        self.clock += self.machine().net.collective_overhead_ns;
-        let algo = self.machine().flavor.gather_algo(comm.size(), bytes);
-        let seq = self.next_coll_seq(comm.id);
-        match algo {
-            CollectiveAlgo::Linear => self.linear_gather(comm, root, bytes, seq).await,
-            _ => self.binomial_gather(comm, root, bytes, seq).await,
+    pub fn gather<'a>(
+        &'a mut self,
+        comm: &'a Communicator,
+        root: usize,
+        bytes: usize,
+    ) -> impl Future<Output = ()> + 'a {
+        async move {
+            self.begin_call(at(comm), || MpiCall::Gather { comm: comm.id, root, bytes });
+            self.clock += self.machine().net.collective_overhead_ns;
+            let algo = self.machine().flavor.gather_algo(comm.size(), bytes);
+            let seq = self.next_coll_seq(comm.id);
+            match algo {
+                CollectiveAlgo::Linear => self.linear_gather(comm, root, bytes, seq).await,
+                _ => self.binomial_gather(comm, root, bytes, seq).await,
+            }
+            let sent = if comm.rank() == root { 0 } else { bytes };
+            self.end_call(sent, at(comm), || MpiCall::Gather { comm: comm.id, root, bytes });
         }
-        self.account_mpi(t0, if comm.rank() == root { 0 } else { bytes });
-        self.hook_post_c(&call, comm);
     }
 
     /// `MPI_Scatter` of `bytes` per rank from `root`.
-    pub async fn scatter(&mut self, comm: &Communicator, root: usize, bytes: usize) {
-        let call = MpiCall::Scatter { comm: comm.id, root, bytes };
-        self.hook_pre_c(&call, comm);
-        let t0 = self.clock;
-        self.clock += self.machine().net.collective_overhead_ns;
-        let algo = self.machine().flavor.gather_algo(comm.size(), bytes);
-        let seq = self.next_coll_seq(comm.id);
-        match algo {
-            CollectiveAlgo::Linear => self.linear_scatter(comm, root, |_| bytes, seq).await,
-            _ => self.binomial_scatter(comm, root, bytes, seq).await,
+    pub fn scatter<'a>(
+        &'a mut self,
+        comm: &'a Communicator,
+        root: usize,
+        bytes: usize,
+    ) -> impl Future<Output = ()> + 'a {
+        async move {
+            self.begin_call(at(comm), || MpiCall::Scatter { comm: comm.id, root, bytes });
+            self.clock += self.machine().net.collective_overhead_ns;
+            let algo = self.machine().flavor.gather_algo(comm.size(), bytes);
+            let seq = self.next_coll_seq(comm.id);
+            match algo {
+                CollectiveAlgo::Linear => {
+                    self.linear_scatter(comm, root, move |_| bytes, seq).await
+                }
+                _ => self.binomial_scatter(comm, root, bytes, seq).await,
+            }
+            let sent = if comm.rank() == root { bytes * comm.size().saturating_sub(1) } else { 0 };
+            self.end_call(sent, at(comm), || MpiCall::Scatter { comm: comm.id, root, bytes });
         }
-        self.account_mpi(t0, if comm.rank() == root { bytes * comm.size().saturating_sub(1) } else { 0 });
-        self.hook_post_c(&call, comm);
     }
 
     /// `MPI_Gatherv`: rank `i` contributes `counts[i]` bytes to `root`.
-    pub async fn gatherv(&mut self, comm: &Communicator, root: usize, counts: &[usize]) {
-        assert_eq!(counts.len(), comm.size());
-        let call = MpiCall::Gatherv { comm: comm.id, root, counts: counts.to_vec() };
-        self.hook_pre_c(&call, comm);
-        let t0 = self.clock;
-        self.clock += self.machine().net.collective_overhead_ns;
-        let seq = self.next_coll_seq(comm.id);
-        // Linear: correct for arbitrary per-rank sizes (the binomial
-        // variant needs size prefixes).
-        self.linear_gather(comm, root, counts[comm.rank()], seq).await;
-        let sent = if comm.rank() == root { 0 } else { counts[comm.rank()] };
-        self.account_mpi(t0, sent);
-        self.hook_post_c(&call, comm);
+    pub fn gatherv<'a>(
+        &'a mut self,
+        comm: &'a Communicator,
+        root: usize,
+        counts: &'a [usize],
+    ) -> impl Future<Output = ()> + 'a {
+        async move {
+            assert_eq!(counts.len(), comm.size());
+            self.begin_call(at(comm), || MpiCall::Gatherv {
+                comm: comm.id,
+                root,
+                counts: counts.to_vec(),
+            });
+            self.clock += self.machine().net.collective_overhead_ns;
+            let seq = self.next_coll_seq(comm.id);
+            // Linear: correct for arbitrary per-rank sizes (the binomial
+            // variant needs size prefixes).
+            self.linear_gather(comm, root, counts[comm.rank()], seq).await;
+            let sent = if comm.rank() == root { 0 } else { counts[comm.rank()] };
+            self.end_call(sent, at(comm), || MpiCall::Gatherv {
+                comm: comm.id,
+                root,
+                counts: counts.to_vec(),
+            });
+        }
     }
 
     /// `MPI_Scatterv`: `root` sends `counts[i]` bytes to rank `i`.
-    pub async fn scatterv(&mut self, comm: &Communicator, root: usize, counts: &[usize]) {
-        assert_eq!(counts.len(), comm.size());
-        let call = MpiCall::Scatterv { comm: comm.id, root, counts: counts.to_vec() };
-        self.hook_pre_c(&call, comm);
-        let t0 = self.clock;
-        self.clock += self.machine().net.collective_overhead_ns;
-        let seq = self.next_coll_seq(comm.id);
-        self.linear_scatter(comm, root, |s| counts[s], seq).await;
-        let sent: usize = if comm.rank() == root {
-            counts.iter().enumerate().filter(|(i, _)| *i != root).map(|(_, c)| c).sum()
-        } else {
-            0
-        };
-        self.account_mpi(t0, sent);
-        self.hook_post_c(&call, comm);
+    pub fn scatterv<'a>(
+        &'a mut self,
+        comm: &'a Communicator,
+        root: usize,
+        counts: &'a [usize],
+    ) -> impl Future<Output = ()> + 'a {
+        async move {
+            assert_eq!(counts.len(), comm.size());
+            self.begin_call(at(comm), || MpiCall::Scatterv {
+                comm: comm.id,
+                root,
+                counts: counts.to_vec(),
+            });
+            self.clock += self.machine().net.collective_overhead_ns;
+            let seq = self.next_coll_seq(comm.id);
+            self.linear_scatter(comm, root, |s| counts[s], seq).await;
+            let sent: usize = if comm.rank() == root {
+                counts.iter().enumerate().filter(|(i, _)| *i != root).map(|(_, c)| c).sum()
+            } else {
+                0
+            };
+            self.end_call(sent, at(comm), || MpiCall::Scatterv {
+                comm: comm.id,
+                root,
+                counts: counts.to_vec(),
+            });
+        }
     }
 
     /// `MPI_Scan` (inclusive prefix reduction) via the Hillis–Steele
     /// doubling schedule: ⌈log₂p⌉ rounds; in round k, rank `r` sends its
     /// partial to `r+2ᵏ` and receives from `r−2ᵏ`.
-    pub async fn scan(&mut self, comm: &Communicator, bytes: usize) {
-        let call = MpiCall::Scan { comm: comm.id, bytes };
-        self.hook_pre_c(&call, comm);
-        let t0 = self.clock;
-        self.clock += self.machine().net.collective_overhead_ns;
-        let seq = self.next_coll_seq(comm.id);
-        let p = comm.size();
-        let r = comm.rank();
-        let mut d = 1usize;
-        let mut round = 0u32;
-        while d < p {
-            let key = Self::skey(comm.id, seq, round);
-            let recv = if r >= d {
-                let src_global = comm.global_of(r - d);
-                let channel = Channel::Sys { key };
-                Some((self.post_recv_raw(src_global, comm.id, channel, usize::MAX), src_global))
-            } else {
-                None
-            };
-            if r + d < p {
-                self.plumb_send(comm, r + d, bytes, key).await;
+    pub fn scan<'a>(
+        &'a mut self,
+        comm: &'a Communicator,
+        bytes: usize,
+    ) -> impl Future<Output = ()> + 'a {
+        async move {
+            self.begin_call(at(comm), || MpiCall::Scan { comm: comm.id, bytes });
+            self.clock += self.machine().net.collective_overhead_ns;
+            let seq = self.next_coll_seq(comm.id);
+            let (p, r) = (comm.size(), comm.rank());
+            let mut d = 1usize;
+            let mut round = 0u32;
+            while d < p {
+                // Post the receive before the blocking send, as `alltoallv`
+                // rounds do; only the handle is held across the send.
+                let recv = {
+                    let key = Self::skey(comm.id, seq, round);
+                    let channel = Channel::Sys { key };
+                    let recv = (r >= d).then(|| {
+                        self.post_recv_raw(comm.global_of(r - d), comm.id, channel, usize::MAX)
+                    });
+                    if r + d < p {
+                        self.plumb_send(comm, r + d, bytes, key).await;
+                    }
+                    recv.map(|recv| self.recv_wait(recv, comm.global_of(r - d)))
+                };
+                if let Some(recv) = recv {
+                    recv.await;
+                    self.clock += reduce_cost_ns(self.machine(), bytes);
+                }
+                d <<= 1;
+                round += 1;
             }
-            if let Some((recv, src)) = recv {
-                self.wait_recv_raw(recv, src).await;
-                self.clock += reduce_cost_ns(self.machine(), bytes);
-            }
-            d <<= 1;
-            round += 1;
+            self.end_call(bytes, at(comm), || MpiCall::Scan { comm: comm.id, bytes });
         }
-        self.account_mpi(t0, bytes);
-        self.hook_post_c(&call, comm);
     }
 
     /// `MPI_Reduce_scatter_block`: reduce a `p·bytes_per_rank` buffer and
     /// leave block `i` on rank `i` — implemented as the ring reduce-scatter
     /// phase (p−1 chunk exchanges with combining).
-    pub async fn reduce_scatter_block(&mut self, comm: &Communicator, bytes_per_rank: usize) {
-        let call = MpiCall::ReduceScatterBlock { comm: comm.id, bytes_per_rank };
-        self.hook_pre_c(&call, comm);
-        let t0 = self.clock;
-        self.clock += self.machine().net.collective_overhead_ns;
-        let plan = Plan { schedule: Schedule::ReduceScatterBlockRing, bytes: bytes_per_rank };
-        self.all_member(comm, plan).await;
-        self.account_mpi(t0, bytes_per_rank);
-        self.hook_post_c(&call, comm);
+    pub fn reduce_scatter_block<'a>(
+        &'a mut self,
+        comm: &'a Communicator,
+        bytes_per_rank: usize,
+    ) -> impl Future<Output = ()> + 'a {
+        async move {
+            self.begin_call(at(comm), || MpiCall::ReduceScatterBlock {
+                comm: comm.id,
+                bytes_per_rank,
+            });
+            self.clock += self.machine().net.collective_overhead_ns;
+            let plan = Plan { schedule: Schedule::ReduceScatterBlockRing, bytes: bytes_per_rank };
+            self.all_member(comm, plan).await;
+            self.end_call(bytes_per_rank, at(comm), || MpiCall::ReduceScatterBlock {
+                comm: comm.id,
+                bytes_per_rank,
+            });
+        }
     }
 
     // ------------------------------------------------------------------
-    // Algorithms
+    // Algorithms of the rooted collectives
     // ------------------------------------------------------------------
 
-    async fn binomial_bcast(&mut self, comm: &Communicator, root: usize, bytes: usize, seq: u32) {
-        let p = comm.size();
-        if p <= 1 {
-            return;
-        }
-        let relative = (comm.rank() + p - root) % p;
-        let mut mask = 1usize;
-        while mask < p {
-            if relative & mask != 0 {
-                let src = (relative - mask + root) % p;
-                self.plumb_recv(comm, src, Self::skey(comm.id, seq, 0)).await;
-                break;
+    fn binomial_bcast<'a>(
+        &'a mut self,
+        comm: &'a Communicator,
+        root: usize,
+        bytes: usize,
+        seq: u32,
+    ) -> RoundLoop<'a> {
+        Box::pin(async move {
+            let p = comm.size();
+            if p <= 1 {
+                return;
             }
-            mask <<= 1;
-        }
-        mask >>= 1;
-        while mask > 0 {
-            if relative + mask < p {
-                let dst = (relative + mask + root) % p;
-                self.plumb_send(comm, dst, bytes, Self::skey(comm.id, seq, 0)).await;
+            let relative = (comm.rank() + p - root) % p;
+            let mut mask = 1usize;
+            while mask < p {
+                if relative & mask != 0 {
+                    let src = (relative - mask + root) % p;
+                    self.plumb_recv(comm, src, Self::skey(comm.id, seq, 0)).await;
+                    break;
+                }
+                mask <<= 1;
             }
             mask >>= 1;
-        }
-    }
-
-    async fn ring_bcast(&mut self, comm: &Communicator, root: usize, bytes: usize, seq: u32) {
-        let p = comm.size();
-        if p <= 1 {
-            return;
-        }
-        let relative = (comm.rank() + p - root) % p;
-        let segs = if bytes >= PIPELINE_SEGMENTS * 4096 { PIPELINE_SEGMENTS } else { 2 };
-        let seg = bytes / segs;
-        let last = bytes - seg * (segs - 1);
-        for s in 0..segs {
-            let b = if s == segs - 1 { last } else { seg };
-            let key = Self::skey(comm.id, seq, s as u32);
-            if relative > 0 {
-                let src = (relative - 1 + root) % p;
-                self.plumb_recv(comm, src, key).await;
-            }
-            if relative < p - 1 {
-                let dst = (relative + 1 + root) % p;
-                self.plumb_send(comm, dst, b, key).await;
-            }
-        }
-    }
-
-    async fn binomial_reduce(&mut self, comm: &Communicator, root: usize, bytes: usize, seq: u32) {
-        let p = comm.size();
-        if p <= 1 {
-            return;
-        }
-        let relative = (comm.rank() + p - root) % p;
-        let mut mask = 1usize;
-        while mask < p {
-            let round = mask.trailing_zeros();
-            if relative & mask == 0 {
-                let src_rel = relative | mask;
-                if src_rel < p {
-                    let src = (src_rel + root) % p;
-                    self.plumb_recv(comm, src, Self::skey(comm.id, seq, round)).await;
-                    self.clock += reduce_cost_ns(self.machine(), bytes);
+            while mask > 0 {
+                if relative + mask < p {
+                    let dst = (relative + mask + root) % p;
+                    self.plumb_send(comm, dst, bytes, Self::skey(comm.id, seq, 0)).await;
                 }
-            } else {
-                let dst = (relative - mask + root) % p;
-                self.plumb_send(comm, dst, bytes, Self::skey(comm.id, seq, round)).await;
-                break;
+                mask >>= 1;
             }
-            mask <<= 1;
-        }
+        })
     }
 
-    async fn chain_reduce(&mut self, comm: &Communicator, root: usize, bytes: usize, seq: u32) {
-        let p = comm.size();
-        if p <= 1 {
-            return;
-        }
-        let relative = (comm.rank() + p - root) % p;
-        let segs = if bytes >= PIPELINE_SEGMENTS * 4096 { PIPELINE_SEGMENTS } else { 2 };
-        let seg = bytes / segs;
-        let last = bytes - seg * (segs - 1);
-        for s in 0..segs {
-            let b = if s == segs - 1 { last } else { seg };
-            let key = Self::skey(comm.id, seq, s as u32);
-            if relative < p - 1 {
-                let src = (relative + 1 + root) % p;
-                self.plumb_recv(comm, src, key).await;
-                self.clock += reduce_cost_ns(self.machine(), b);
+    fn ring_bcast<'a>(
+        &'a mut self,
+        comm: &'a Communicator,
+        root: usize,
+        bytes: usize,
+        seq: u32,
+    ) -> RoundLoop<'a> {
+        Box::pin(async move {
+            let p = comm.size();
+            if p <= 1 {
+                return;
             }
-            if relative > 0 {
-                let dst = (relative - 1 + root) % p;
-                self.plumb_send(comm, dst, b, key).await;
+            let relative = (comm.rank() + p - root) % p;
+            let segs = if bytes >= PIPELINE_SEGMENTS * 4096 { PIPELINE_SEGMENTS } else { 2 };
+            let seg = bytes / segs;
+            let last = bytes - seg * (segs - 1);
+            for s in 0..segs {
+                let b = if s == segs - 1 { last } else { seg };
+                let key = Self::skey(comm.id, seq, s as u32);
+                if relative > 0 {
+                    let src = (relative - 1 + root) % p;
+                    self.plumb_recv(comm, src, key).await;
+                }
+                if relative < p - 1 {
+                    let dst = (relative + 1 + root) % p;
+                    self.plumb_send(comm, dst, b, key).await;
+                }
             }
-        }
+        })
+    }
+
+    fn binomial_reduce<'a>(
+        &'a mut self,
+        comm: &'a Communicator,
+        root: usize,
+        bytes: usize,
+        seq: u32,
+    ) -> RoundLoop<'a> {
+        Box::pin(async move {
+            let p = comm.size();
+            if p <= 1 {
+                return;
+            }
+            let relative = (comm.rank() + p - root) % p;
+            let mut mask = 1usize;
+            while mask < p {
+                let round = mask.trailing_zeros();
+                if relative & mask == 0 {
+                    let src_rel = relative | mask;
+                    if src_rel < p {
+                        let src = (src_rel + root) % p;
+                        self.plumb_recv(comm, src, Self::skey(comm.id, seq, round)).await;
+                        self.clock += reduce_cost_ns(self.machine(), bytes);
+                    }
+                } else {
+                    let dst = (relative - mask + root) % p;
+                    self.plumb_send(comm, dst, bytes, Self::skey(comm.id, seq, round)).await;
+                    break;
+                }
+                mask <<= 1;
+            }
+        })
+    }
+
+    fn chain_reduce<'a>(
+        &'a mut self,
+        comm: &'a Communicator,
+        root: usize,
+        bytes: usize,
+        seq: u32,
+    ) -> RoundLoop<'a> {
+        Box::pin(async move {
+            let p = comm.size();
+            if p <= 1 {
+                return;
+            }
+            let relative = (comm.rank() + p - root) % p;
+            let segs = if bytes >= PIPELINE_SEGMENTS * 4096 { PIPELINE_SEGMENTS } else { 2 };
+            let seg = bytes / segs;
+            let last = bytes - seg * (segs - 1);
+            for s in 0..segs {
+                let b = if s == segs - 1 { last } else { seg };
+                let key = Self::skey(comm.id, seq, s as u32);
+                if relative < p - 1 {
+                    let src = (relative + 1 + root) % p;
+                    self.plumb_recv(comm, src, key).await;
+                    self.clock += reduce_cost_ns(self.machine(), b);
+                }
+                if relative > 0 {
+                    let dst = (relative - 1 + root) % p;
+                    self.plumb_send(comm, dst, b, key).await;
+                }
+            }
+        })
     }
 
     /// Every other member sends its `bytes` to `root`, which pre-posts
     /// all its receives.
-    async fn linear_gather(&mut self, comm: &Communicator, root: usize, bytes: usize, seq: u32) {
-        let p = comm.size();
-        if p <= 1 {
-            return;
-        }
-        if comm.rank() == root {
-            // Post everything first so rendezvous senders can progress.
-            let recvs: Vec<(RecvHandle, usize)> = (0..p)
-                .filter(|&s| s != root)
-                .map(|s| {
-                    let src_global = comm.global_of(s);
-                    let recv = self.post_recv_raw(
-                        src_global,
-                        comm.id,
-                        Channel::Sys { key: Self::skey(comm.id, seq, s as u32) },
-                        usize::MAX,
-                    );
-                    (recv, src_global)
-                })
-                .collect();
-            for (recv, src) in recvs {
-                self.wait_recv_raw(recv, src).await;
+    fn linear_gather<'a>(
+        &'a mut self,
+        comm: &'a Communicator,
+        root: usize,
+        bytes: usize,
+        seq: u32,
+    ) -> RoundLoop<'a> {
+        Box::pin(async move {
+            let p = comm.size();
+            if p <= 1 {
+                return;
             }
-        } else {
-            let key = Self::skey(comm.id, seq, comm.rank() as u32);
-            self.plumb_send(comm, root, bytes, key).await;
-        }
-    }
-
-    async fn binomial_gather(&mut self, comm: &Communicator, root: usize, bytes: usize, seq: u32) {
-        let p = comm.size();
-        if p <= 1 {
-            return;
-        }
-        let relative = (comm.rank() + p - root) % p;
-        let mut mask = 1usize;
-        let mut my_bytes = bytes;
-        while mask < p {
-            let round = mask.trailing_zeros();
-            if relative & mask == 0 {
-                let src_rel = relative + mask;
-                if src_rel < p {
-                    let src = (src_rel + root) % p;
-                    let st = self.plumb_recv(comm, src, Self::skey(comm.id, seq, round)).await;
-                    my_bytes += st.bytes;
+            if comm.rank() == root {
+                // Post everything first so rendezvous senders can progress.
+                let recvs: Vec<(RecvHandle, usize)> = (0..p)
+                    .filter(|&s| s != root)
+                    .map(|s| {
+                        let src_global = comm.global_of(s);
+                        let recv = self.post_recv_raw(
+                            src_global,
+                            comm.id,
+                            Channel::Sys { key: Self::skey(comm.id, seq, s as u32) },
+                            usize::MAX,
+                        );
+                        (recv, src_global)
+                    })
+                    .collect();
+                for (recv, src) in recvs {
+                    self.recv_wait(recv, src).await;
                 }
             } else {
-                let dst = (relative - mask + root) % p;
-                self.plumb_send(comm, dst, my_bytes, Self::skey(comm.id, seq, round)).await;
-                break;
+                let key = Self::skey(comm.id, seq, comm.rank() as u32);
+                self.plumb_send(comm, root, bytes, key).await;
             }
-            mask <<= 1;
-        }
+        })
+    }
+
+    fn binomial_gather<'a>(
+        &'a mut self,
+        comm: &'a Communicator,
+        root: usize,
+        bytes: usize,
+        seq: u32,
+    ) -> RoundLoop<'a> {
+        Box::pin(async move {
+            let p = comm.size();
+            if p <= 1 {
+                return;
+            }
+            let relative = (comm.rank() + p - root) % p;
+            let mut mask = 1usize;
+            let mut my_bytes = bytes;
+            while mask < p {
+                let round = mask.trailing_zeros();
+                if relative & mask == 0 {
+                    let src_rel = relative + mask;
+                    if src_rel < p {
+                        let src = (src_rel + root) % p;
+                        let st = self.plumb_recv(comm, src, Self::skey(comm.id, seq, round)).await;
+                        my_bytes += st.bytes;
+                    }
+                } else {
+                    let dst = (relative - mask + root) % p;
+                    self.plumb_send(comm, dst, my_bytes, Self::skey(comm.id, seq, round)).await;
+                    break;
+                }
+                mask <<= 1;
+            }
+        })
     }
 
     /// `root` sends `bytes(s)` to each other member `s` in rank order.
-    async fn linear_scatter(
-        &mut self,
-        comm: &Communicator,
+    fn linear_scatter<'a>(
+        &'a mut self,
+        comm: &'a Communicator,
         root: usize,
-        bytes: impl Fn(usize) -> usize,
+        bytes: impl Fn(usize) -> usize + Send + 'a,
         seq: u32,
-    ) {
-        let p = comm.size();
-        if p <= 1 {
-            return;
-        }
-        if comm.rank() == root {
-            for s in 0..p {
-                if s != root {
-                    self.plumb_send(comm, s, bytes(s), Self::skey(comm.id, seq, s as u32)).await;
-                }
+    ) -> RoundLoop<'a> {
+        Box::pin(async move {
+            let p = comm.size();
+            if p <= 1 {
+                return;
             }
-        } else {
-            let key = Self::skey(comm.id, seq, comm.rank() as u32);
-            self.plumb_recv(comm, root, key).await;
-        }
+            if comm.rank() == root {
+                for s in 0..p {
+                    if s != root {
+                        let key = Self::skey(comm.id, seq, s as u32);
+                        self.plumb_send(comm, s, bytes(s), key).await;
+                    }
+                }
+            } else {
+                let key = Self::skey(comm.id, seq, comm.rank() as u32);
+                self.plumb_recv(comm, root, key).await;
+            }
+        })
     }
 
-    async fn binomial_scatter(&mut self, comm: &Communicator, root: usize, bytes: usize, seq: u32) {
-        let p = comm.size();
-        if p <= 1 {
-            return;
-        }
-        let relative = (comm.rank() + p - root) % p;
-        let mut mask = 1usize;
-        while mask < p {
-            if relative & mask != 0 {
-                let src = (relative - mask + root) % p;
-                self.plumb_recv(comm, src, Self::skey(comm.id, seq, mask.trailing_zeros())).await;
-                break;
+    fn binomial_scatter<'a>(
+        &'a mut self,
+        comm: &'a Communicator,
+        root: usize,
+        bytes: usize,
+        seq: u32,
+    ) -> RoundLoop<'a> {
+        Box::pin(async move {
+            let p = comm.size();
+            if p <= 1 {
+                return;
             }
-            mask <<= 1;
-        }
-        if relative == 0 {
-            mask = 1;
+            let relative = (comm.rank() + p - root) % p;
+            let mut mask = 1usize;
             while mask < p {
+                if relative & mask != 0 {
+                    let src = (relative - mask + root) % p;
+                    let key = Self::skey(comm.id, seq, mask.trailing_zeros());
+                    self.plumb_recv(comm, src, key).await;
+                    break;
+                }
                 mask <<= 1;
             }
-        }
-        mask >>= 1;
-        while mask > 0 {
-            if relative + mask < p {
-                let dst_rel = relative + mask;
-                let subtree = mask.min(p - dst_rel);
-                let dst = (dst_rel + root) % p;
-                self.plumb_send(
-                    comm,
-                    dst,
-                    subtree * bytes,
-                    Self::skey(comm.id, seq, mask.trailing_zeros()),
-                )
-                .await;
+            if relative == 0 {
+                mask = 1;
+                while mask < p {
+                    mask <<= 1;
+                }
             }
             mask >>= 1;
-        }
+            while mask > 0 {
+                if relative + mask < p {
+                    let dst_rel = relative + mask;
+                    let subtree = mask.min(p - dst_rel);
+                    let dst = (dst_rel + root) % p;
+                    let key = Self::skey(comm.id, seq, mask.trailing_zeros());
+                    self.plumb_send(comm, dst, subtree * bytes, key).await;
+                }
+                mask >>= 1;
+            }
+        })
+    }
+}
+
+/// `alltoallv`'s matching rule, checked by the receiver of each block:
+/// the `sent` bytes from member `src` must equal this member's
+/// `recv_counts[src]`.
+fn check_block(comm: &Communicator, recv_counts: &[usize], src: usize, sent: usize) {
+    if sent != recv_counts[src] {
+        panic!(
+            "mismatched MPI_Alltoallv counts on communicator {:#x}: rank {} sent {sent} B \
+             to rank {}, which expected {} B",
+            comm.id.0,
+            comm.global_of(src),
+            comm.global_of(comm.rank()),
+            recv_counts[src]
+        );
     }
 }
 

@@ -12,8 +12,8 @@
 //!   ([`RecvHandle::Ready`]), and the receiver never waits;
 //! * otherwise the receive waits in the buffer under a ticket, a number
 //!   its mailbox hands out ([`RecvHandle::Pending`]). A send completes the
-//!   first waiting receive it matches in place, and [`Engine::wait`] or
-//!   [`Engine::test`] takes the completion out by ticket.
+//!   first waiting receive it matches in place, and [`Engine::poll_wait`]
+//!   or [`Engine::test`] takes the completion out by ticket.
 //!
 //! Either way, a message larger than the receive's capacity panics where
 //! the two meet, as MPI reports `MPI_ERR_TRUNCATE`; a waiting receive
@@ -29,12 +29,11 @@
 //! sender state machine enqueues its messages in program order and matching
 //! always scans the buffer front to back filtered by exact source.
 //!
-//! Waiting is event-driven: a rank blocked in [`Engine::wait`] registers
-//! its ticket and a [`Waker`] with its own mailbox and is woken by the send
-//! that completes that receive — no condvars, no parked OS threads.
+//! Waiting is event-driven: a rank blocked in [`Engine::poll_wait`]
+//! registers its ticket and a [`Waker`] with its own mailbox and is woken
+//! by the send that completes that receive — no condvars, no parked OS
+//! threads.
 
-use std::future::Future;
-use std::pin::Pin;
 use std::sync::{Mutex, MutexGuard};
 use std::task::{Context, Poll, Waker};
 
@@ -63,7 +62,7 @@ pub enum RecvHandle {
     /// A queued message matched at post: the receive is complete.
     Ready(Completion),
     /// Waiting in the receiver's mailbox under this ticket until a send
-    /// completes it: pass it to [`Engine::wait`] or [`Engine::test`].
+    /// completes it: pass it to [`Engine::poll_wait`] or [`Engine::test`].
     Pending(u64),
 }
 
@@ -75,7 +74,7 @@ enum Entry {
     /// A posted receive waiting for its message. A larger message than
     /// `capacity` bytes is an error (see [`truncated`]).
     Waiting { ticket: u64, key: MatchKey, capacity: usize, post_time: f64 },
-    /// Completed by the matching send, until [`Engine::wait`] or
+    /// Completed by the matching send, until [`Engine::poll_wait`] or
     /// [`Engine::test`] takes it.
     Done { ticket: u64, completion: Completion },
 }
@@ -83,7 +82,7 @@ enum Entry {
 #[derive(Default)]
 struct Mailbox {
     entries: Vec<Entry>,
-    /// The mailbox owner, if currently blocked in [`Engine::wait`]: the
+    /// The mailbox owner, if currently blocked in [`Engine::poll_wait`]: the
     /// ticket it needs and how to resume it. Only the owning rank ever
     /// waits on its own mailbox, and on one receive at a time.
     waiter: Option<(u64, Waker)>,
@@ -205,11 +204,22 @@ impl Engine {
         RecvHandle::Pending(ticket)
     }
 
-    /// Resolve when the receive waiting under `ticket` in `me`'s mailbox
-    /// completes. The returned future registers `me` as the mailbox's
-    /// waiter and is woken by the matching [`Engine::send`].
-    pub fn wait(&self, me: usize, ticket: u64) -> WaitRecv<'_> {
-        WaitRecv { engine: self, me, ticket }
+    /// Take the completion of the receive waiting under `ticket` in `me`'s
+    /// mailbox, or register `me` as the mailbox's waiter, to be woken by
+    /// the matching [`Engine::send`]. A re-poll with the same waker keeps
+    /// its registration.
+    pub fn poll_wait(&self, me: usize, ticket: u64, cx: &mut Context<'_>) -> Poll<Completion> {
+        let mut inner = self.mailbox(me);
+        if let Some(c) = inner.take(ticket) {
+            inner.waiter = None;
+            return Poll::Ready(c);
+        }
+        let registered = matches!(&inner.waiter,
+            Some((t, w)) if *t == ticket && w.will_wake(cx.waker()));
+        if !registered {
+            inner.waiter = Some((ticket, cx.waker().clone()));
+        }
+        Poll::Pending
     }
 
     /// Non-blocking completion check of the receive waiting under `ticket`.
@@ -272,36 +282,13 @@ fn truncated(env: &Envelope, capacity: usize, dst_global: usize) -> ! {
     )
 }
 
-/// Future for [`Engine::wait`].
-pub struct WaitRecv<'e> {
-    engine: &'e Engine,
-    me: usize,
-    ticket: u64,
-}
-
-impl Future for WaitRecv<'_> {
-    type Output = Completion;
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Completion> {
-        let mut inner = self.engine.mailbox(self.me);
-        if let Some(c) = inner.take(self.ticket) {
-            inner.waiter = None;
-            return Poll::Ready(c);
-        }
-        // A re-poll with the same waker keeps its registration.
-        let registered = matches!(&inner.waiter,
-            Some((ticket, w)) if *ticket == self.ticket && w.will_wake(cx.waker()));
-        if !registered {
-            inner.waiter = Some((self.ticket, cx.waker().clone()));
-        }
-        Poll::Pending
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::comm::CommId;
-    use crate::message::{AckCell, AckWait, Channel, ANY_TAG};
+    use crate::message::{AckCell, Channel, ANY_TAG};
+    use std::future::{poll_fn, Future};
+    use std::pin::Pin;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
     use std::task::Wake;
@@ -340,7 +327,7 @@ mod tests {
     }
 
     /// A waker that counts how often it fired — lets the tests drive
-    /// `WaitRecv` by hand, deterministically, with no threads or sleeps.
+    /// a wait by hand, deterministically, with no threads or sleeps.
     #[derive(Default)]
     struct CountWaker(AtomicUsize);
     impl Wake for CountWaker {
@@ -360,6 +347,11 @@ mod tests {
         Pin::new(fut).poll(&mut Context::from_waker(&waker))
     }
 
+    /// The receive waiting under `ticket` in `me`'s mailbox, as a future.
+    fn wait_on(e: &Engine, me: usize, ticket: u64) -> impl Future<Output = Completion> + '_ {
+        poll_fn(move |cx| e.poll_wait(me, ticket, cx))
+    }
+
     /// A waiting receive's ticket (panics on a receive that completed at
     /// post).
     fn slot(h: RecvHandle) -> u64 {
@@ -375,7 +367,7 @@ mod tests {
         match h {
             RecvHandle::Ready(c) => c,
             RecvHandle::Pending(ticket) => {
-                match poll_with(&mut e.wait(me, ticket), &Arc::default()) {
+                match poll_with(&mut wait_on(e, me, ticket), &Arc::default()) {
                     Poll::Ready(c) => c,
                     Poll::Pending => panic!("receive with ticket {ticket} not complete"),
                 }
@@ -547,7 +539,7 @@ mod tests {
         let e = engine(2);
         let ack = Arc::new(AckCell::default());
         let sender = Arc::new(CountWaker::default());
-        let mut ack_wait = AckWait(&ack);
+        let mut ack_wait = poll_fn(|cx| ack.poll_value(cx));
         assert!(poll_with(&mut ack_wait, &sender).is_pending(), "sender blocks on its ack");
         e.send(1, rendezvous_env(0, 1, 1 << 20, 100.0, ack.clone()));
         assert_eq!(sender.fired(), 0, "no ack before the receive is posted");
@@ -566,13 +558,13 @@ mod tests {
     #[test]
     fn blocked_wait_is_woken_by_matching_send() {
         // The event-driven replacement for the old sleep-synchronized
-        // cross-thread test: post a receive, observe the wait future park a
+        // cross-thread test: post a receive, observe the wait park a
         // waker, deliver the send, and check the waker fired and the next
         // poll completes — all on one thread, in deterministic virtual time.
         let e = engine(2);
         let s = slot(e.post_recv(1, key(0, 3), usize::MAX, 0.0));
         let flag = Arc::new(CountWaker::default());
-        let mut wait = e.wait(1, s);
+        let mut wait = wait_on(&e, 1, s);
         assert!(poll_with(&mut wait, &flag).is_pending());
         assert_eq!(flag.fired(), 0);
 
@@ -589,7 +581,7 @@ mod tests {
         let e = engine(2);
         let s = slot(e.post_recv(1, key(0, 3), usize::MAX, 0.0));
         let (first, second) = (Arc::new(CountWaker::default()), Arc::new(CountWaker::default()));
-        let mut wait = e.wait(1, s);
+        let mut wait = wait_on(&e, 1, s);
         // Same waker twice: the registration is kept.
         assert!(poll_with(&mut wait, &first).is_pending());
         assert!(poll_with(&mut wait, &first).is_pending());
@@ -598,7 +590,7 @@ mod tests {
         assert!(poll_with(&mut wait, &first).is_ready());
         // A changed waker replaces the registered one.
         let s = slot(e.post_recv(1, key(0, 4), usize::MAX, 0.0));
-        let mut wait = e.wait(1, s);
+        let mut wait = wait_on(&e, 1, s);
         assert!(poll_with(&mut wait, &first).is_pending());
         assert!(poll_with(&mut wait, &second).is_pending());
         e.send(1, eager_env(0, 4, 8, 43.0));
@@ -611,7 +603,7 @@ mod tests {
         let e = engine(2);
         let s = slot(e.post_recv(1, key(0, 3), usize::MAX, 0.0));
         let flag = Arc::new(CountWaker::default());
-        let mut wait = e.wait(1, s);
+        let mut wait = wait_on(&e, 1, s);
         assert!(poll_with(&mut wait, &flag).is_pending());
         // Different tag: lands in the unexpected queue, no wake.
         e.send(1, eager_env(0, 9, 8, 42.0));
@@ -625,7 +617,7 @@ mod tests {
         let early = slot(e.post_recv(1, key(0, 3), usize::MAX, 0.0));
         let late = slot(e.post_recv(1, key(0, 4), usize::MAX, 0.0));
         let flag = Arc::new(CountWaker::default());
-        let mut wait = e.wait(1, late);
+        let mut wait = wait_on(&e, 1, late);
         assert!(poll_with(&mut wait, &flag).is_pending());
         e.send(1, eager_env(0, 3, 8, 42.0));
         assert_eq!(flag.fired(), 0, "the waiter needs the other slot");

@@ -159,16 +159,14 @@ impl Wake for RankWaker {
     }
 }
 
-/// One rank's future while it runs, then what `finish` made of its
-/// output. A running rank reserves no room for an output it has not made.
-enum Slot<'env, T, U> {
-    Running(RankFut<'env, T>),
-    Done(U),
-}
-
 /// Drive all rank futures to completion on the event scheduler, applying
 /// `finish` to each output as its rank completes (on the thread that
 /// polled it), so the output is dropped there and then.
+///
+/// A rank's slot holds its future while it runs and is emptied when the
+/// rank finishes, so it reserves no room for an output. Outputs are kept
+/// in the order ranks finish, each after its rank's future is freed: no
+/// buffer for every rank's output exists while their futures are alive.
 ///
 /// Returns `Err(blocked_ranks)` if the simulation deadlocks: no rank is
 /// runnable but some have not finished. Between batches no rank is
@@ -186,8 +184,10 @@ pub(crate) fn run_event<'env, T: Send, U: Send>(
     let wakers: Vec<Waker> = (0..n)
         .map(|rank| Waker::from(Arc::new(RankWaker { exec: exec.clone(), rank })))
         .collect();
-    let slots: Vec<Mutex<Slot<'env, T, U>>> =
-        futs.into_iter().map(|f| Mutex::new(Slot::Running(f))).collect();
+    let slots: Vec<Mutex<Option<RankFut<'env, T>>>> =
+        futs.into_iter().map(|f| Mutex::new(Some(f))).collect();
+    // Finished ranks' outputs, in the order they finished.
+    let done: Mutex<Vec<(usize, U)>> = Mutex::new(Vec::new());
 
     let mut unfinished = n;
     while unfinished > 0 {
@@ -203,7 +203,7 @@ pub(crate) fn run_event<'env, T: Send, U: Send>(
             let blocked: Vec<usize> = slots
                 .iter()
                 .enumerate()
-                .filter(|(_, s)| matches!(*s.lock().expect("slot poisoned"), Slot::Running(_)))
+                .filter(|(_, s)| s.lock().expect("slot poisoned").is_some())
                 .map(|(r, _)| r)
                 .collect();
             return Err(blocked);
@@ -219,14 +219,14 @@ pub(crate) fn run_event<'env, T: Send, U: Send>(
             let rank = batch[i];
             let mut slot = slots[rank].lock().unwrap();
             exec.status[rank].store(RUNNING, Ordering::Release);
-            let Slot::Running(fut) = &mut *slot else {
-                panic!("queued rank {rank} has already finished")
-            };
+            let Some(fut) = &mut *slot else { panic!("queued rank {rank} has already finished") };
             let mut cx = Context::from_waker(&wakers[rank]);
             match fut.as_mut().poll(&mut cx) {
                 Poll::Ready(out) => {
-                    *slot = Slot::Done(finish(out));
+                    *slot = None;
                     exec.status[rank].store(DONE, Ordering::Release);
+                    let out = finish(out);
+                    done.lock().expect("outputs poisoned").push((rank, out));
                     true
                 }
                 Poll::Pending => {
@@ -261,13 +261,12 @@ pub(crate) fn run_event<'env, T: Send, U: Send>(
         m.queue_depth.set(0);
     }
 
-    Ok(slots
-        .into_iter()
-        .map(|s| match s.into_inner().expect("slot poisoned") {
-            Slot::Done(out) => out,
-            Slot::Running(_) => unreachable!("every rank finished"),
-        })
-        .collect())
+    // Each rank finished once, so sorting by rank puts the outputs in rank
+    // order; the collect drops the rank numbers within the same buffer.
+    drop(slots);
+    let mut done = done.into_inner().expect("outputs poisoned");
+    done.sort_unstable_by_key(|&(rank, _)| rank);
+    Ok(done.into_iter().map(|(_, out)| out).collect())
 }
 
 /// Cooperatively yield once: wake self, return `Pending` a single time.
@@ -356,7 +355,7 @@ mod tests {
             }),
             Box::pin(async move {
                 let cell = c1;
-                crate::message::AckWait(&cell).await
+                std::future::poll_fn(|cx| cell.poll_value(cx)).await
             }),
         ];
         assert_eq!(run_event(futs, false, |x| x).unwrap(), vec![0.0, 7.5]);

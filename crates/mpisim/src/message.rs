@@ -1,7 +1,5 @@
 //! Message envelopes and receive matching keys.
 
-use std::future::Future;
-use std::pin::Pin;
 use std::sync::Mutex;
 use std::task::{Context, Poll, Waker};
 
@@ -38,8 +36,8 @@ pub enum WireProtocol {
 
 /// One-shot cell carrying the sender-side completion time of a rendezvous
 /// transfer from the matching engine back to the blocked sender. The
-/// engine [`AckCell::set`]s it when the receiver matches; the sender's
-/// state machine awaits it via `AckWait`.
+/// engine [`AckCell::set`]s it when the receiver matches; the blocked
+/// sender polls it.
 #[derive(Debug, Default)]
 pub struct AckCell {
     inner: Mutex<AckInner>,
@@ -69,7 +67,8 @@ impl AckCell {
         self.inner.lock().unwrap().value
     }
 
-    fn poll_value(&self, cx: &mut Context<'_>) -> Poll<f64> {
+    /// The value, or register `cx`'s waker to be woken by [`AckCell::set`].
+    pub(crate) fn poll_value(&self, cx: &mut Context<'_>) -> Poll<f64> {
         let mut inner = self.inner.lock().unwrap();
         match inner.value {
             Some(v) => Poll::Ready(v),
@@ -78,16 +77,6 @@ impl AckCell {
                 Poll::Pending
             }
         }
-    }
-}
-
-/// Future resolving to the value of an [`AckCell`].
-pub(crate) struct AckWait<'a>(pub &'a AckCell);
-
-impl Future for AckWait<'_> {
-    type Output = f64;
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<f64> {
-        self.0.poll_value(cx)
     }
 }
 

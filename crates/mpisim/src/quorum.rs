@@ -2,10 +2,12 @@
 //! can leave before every member has arrived.
 //!
 //! Each member deposits one entry under a key (communicator id, sequence
-//! number) and awaits. The last member to arrive runs an evaluation over
-//! every member's entry in one pass, stores the results, and wakes the
-//! others, who read theirs back. The slot disappears once every member has
-//! read it.
+//! number) at its first poll and waits. The last member to arrive runs an
+//! evaluation over every member's entry in one pass, stores the results,
+//! and wakes the others, who read theirs back. The slot disappears once
+//! every member has read it. The board is polled, not awaited: each
+//! member's own small future builds its deposit at its first poll and
+//! polls [`QuorumBoard::poll_arrive`].
 //!
 //! Two boards use this primitive. The all-member collectives (`barrier`,
 //! `allreduce`, `allgather`, `alltoall`, `reduce_scatter_block` and the
@@ -19,8 +21,6 @@
 //! is a pure function of them, so which member arrives last, and on which
 //! worker thread, never changes a result.
 
-use std::future::Future;
-use std::pin::Pin;
 use std::sync::Mutex;
 use std::task::{Context, Poll, Waker};
 
@@ -48,76 +48,49 @@ impl<T: Clone + Default> QuorumBoard<T> {
         QuorumBoard { slots: Mutex::new(FxHashMap::default()) }
     }
 
-    /// Deposit `entry` as member `member` of a `size`-member quorum and
-    /// await the evaluation. The last member to arrive runs `evaluate` over
-    /// all entries, outside the board's lock; every member then gets
-    /// `read(results, member)`.
-    pub fn arrive<'a, E, R, O>(
-        &'a self,
+    /// One poll of member `member`'s part in a `size`-member quorum under
+    /// `key`. The first poll passes `deposit`: the member's entry, and the
+    /// evaluation to run if it arrives last. That evaluation runs over all
+    /// entries outside the board's lock. Later polls pass `None`. Once the
+    /// evaluation has run, every member gets `read(results, member)`.
+    pub fn poll_arrive<E, R, O>(
+        &self,
+        cx: &mut Context<'_>,
         key: (u64, u32),
         member: usize,
         size: usize,
-        entry: T,
-        evaluate: E,
+        deposit: Option<(T, E)>,
         read: R,
-    ) -> Arrive<'a, T, E, R>
+    ) -> Poll<O>
     where
         E: FnOnce(&mut [T]),
         R: Fn(&[T], usize) -> O,
     {
-        Arrive { board: self, key, member, size, entry: Some(entry), evaluate: Some(evaluate), read }
-    }
-}
-
-/// Future of one member's participation in a quorum (see
-/// [`QuorumBoard::arrive`]).
-pub(crate) struct Arrive<'a, T, E, R> {
-    board: &'a QuorumBoard<T>,
-    key: (u64, u32),
-    member: usize,
-    size: usize,
-    /// Taken by the first poll, which deposits it.
-    entry: Option<T>,
-    evaluate: Option<E>,
-    read: R,
-}
-
-impl<T, E, R, O> Future for Arrive<'_, T, E, R>
-where
-    T: Clone + Default + Unpin,
-    E: FnOnce(&mut [T]) + Unpin,
-    R: Fn(&[T], usize) -> O + Unpin,
-{
-    type Output = O;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<O> {
-        let this = self.get_mut();
-        let mut slots = this.board.slots.lock().unwrap();
-        let depositing = this.entry.is_some();
-        if let Some(entry) = this.entry.take() {
-            let size = this.size;
-            let slot = slots.entry(this.key).or_insert_with(|| Slot {
+        let mut slots = self.slots.lock().expect("quorum board poisoned");
+        let depositing = deposit.is_some();
+        if let Some((entry, evaluate)) = deposit {
+            let slot = slots.entry(key).or_insert_with(|| Slot {
                 entries: vec![T::default(); size],
                 arrived: 0,
                 ready: false,
                 readers: 0,
                 wakers: Vec::new(),
             });
-            slot.entries[this.member] = entry;
+            slot.entries[member] = entry;
             slot.arrived += 1;
             if slot.arrived == size {
                 // Last arrival: evaluate without holding the board, so an
                 // O(p²) schedule never stalls arrivals on other slots.
                 let mut entries = std::mem::take(&mut slot.entries);
                 drop(slots);
-                (this.evaluate.take().expect("evaluated once"))(&mut entries);
-                let out = (this.read)(&entries, this.member);
-                let mut slots = this.board.slots.lock().unwrap();
-                let slot = slots.get_mut(&this.key).expect("slot outlives its readers");
+                evaluate(&mut entries);
+                let out = read(&entries, member);
+                let mut slots = self.slots.lock().expect("quorum board poisoned");
+                let slot = slots.get_mut(&key).expect("slot outlives its readers");
                 slot.entries = entries;
                 slot.ready = true;
                 let wakers = std::mem::take(&mut slot.wakers);
-                Self::note_read(&mut slots, this.key, size);
+                note_read(&mut slots, key, size);
                 drop(slots);
                 for (_, w) in wakers {
                     w.wake();
@@ -125,35 +98,30 @@ where
                 return Poll::Ready(out);
             }
         }
-        let slot = slots.get_mut(&this.key).expect("slot outlives its readers");
+        let slot = slots.get_mut(&key).expect("slot outlives its readers");
         if slot.ready {
-            let out = (this.read)(&slot.entries, this.member);
-            Self::note_read(&mut slots, this.key, this.size);
+            let out = read(&slot.entries, member);
+            note_read(&mut slots, key, size);
             return Poll::Ready(out);
         }
         // A member registers at its deposit, so only a repeated poll can
         // find itself listed; skipping the scan keeps arrivals O(1).
-        let listed = if depositing {
-            None
-        } else {
-            slot.wakers.iter_mut().find(|(m, _)| *m == this.member)
-        };
+        let listed =
+            if depositing { None } else { slot.wakers.iter_mut().find(|(m, _)| *m == member) };
         match listed {
             Some(entry) => entry.1 = cx.waker().clone(),
-            None => slot.wakers.push((this.member, cx.waker().clone())),
+            None => slot.wakers.push((member, cx.waker().clone())),
         }
         Poll::Pending
     }
 }
 
-impl<T, E, R> Arrive<'_, T, E, R> {
-    /// Count one member's read; the last reader frees the slot.
-    fn note_read(slots: &mut FxHashMap<(u64, u32), Slot<T>>, key: (u64, u32), size: usize) {
-        let slot = slots.get_mut(&key).expect("slot outlives its readers");
-        slot.readers += 1;
-        if slot.readers == size {
-            slots.remove(&key);
-        }
+/// Count one member's read; the last reader frees the slot.
+fn note_read<T>(slots: &mut FxHashMap<(u64, u32), Slot<T>>, key: (u64, u32), size: usize) {
+    let slot = slots.get_mut(&key).expect("slot outlives its readers");
+    slot.readers += 1;
+    if slot.readers == size {
+        slots.remove(&key);
     }
 }
 
@@ -171,9 +139,17 @@ mod tests {
         }
     }
 
-    fn poll<F: Future + Unpin>(fut: &mut F, flag: &Arc<FlagWaker>) -> Poll<F::Output> {
+    /// One poll of `member`'s part in a quorum of `size` under `key`,
+    /// woken through `flag`; `deposit` is `Some` at its first poll only.
+    fn poll(
+        board: &QuorumBoard<u64>,
+        flag: &Arc<FlagWaker>,
+        (key, member, size): ((u64, u32), usize, usize),
+        deposit: Option<(u64, impl FnOnce(&mut [u64]))>,
+        read: impl Fn(&[u64], usize) -> u64,
+    ) -> Poll<u64> {
         let waker = Waker::from(flag.clone());
-        Pin::new(fut).poll(&mut Context::from_waker(&waker))
+        board.poll_arrive(&mut Context::from_waker(&waker), key, member, size, deposit, read)
     }
 
     #[test]
@@ -187,16 +163,16 @@ mod tests {
         let own = |entries: &[u64], m: usize| entries[m];
         let flags: Vec<Arc<FlagWaker>> =
             (0..3).map(|_| Arc::new(FlagWaker(AtomicBool::new(false)))).collect();
-        let mut first = board.arrive((7, 0), 2, 3, 30, double, own);
-        let mut second = board.arrive((7, 0), 0, 3, 10, double, own);
-        let mut last = board.arrive((7, 0), 1, 3, 20, double, own);
-        assert!(poll(&mut first, &flags[2]).is_pending());
-        assert!(poll(&mut second, &flags[0]).is_pending());
-        assert_eq!(poll(&mut last, &flags[1]), Poll::Ready(40));
+        let (first, second, last) = (((7, 0), 2, 3), ((7, 0), 0, 3), ((7, 0), 1, 3));
+        assert!(poll(&board, &flags[2], first, Some((30, double)), own).is_pending());
+        assert!(poll(&board, &flags[0], second, Some((10, double)), own).is_pending());
+        assert_eq!(poll(&board, &flags[1], last, Some((20, double)), own), Poll::Ready(40));
         assert_eq!(evaluations.get(), 1);
         assert!(flags[0].0.load(Ordering::SeqCst) && flags[2].0.load(Ordering::SeqCst));
-        assert_eq!(poll(&mut first, &flags[2]), Poll::Ready(60));
-        assert_eq!(poll(&mut second, &flags[0]), Poll::Ready(20));
+        // Later polls deposit nothing.
+        let nothing = None::<(u64, fn(&mut [u64]))>;
+        assert_eq!(poll(&board, &flags[2], first, nothing, own), Poll::Ready(60));
+        assert_eq!(poll(&board, &flags[0], second, nothing, own), Poll::Ready(20));
         assert!(board.slots.lock().unwrap().is_empty(), "the last reader frees the slot");
     }
 
@@ -206,10 +182,8 @@ mod tests {
         let flag = Arc::new(FlagWaker(AtomicBool::new(false)));
         let sum = |entries: &mut [u64]| entries[0] = entries.iter().sum();
         let first = |entries: &[u64], _: usize| entries[0];
-        let mut a = board.arrive((1, 0), 0, 2, 5, sum, first);
-        let mut b = board.arrive((1, 1), 1, 2, 6, sum, first);
-        assert!(poll(&mut a, &flag).is_pending());
-        assert!(poll(&mut b, &flag).is_pending());
+        assert!(poll(&board, &flag, ((1, 0), 0, 2), Some((5, sum)), first).is_pending());
+        assert!(poll(&board, &flag, ((1, 1), 1, 2), Some((6, sum)), first).is_pending());
         assert!(!flag.0.load(Ordering::SeqCst));
     }
 }

@@ -2,14 +2,24 @@
 //! communicator management, and the virtual clock.
 //!
 //! A `Rank` is the state a rank's resumable state machine threads through
-//! its body. Blocking MPI calls are `async`: each is an explicit
+//! its body. Blocking MPI calls return futures: each is an explicit
 //! continuation point where the state machine may return `Pending` to the
 //! event scheduler (registering a waker with the matching engine, a
 //! rendezvous ack cell, or a quorum slot) instead of parking an OS thread.
 //! Non-blocking calls (`isend`, `irecv`) remain plain methods.
+//!
+//! A blocked rank's future holds the future of the call it is in, so that
+//! call's state is kept small. A call's future holds its arguments and
+//! awaits one leaf future at a time (`RecvWait`, `SendWait`, a quorum
+//! arrival), which applies the completion to the rank when it comes. The
+//! call's [`MpiCall`] record is built from the arguments only where a hook
+//! or a collector reads it, so an unobserved, untraced run builds none.
 
+use std::future::Future;
+use std::pin::Pin;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::task::{ready, Context, Poll};
 
 use siesta_perfmodel::net::Protocol;
 use siesta_perfmodel::{CounterVec, KernelDesc, Machine};
@@ -19,7 +29,7 @@ use crate::comm::{CommId, Communicator};
 use crate::engine::{Completion, Engine, RecvHandle};
 use crate::hook::{HookCtx, MpiCall, PmpiHook, RankHook};
 use crate::link::{recv_done, Link};
-use crate::message::{AckCell, AckWait, Channel, Envelope, MatchKey, RecvStatus, Tag, WireProtocol};
+use crate::message::{AckCell, Channel, Envelope, MatchKey, RecvStatus, Tag, WireProtocol};
 use crate::obs::Collectors;
 use crate::quorum::QuorumBoard;
 use crate::request::{ReqState, Request, RequestTable};
@@ -101,7 +111,7 @@ pub(crate) mod blocked {
 /// rule, [`WaitSums::note`].
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct WaitSums {
-    /// Inside the current hooked call: reset by `hook_pre_raw`, reported
+    /// Inside the current hooked call: reset by `begin_call`, reported
     /// through `HookCtx::wait_ns` in the post hook.
     pub call_ns: f64,
     /// Over the whole run.
@@ -175,6 +185,10 @@ pub struct Rank {
     pub(crate) sched_hash: u64,
 }
 
+// A blocking call returns an `async move` block instead of being an
+// `async fn`: an `async fn`'s future keeps a second copy of its arguments,
+// and every rank holds the future of the call it is blocked in.
+#[allow(clippy::manual_async_fn)]
 impl Rank {
     pub(crate) fn new(shared: Arc<Shared>, rank: usize, hook: Option<Box<dyn RankHook>>) -> Rank {
         Rank {
@@ -287,41 +301,39 @@ impl Rank {
     // ------------------------------------------------------------------
 
     /// Blocking standard-mode send (`MPI_Send`).
-    pub async fn send(&mut self, comm: &Communicator, dest: usize, tag: Tag, bytes: usize) {
-        let call = MpiCall::Send { comm: comm.id, dest, tag, bytes };
-        self.hook_pre_c(&call, comm);
-        let t0 = self.clock;
-        self.p2p_send_blocking(
-            comm.global_of(dest),
-            comm.rank(),
-            comm.id,
-            Channel::App { tag },
-            bytes,
-        )
-        .await;
-        self.account_mpi(t0, bytes);
-        self.hook_post_c(&call, comm);
+    pub fn send<'a>(
+        &'a mut self,
+        comm: &'a Communicator,
+        dest: usize,
+        tag: Tag,
+        bytes: usize,
+    ) -> impl Future<Output = ()> + 'a {
+        async move {
+            self.begin_call(at(comm), || MpiCall::Send { comm: comm.id, dest, tag, bytes });
+            let dst_global = comm.global_of(dest);
+            self.send_blocking(dst_global, comm.rank(), comm.id, Channel::App { tag }, bytes).await;
+            self.end_call(bytes, at(comm), || MpiCall::Send { comm: comm.id, dest, tag, bytes });
+        }
     }
 
     /// Blocking receive (`MPI_Recv`). `bytes` is the receive buffer size;
     /// the returned status reports the actual message size. A larger
     /// message panics, as `MPI_ERR_TRUNCATE`.
-    pub async fn recv(
-        &mut self,
-        comm: &Communicator,
+    pub fn recv<'a>(
+        &'a mut self,
+        comm: &'a Communicator,
         src: usize,
         tag: Tag,
         bytes: usize,
-    ) -> RecvStatus {
-        let call = MpiCall::Recv { comm: comm.id, src, tag, bytes };
-        self.hook_pre_c(&call, comm);
-        let t0 = self.clock;
-        let src_global = comm.global_of(src);
-        let recv = self.post_recv_raw(src_global, comm.id, Channel::App { tag }, bytes);
-        let status = self.wait_recv_raw(recv, src_global).await;
-        self.account_mpi(t0, 0);
-        self.hook_post_c(&call, comm);
-        status
+    ) -> impl Future<Output = RecvStatus> + 'a {
+        async move {
+            self.begin_call(at(comm), || MpiCall::Recv { comm: comm.id, src, tag, bytes });
+            let src_global = comm.global_of(src);
+            let recv = self.post_recv_raw(src_global, comm.id, Channel::App { tag }, bytes);
+            let status = self.recv_wait(recv, src_global).await;
+            self.end_call(0, at(comm), || MpiCall::Recv { comm: comm.id, src, tag, bytes });
+            status
+        }
     }
 
     /// Non-blocking send (`MPI_Isend`).
@@ -334,12 +346,10 @@ impl Rank {
             bytes,
         );
         let req = self.requests.alloc(state);
-        let call = MpiCall::Isend { comm: comm.id, dest, tag, bytes, req: req.0 };
-        self.hook_pre_c(&call, comm);
-        let t0 = self.clock;
+        let call = || MpiCall::Isend { comm: comm.id, dest, tag, bytes, req: req.0 };
+        self.begin_call(at(comm), call);
         self.clock += clock_advance;
-        self.account_mpi(t0, bytes);
-        self.hook_post_c(&call, comm);
+        self.end_call(bytes, at(comm), call);
         req
     }
 
@@ -350,39 +360,42 @@ impl Rank {
         let src_global = comm.global_of(src);
         let recv = self.post_recv_raw(src_global, comm.id, Channel::App { tag }, bytes);
         let req = self.requests.alloc(ReqState::RecvPending { recv, src_global });
-        let call = MpiCall::Irecv { comm: comm.id, src, tag, bytes, req: req.0 };
-        self.hook_pre_c(&call, comm);
-        let t0 = self.clock;
+        let call = || MpiCall::Irecv { comm: comm.id, src, tag, bytes, req: req.0 };
+        self.begin_call(at(comm), call);
         // Posting a receive costs a fraction of the receive overhead.
         self.clock += self.machine().net.recv_overhead_ns * 0.25;
-        self.account_mpi(t0, 0);
-        self.hook_post_c(&call, comm);
+        self.end_call(0, at(comm), call);
         req
     }
 
     /// Block until a request completes (`MPI_Wait`).
-    pub async fn wait(&mut self, req: Request) -> RecvStatus {
-        let call = MpiCall::Wait { req: req.0 };
-        self.hook_pre(&call);
-        let t0 = self.clock;
-        let status = self.complete_request(req).await;
-        self.account_mpi(t0, 0);
-        self.hook_post(&call);
-        status
+    pub fn wait(&mut self, req: Request) -> impl Future<Output = RecvStatus> + '_ {
+        async move {
+            self.begin_call(self.in_world(), || MpiCall::Wait { req: req.0 });
+            let status = self.complete_request(req).await;
+            self.end_call(0, self.in_world(), || MpiCall::Wait { req: req.0 });
+            status
+        }
     }
 
     /// Block until all requests complete (`MPI_Waitall`).
-    pub async fn waitall(&mut self, reqs: &[Request]) -> Vec<RecvStatus> {
-        let call = MpiCall::Waitall { reqs: reqs.iter().map(|r| r.0).collect() };
-        self.hook_pre(&call);
-        let t0 = self.clock;
-        let mut statuses = Vec::with_capacity(reqs.len());
-        for r in reqs {
-            statuses.push(self.complete_request(*r).await);
+    pub fn waitall<'a>(
+        &'a mut self,
+        reqs: &'a [Request],
+    ) -> impl Future<Output = Vec<RecvStatus>> + 'a {
+        async move {
+            self.begin_call(self.in_world(), || MpiCall::Waitall {
+                reqs: reqs.iter().map(|r| r.0).collect(),
+            });
+            let mut statuses = Vec::with_capacity(reqs.len());
+            for &r in reqs {
+                statuses.push(self.complete_request(r).await);
+            }
+            self.end_call(0, self.in_world(), || MpiCall::Waitall {
+                reqs: reqs.iter().map(|r| r.0).collect(),
+            });
+            statuses
         }
-        self.account_mpi(t0, 0);
-        self.hook_post(&call);
-        statuses
     }
 
     /// Non-blocking completion test (`MPI_Test`). Completes and consumes
@@ -391,82 +404,88 @@ impl Rank {
     /// counts (and thus the clock cost of a polling loop) depend on
     /// scheduling, so `test` is excluded from the byte-identical-schedule
     /// contract — real MPI makes the same non-guarantee.
-    pub async fn test(&mut self, req: Request) -> Option<RecvStatus> {
-        let ready = match self.requests.get(req) {
-            Some(&ReqState::RecvPending { recv, .. }) => {
-                let completion = match recv {
-                    RecvHandle::Ready(c) => Some(c),
-                    RecvHandle::Pending(ticket) => self.shared.engine.test(self.rank(), ticket),
-                };
-                completion.map(|c| self.finish_recv(&c))
-            }
-            Some(ReqState::SendDone { done }) => {
-                let done = *done;
-                self.note_wait(done - self.clock);
-                self.clock = self.clock.max(done);
-                Some(self.dummy_send_status())
-            }
-            Some(ReqState::SendRendezvous { ack, .. }) => match ack.try_get() {
-                Some(done) => {
-                    self.note_wait(done - self.clock);
-                    self.clock = self.clock.max(done);
+    pub fn test(&mut self, req: Request) -> impl Future<Output = Option<RecvStatus>> + '_ {
+        async move {
+            let ready = match self.requests.get(req) {
+                Some(&ReqState::RecvPending { recv, .. }) => {
+                    let completion = match recv {
+                        RecvHandle::Ready(c) => Some(c),
+                        RecvHandle::Pending(ticket) => self.shared.engine.test(self.rank(), ticket),
+                    };
+                    completion.map(|c| self.finish_recv(&c))
+                }
+                Some(&ReqState::SendDone { done }) => {
+                    self.send_done(done);
                     Some(self.dummy_send_status())
                 }
-                None => None,
-            },
-            None => panic!("test on inactive request"),
-        };
-        // Polling costs a little software time either way.
-        self.clock += self.machine().net.recv_overhead_ns * 0.1;
-        if ready.is_some() {
-            // Consume the slot; state was already acted upon above.
-            let _ = self.requests.take(req);
-        } else {
-            crate::exec::YieldNow::new().await;
+                Some(ReqState::SendRendezvous { ack, .. }) => ack.try_get().map(|done| {
+                    self.send_done(done);
+                    self.dummy_send_status()
+                }),
+                None => panic!("test on inactive request"),
+            };
+            // Polling costs a little software time either way.
+            self.clock += self.machine().net.recv_overhead_ns * 0.1;
+            match ready {
+                Some(status) => {
+                    // Consume the slot; state was already acted upon above.
+                    let _ = self.requests.take(req);
+                    Some(status)
+                }
+                None => {
+                    crate::exec::YieldNow::new().await;
+                    None
+                }
+            }
         }
-        ready
     }
 
     /// Combined blocking exchange (`MPI_Sendrecv`), deadlock-free under
     /// rendezvous because the receive is posted before the send blocks.
     /// A received message larger than `recv_bytes` panics.
     #[allow(clippy::too_many_arguments)]
-    pub async fn sendrecv(
-        &mut self,
-        comm: &Communicator,
+    pub fn sendrecv<'a>(
+        &'a mut self,
+        comm: &'a Communicator,
         dest: usize,
         send_tag: Tag,
         send_bytes: usize,
         src: usize,
         recv_tag: Tag,
         recv_bytes: usize,
-    ) -> RecvStatus {
-        let call = MpiCall::Sendrecv {
-            comm: comm.id,
-            dest,
-            send_tag,
-            send_bytes,
-            src,
-            recv_tag,
-            recv_bytes,
-        };
-        self.hook_pre_c(&call, comm);
-        let t0 = self.clock;
-        let src_global = comm.global_of(src);
-        let recv =
-            self.post_recv_raw(src_global, comm.id, Channel::App { tag: recv_tag }, recv_bytes);
-        self.p2p_send_blocking(
-            comm.global_of(dest),
-            comm.rank(),
-            comm.id,
-            Channel::App { tag: send_tag },
-            send_bytes,
-        )
-        .await;
-        let status = self.wait_recv_raw(recv, src_global).await;
-        self.account_mpi(t0, send_bytes);
-        self.hook_post_c(&call, comm);
-        status
+    ) -> impl Future<Output = RecvStatus> + 'a {
+        async move {
+            self.begin_call(at(comm), || MpiCall::Sendrecv {
+                comm: comm.id,
+                dest,
+                send_tag,
+                send_bytes,
+                src,
+                recv_tag,
+                recv_bytes,
+            });
+            // Across the send's wait the future holds only the receive's
+            // handle: the block ends its storage before the receive's wait
+            // takes a copy, and the source is looked up again.
+            let status = {
+                let channel = Channel::App { tag: recv_tag };
+                let recv = self.post_recv_raw(comm.global_of(src), comm.id, channel, recv_bytes);
+                let (dst_global, channel) = (comm.global_of(dest), Channel::App { tag: send_tag });
+                self.send_blocking(dst_global, comm.rank(), comm.id, channel, send_bytes).await;
+                self.recv_wait(recv, comm.global_of(src))
+            }
+            .await;
+            self.end_call(send_bytes, at(comm), || MpiCall::Sendrecv {
+                comm: comm.id,
+                dest,
+                send_tag,
+                send_bytes,
+                src,
+                recv_tag,
+                recv_bytes,
+            });
+            status
+        }
     }
 
     // ------------------------------------------------------------------
@@ -475,78 +494,71 @@ impl Rank {
 
     /// `MPI_Comm_split`: collective over `comm`; returns the new
     /// communicator containing this process, or `None` for negative colors.
-    pub async fn comm_split(
-        &mut self,
-        comm: &Communicator,
+    pub fn comm_split<'a>(
+        &'a mut self,
+        comm: &'a Communicator,
         color: i64,
         key: i64,
-    ) -> Option<Communicator> {
-        let mut call = MpiCall::CommSplit { parent: comm.id, color, key, result: None };
-        self.hook_pre_c(&call, comm);
-        let t0 = self.clock;
-        let seq = self.next_derive_seq(comm.id);
-        self.set_blocked(blocked::split());
-        let contributions = self
-            .shared
-            .splits
-            .arrive(
-                (comm.id.0, seq),
-                comm.rank(),
-                comm.size(),
-                (color, key, self.clock),
-                |_| {},
-                |entries, _| entries.to_vec(),
-            )
-            .await;
-        self.clear_blocked();
-        // Allgather-shaped completion: everyone leaves at the same time.
-        let t_all = contributions.iter().map(|c| c.2).fold(0.0f64, f64::max);
-        let net = &self.machine().net;
-        let p = comm.size();
-        let span_nodes = !self
-            .machine()
-            .platform
-            .same_node(comm.group.get(0), comm.group.get(p - 1));
-        let rounds = (p as f64).log2().ceil().max(1.0);
-        let cost = net.collective_overhead_ns
-            + rounds * net.latency(!span_nodes)
-            + (p * 16) as f64 / net.bandwidth(!span_nodes);
-        self.note_wait(t_all + cost - self.clock);
-        self.clock = self.clock.max(t_all + cost);
-        let pairs: Vec<(i64, i64)> = contributions.iter().map(|c| (c.0, c.1)).collect();
-        let result = comm.split_from(&pairs, seq, self.rank());
-        if let MpiCall::CommSplit { result: r, .. } = &mut call {
-            *r = result.as_ref().map(|c| c.id);
+    ) -> impl Future<Output = Option<Communicator>> + 'a {
+        async move {
+            self.begin_call(at(comm), || MpiCall::CommSplit {
+                parent: comm.id,
+                color,
+                key,
+                result: None,
+            });
+            let seq = self.next_derive_seq(comm.id);
+            self.set_blocked(blocked::split());
+            let contributions =
+                SplitArrival { rank: &mut *self, comm, color, key, seq, deposited: false }.await;
+            // Allgather-shaped completion: everyone leaves at the same time.
+            let t_all = contributions.iter().map(|c| c.2).fold(0.0f64, f64::max);
+            let net = &self.machine().net;
+            let p = comm.size();
+            let span_nodes =
+                !self.machine().platform.same_node(comm.group.get(0), comm.group.get(p - 1));
+            let rounds = (p as f64).log2().ceil().max(1.0);
+            let cost = net.collective_overhead_ns
+                + rounds * net.latency(!span_nodes)
+                + (p * 16) as f64 / net.bandwidth(!span_nodes);
+            self.note_wait(t_all + cost - self.clock);
+            self.clock = self.clock.max(t_all + cost);
+            let pairs: Vec<(i64, i64)> = contributions.iter().map(|c| (c.0, c.1)).collect();
+            let result = comm.split_from(&pairs, seq, self.rank());
+            self.end_call(0, at(comm), || MpiCall::CommSplit {
+                parent: comm.id,
+                color,
+                key,
+                result: result.as_ref().map(|c| c.id),
+            });
+            result
         }
-        self.account_mpi(t0, 0);
-        self.hook_post_c(&call, comm);
-        result
     }
 
     /// `MPI_Comm_dup`: collective duplicate of `comm`.
-    pub async fn comm_dup(&mut self, comm: &Communicator) -> Communicator {
-        let mut call = MpiCall::CommDup { parent: comm.id, result: None };
-        self.hook_pre_c(&call, comm);
-        let t0 = self.clock;
-        let seq = self.next_derive_seq(comm.id);
-        self.all_member(comm, Plan { schedule: Schedule::CommDup, bytes: 0 }).await;
-        let result = comm.dup_from(seq);
-        if let MpiCall::CommDup { result: r, .. } = &mut call {
-            *r = Some(result.id);
+    pub fn comm_dup<'a>(
+        &'a mut self,
+        comm: &'a Communicator,
+    ) -> impl Future<Output = Communicator> + 'a {
+        async move {
+            self.begin_call(at(comm), || MpiCall::CommDup { parent: comm.id, result: None });
+            let seq = self.next_derive_seq(comm.id);
+            self.all_member(comm, Plan { schedule: Schedule::CommDup, bytes: 0 }).await;
+            let result = comm.dup_from(seq);
+            self.end_call(0, at(comm), || MpiCall::CommDup {
+                parent: comm.id,
+                result: Some(result.id),
+            });
+            result
         }
-        self.account_mpi(t0, 0);
-        self.hook_post_c(&call, comm);
-        result
     }
 
     /// `MPI_Comm_free`: local bookkeeping only.
     pub fn comm_free(&mut self, comm: Communicator) {
-        let call = MpiCall::CommFree { comm: comm.id };
-        self.hook_pre_c(&call, &comm);
-        let t0 = self.clock;
+        let call = || MpiCall::CommFree { comm: comm.id };
+        self.begin_call(at(&comm), call);
         self.clock += self.machine().net.collective_overhead_ns * 0.1;
-        self.account_mpi(t0, 0);
-        self.hook_post_c(&call, &comm);
+        self.end_call(0, at(&comm), call);
     }
 
     // ------------------------------------------------------------------
@@ -561,23 +573,17 @@ impl Rank {
         self.shared.blocked[self.rank()].store(blocked::NONE, Ordering::Relaxed);
     }
 
-    pub(crate) fn hook_pre(&mut self, call: &MpiCall) {
-        self.hook_pre_raw(call, self.rank(), self.shared.nranks);
+    /// Where a call without a communicator runs: at this rank of the
+    /// world.
+    fn in_world(&self) -> (usize, usize) {
+        (self.rank(), self.shared.nranks)
     }
 
-    pub(crate) fn hook_post(&mut self, call: &MpiCall) {
-        self.hook_post_raw(call, self.rank(), self.shared.nranks);
-    }
-
-    pub(crate) fn hook_pre_c(&mut self, call: &MpiCall, comm: &Communicator) {
-        self.hook_pre_raw(call, comm.rank(), comm.size());
-    }
-
-    pub(crate) fn hook_post_c(&mut self, call: &MpiCall, comm: &Communicator) {
-        self.hook_post_raw(call, comm.rank(), comm.size());
-    }
-
-    fn hook_pre_raw(&mut self, call: &MpiCall, comm_rank: usize, comm_size: usize) {
+    /// Start a hooked call made at `place`, (rank, size) in the call's
+    /// communicator: note its start for the post hook and charge the first
+    /// half of the hook's overhead. Only a hook without a rank share gets
+    /// `pre`, so only then is the record `call` built.
+    pub(crate) fn begin_call(&mut self, place: (usize, usize), call: impl FnOnce() -> MpiCall) {
         // Hooked calls never nest (collective plumbing bypasses the hooks),
         // so one pre-slot per rank suffices for the per-call wait total.
         self.cur_call_t0 = self.clock;
@@ -585,24 +591,34 @@ impl Rank {
         let Some(hook) = &self.shared.hook else { return };
         // A rank hook records at post only.
         if self.hook.is_none() {
-            hook.pre(&self.hook_ctx(comm_rank, comm_size), call);
+            hook.pre(&self.hook_ctx(place), &call());
         }
         self.clock += self.shared.hook_half_ns;
     }
 
-    fn hook_post_raw(&mut self, call: &MpiCall, comm_rank: usize, comm_size: usize) {
+    /// End the hooked call [`Rank::begin_call`] started: account it, with
+    /// `sent_bytes` of payload, then hand the record `call` builds to the
+    /// hook and the collectors. A run with neither builds no record.
+    pub(crate) fn end_call(
+        &mut self,
+        sent_bytes: usize,
+        place: (usize, usize),
+        call: impl FnOnce() -> MpiCall,
+    ) {
+        self.account_mpi(sent_bytes);
         if self.shared.hook.is_none() && self.shared.collectors.is_none() {
             return;
         }
-        let ctx = self.hook_ctx(comm_rank, comm_size);
+        let call = call();
+        let ctx = self.hook_ctx(place);
         if let Some(hook) = &self.shared.hook {
             match &mut self.hook {
-                Some(own) => own.post(&ctx, call),
-                None => hook.post(&ctx, call),
+                Some(own) => own.post(&ctx, &call),
+                None => hook.post(&ctx, &call),
             }
         }
         if let Some(collectors) = &self.shared.collectors {
-            collectors.post(&ctx, call, self.requests.outstanding());
+            collectors.post(&ctx, &call, self.requests.outstanding());
         }
         self.clock += self.shared.hook_half_ns;
         self.hooked_calls = self.hooked_calls.wrapping_add(1);
@@ -610,7 +626,7 @@ impl Rank {
 
     /// The current call's context: at `pre`, the clock is still the call's
     /// start and no wait has accrued, so the same fields serve both hooks.
-    fn hook_ctx(&self, comm_rank: usize, comm_size: usize) -> HookCtx {
+    fn hook_ctx(&self, (comm_rank, comm_size): (usize, usize)) -> HookCtx {
         HookCtx {
             rank: self.rank(),
             clock_ns: self.clock,
@@ -629,7 +645,13 @@ impl Rank {
         self.wait.note(delta_ns);
     }
 
-    pub(crate) fn account_mpi(&mut self, t0: f64, sent_bytes: usize) {
+    /// Account the current call, from the clock its pre hook left, which
+    /// is its start plus half the hook's overhead, to now.
+    fn account_mpi(&mut self, sent_bytes: usize) {
+        let t0 = match self.shared.hook {
+            Some(_) => self.cur_call_t0 + self.shared.hook_half_ns,
+            None => self.cur_call_t0,
+        };
         self.mpi_ns += self.clock - t0;
         self.app_calls += 1;
         self.bytes_sent += sent_bytes as u64;
@@ -697,48 +719,46 @@ impl Rank {
         }
     }
 
-    /// Wait for an engine receive and apply completion. A receive that
-    /// completed at post finishes without waiting. `src_global` is only a
-    /// diagnostic hint for deadlock reports.
-    pub(crate) async fn wait_recv_raw(
-        &mut self,
-        recv: RecvHandle,
-        src_global: usize,
-    ) -> RecvStatus {
-        let c = match recv {
-            RecvHandle::Ready(c) => c,
-            RecvHandle::Pending(ticket) => {
-                self.set_blocked(blocked::recv(src_global));
-                let c = self.shared.engine.wait(self.rank(), ticket).await;
-                self.clear_blocked();
-                c
-            }
-        };
-        self.finish_recv(&c)
+    /// Wait for an engine receive, then apply its completion. A receive
+    /// that completed at post is ready at the first poll. `src_global`
+    /// names the peer in a deadlock report.
+    pub(crate) fn recv_wait(&mut self, recv: RecvHandle, src_global: usize) -> RecvWait<'_> {
+        if let RecvHandle::Pending(_) = recv {
+            self.set_blocked(blocked::recv(src_global));
+        }
+        RecvWait { rank: self, recv }
     }
 
-    /// Blocking send through the wire model (shared by app ops and
-    /// collective plumbing): a non-blocking send, then its completion.
-    pub(crate) async fn p2p_send_blocking(
+    /// Put a blocking send on the wire (application calls and collective
+    /// plumbing alike) and move the clock past the time it keeps the
+    /// sender busy; the returned future waits for a rendezvous send's ack.
+    pub(crate) fn send_blocking(
         &mut self,
         dst_global: usize,
         src_comm_rank: usize,
         comm: CommId,
         channel: Channel,
         bytes: usize,
-    ) {
+    ) -> SendWait<'_> {
         let (state, busy) = self.p2p_isend_state(dst_global, src_comm_rank, comm, channel, bytes);
-        // The clock does not move while the send blocks.
-        let busy_until = self.clock + busy;
-        if let ReqState::SendRendezvous { ack, .. } = state {
-            self.set_blocked(blocked::ack(dst_global));
-            let sender_done = AckWait(&ack).await;
-            self.clear_blocked();
-            self.note_wait(sender_done - busy_until);
-            self.clock = busy_until.max(sender_done);
-        } else {
-            self.clock = busy_until;
+        self.clock += busy;
+        match state {
+            ReqState::SendRendezvous { ack, dst_global } => self.ack_wait(ack, dst_global),
+            _ => SendWait { rank: self, ack: None },
         }
+    }
+
+    /// Wait for a rendezvous send's `ack` from `dst_global`.
+    fn ack_wait(&mut self, ack: Arc<AckCell>, dst_global: usize) -> SendWait<'_> {
+        self.set_blocked(blocked::ack(dst_global));
+        SendWait { rank: self, ack: Some(ack) }
+    }
+
+    /// Complete a send that finished at `done`: the clock jumps there if
+    /// it is later.
+    fn send_done(&mut self, done: f64) {
+        self.note_wait(done - self.clock);
+        self.clock = self.clock.max(done);
     }
 
     /// Put a send on the wire. Returns its request state plus how long it
@@ -781,21 +801,18 @@ impl Rank {
         }
     }
 
-    async fn complete_request(&mut self, req: Request) -> RecvStatus {
+    /// Complete request `req` (`wait`, `waitall`).
+    fn complete_request(&mut self, req: Request) -> RequestWait<'_> {
         match self.requests.take(req) {
-            ReqState::RecvPending { recv, src_global } => self.wait_recv_raw(recv, src_global).await,
+            ReqState::RecvPending { recv, src_global } => {
+                RequestWait::Recv(self.recv_wait(recv, src_global))
+            }
             ReqState::SendDone { done } => {
-                self.note_wait(done - self.clock);
-                self.clock = self.clock.max(done);
-                self.dummy_send_status()
+                self.send_done(done);
+                RequestWait::Send(SendWait { rank: self, ack: None })
             }
             ReqState::SendRendezvous { ack, dst_global } => {
-                self.set_blocked(blocked::ack(dst_global));
-                let done = AckWait(&ack).await;
-                self.clear_blocked();
-                self.note_wait(done - self.clock);
-                self.clock = self.clock.max(done);
-                self.dummy_send_status()
+                RequestWait::Send(self.ack_wait(ack, dst_global))
             }
         }
     }
@@ -822,6 +839,112 @@ impl Rank {
             compute_events: self.compute_events,
             sched_hash: self.sched_hash,
         }
+    }
+}
+
+/// Where a call on `comm` runs: (rank, size) in the communicator.
+pub(crate) fn at(comm: &Communicator) -> (usize, usize) {
+    (comm.rank(), comm.size())
+}
+
+/// The future a blocking receive awaits: its completion in the matching
+/// engine, applied to the rank's clock ([`Rank::finish_recv`]).
+pub(crate) struct RecvWait<'r> {
+    rank: &'r mut Rank,
+    recv: RecvHandle,
+}
+
+impl Future for RecvWait<'_> {
+    type Output = RecvStatus;
+
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<RecvStatus> {
+        let this = self.get_mut();
+        let c = match this.recv {
+            RecvHandle::Ready(c) => c,
+            RecvHandle::Pending(ticket) => {
+                let me = this.rank.rank();
+                let c = ready!(this.rank.shared.engine.poll_wait(me, ticket, cx));
+                this.rank.clear_blocked();
+                c
+            }
+        };
+        Poll::Ready(this.rank.finish_recv(&c))
+    }
+}
+
+/// The future a blocking send awaits: a rendezvous send's ack, which
+/// moves the clock to when the receiver let the transfer finish. An eager
+/// send is done when it is on the wire. Resolves to the status `wait`
+/// reports for a send.
+pub(crate) struct SendWait<'r> {
+    rank: &'r mut Rank,
+    ack: Option<Arc<AckCell>>,
+}
+
+impl Future for SendWait<'_> {
+    type Output = RecvStatus;
+
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<RecvStatus> {
+        let this = self.get_mut();
+        if let Some(ack) = &this.ack {
+            let done = ready!(ack.poll_value(cx));
+            this.rank.clear_blocked();
+            this.rank.send_done(done);
+        }
+        Poll::Ready(this.rank.dummy_send_status())
+    }
+}
+
+/// The future `wait` and `waitall` await for one request.
+pub(crate) enum RequestWait<'r> {
+    Recv(RecvWait<'r>),
+    Send(SendWait<'r>),
+}
+
+impl Future for RequestWait<'_> {
+    type Output = RecvStatus;
+
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<RecvStatus> {
+        match self.get_mut() {
+            RequestWait::Recv(wait) => Pin::new(wait).poll(cx),
+            RequestWait::Send(wait) => Pin::new(wait).poll(cx),
+        }
+    }
+}
+
+/// The future `comm_split` awaits: the member's arrival on the split
+/// board. Its first poll deposits `(color, key, clock)`; it resolves to
+/// every member's contribution.
+struct SplitArrival<'r> {
+    rank: &'r mut Rank,
+    comm: &'r Communicator,
+    color: i64,
+    key: i64,
+    seq: u32,
+    deposited: bool,
+}
+
+impl Future for SplitArrival<'_> {
+    type Output = Vec<SplitEntry>;
+
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Vec<SplitEntry>> {
+        let this = self.get_mut();
+        let comm = this.comm;
+        // The last arrival evaluates nothing: each member reads every entry.
+        let entry = (this.color, this.key, this.rank.clock);
+        let deposit = (!this.deposited).then_some((entry, |_: &mut [SplitEntry]| {}));
+        this.deposited = true;
+        let key = (comm.id.0, this.seq);
+        let contributions = ready!(this.rank.shared.splits.poll_arrive(
+            cx,
+            key,
+            comm.rank(),
+            comm.size(),
+            deposit,
+            |entries, _| entries.to_vec(),
+        ));
+        this.rank.clear_blocked();
+        Poll::Ready(contributions)
     }
 }
 

@@ -10,7 +10,7 @@ use siesta_perfmodel::{CounterVec, Machine};
 
 use crate::comm_matrix::CommMatrix;
 use crate::engine::Engine;
-use crate::hook::PmpiHook;
+use crate::hook::{PmpiHook, RankHook};
 use crate::obs::{Collectors, ObsHook};
 use crate::profiler::SimProfiler;
 use crate::quorum::QuorumBoard;
@@ -135,11 +135,17 @@ impl World {
             nranks: self.nranks,
             blocked: (0..self.nranks).map(|_| AtomicU64::new(blocked::NONE)).collect(),
         });
-        let futs: Vec<RankFut<'env>> = (0..self.nranks)
-            .map(|r| {
-                let own = shared.hook.as_ref().and_then(|h| Arc::clone(h).for_rank(r));
-                body(Rank::new(shared.clone(), r, own))
-            })
+        // Every rank's hook state first, then every future: the futures
+        // lie side by side, so the memory they free as their ranks finish
+        // joins into blocks that later allocations, the ranks' outputs
+        // among them, can reuse.
+        let hooks: Vec<Option<Box<dyn RankHook>>> = (0..self.nranks)
+            .map(|r| shared.hook.as_ref().and_then(|h| Arc::clone(h).for_rank(r)))
+            .collect();
+        let futs: Vec<RankFut<'env>> = hooks
+            .into_iter()
+            .enumerate()
+            .map(|(r, own)| body(Rank::new(shared.clone(), r, own)))
             .collect();
         let run = crate::exec::run_event(futs, observed, Rank::into_stats);
         // Which receives found their message queued depends on how ranks

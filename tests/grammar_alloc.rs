@@ -204,15 +204,16 @@ fn grammar_merge_allocates_per_distinct_grammar_not_per_rank() {
 }
 
 #[test]
-fn traced_halo_world_costs_under_two_kilobytes_per_rank() {
+fn traced_halo_world_costs_under_1664_bytes_per_rank() {
     // 4,096 ranks of 13 calls each, traced: at its peak the run holds
     // per-rank state, each rank's future, mailbox and recorder state. At
     // width 1 every rank runs on this thread, so the counts see all of it.
-    // One ordered buffer per mailbox, a short list of sequence counters
-    // and a recorder state whose handle maps wait for their first use,
-    // boxed with its first compute cluster inline, measure 1,943 B and
-    // 11.06 allocations per rank; four mailbox containers, two counter
-    // maps and eager handle maps measured 2,627 B and 14.06.
+    // A 584 B future, whose blocking calls each hold one small leaf
+    // future, and a scheduler slot of 24 B that holds only that future
+    // measure 1,615 B and 11.07 allocations per rank. An 800 B future and
+    // a 136 B slot with room for the rank's output measured 1,943 B and
+    // 11.06; before that, four mailbox containers, two counter maps and
+    // eager handle maps measured 2,627 B and 14.06.
     const RANKS: usize = 4096;
     let machine = Machine::new(platform_b(), MpiFlavor::OpenMpi);
     let (trace, allocs, peak) = siesta_par::with_threads(1, || {
@@ -223,6 +224,6 @@ fn traced_halo_world_costs_under_two_kilobytes_per_rank() {
         })
     });
     assert_eq!(trace.total_events(), RANKS * 16);
-    assert!(peak <= 2048 * RANKS as i64, "peak live heap {peak} B over {RANKS} ranks");
+    assert!(peak <= 1664 * RANKS as i64, "peak live heap {peak} B over {RANKS} ranks");
     assert!(allocs <= 12 * RANKS as u64, "{allocs} allocations over {RANKS} ranks");
 }
